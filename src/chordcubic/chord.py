@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-from .curve import CurveParams, CurvePoint, beta
+from .curve import CurveParams, CurvePoint, _coord_str, beta
 from .scalars import PrimeField, PrimeFieldScalar
 
 
@@ -81,10 +81,6 @@ class DualPoint:
 
     def __repr__(self):
         return f"DualPoint({self})"
-
-
-def _coord_str(c) -> str:
-    return str(c.value) if isinstance(c, PrimeFieldScalar) else str(c)
 
 
 class TernaryForm:

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -236,7 +237,14 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        return _run(args)
+        code = _run(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader of stdout went away; send what is still buffered to
+        # devnull so that the flush at interpreter exit does not fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except CliError as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return 2

@@ -2,21 +2,26 @@
 
 Everything here is exact: Hessians are expanded symbolically, line-curve
 intersections restrict the form to a binary form and count roots with
-multiplicity in the working field only (no field extensions), smoothness
-and flex searches over F_p are exhaustive point scans, and the minimal
-interpolating degree comes from exact nullspace ranks of monomial
-evaluation matrices.  The working field is inferred from the scalars
-inside the forms and points.
+multiplicity in the working field only (no field extensions), and the
+minimal interpolating degree comes from exact nullspace ranks of monomial
+evaluation matrices.  The F_p zeros of a form at most quadratic in some
+coordinate are found in O(p) by sweeping the pencil of lines through that
+coordinate's vertex and solving one quadratic per line; smoothness and
+flex searches over F_p test the gradient and the Hessian only at those
+zeros.  The working field is inferred from the scalars inside the forms
+and points.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from math import gcd
 
 from .chord import DualPoint, TernaryForm, as_triple, coerce_triple, normalize_triple
-from .scalars import PrimeField, PrimeFieldScalar, check_modulus
+from .curve import _divisors
+from .scalars import PrimeField, PrimeFieldScalar, check_modulus, squares_table
 
 
 @dataclass(frozen=True)
@@ -112,8 +117,12 @@ def _chart_tables(table: dict, degree: int):
     return grid, edge, corner
 
 
-def _zero_points_over_Fp(form: TernaryForm, p: int):
-    """Yield all projective F_p zeros of the form, already normalized."""
+def _zero_points_scan(form: TernaryForm, p: int):
+    """Yield all projective F_p zeros of the form by testing every point.
+
+    O(p^2): the sweep below falls back to it for a form of degree at least
+    3 in every coordinate, and the tests use it as the oracle for the sweep.
+    """
     table = _int_table(form, p)
     d = form.degree
     grid, edge, corner = _chart_tables(table, d)
@@ -140,6 +149,77 @@ def _zero_points_over_Fp(form: TernaryForm, p: int):
         yield (0, 0, 1)
 
 
+def _zero_points_over_Fp(form: TernaryForm, p: int):
+    """Yield all projective F_p zeros of the form, normalized, each once.
+
+    When the form has degree at most 2 in a coordinate z, every point but
+    the vertex where only z is nonzero lies on exactly one line of the
+    pencil through that vertex, on which the other two coordinates (r, s)
+    are (1, t) or (0, 1).  Restricted to such a line the form is a
+    quadratic in z, solved with the square-root table: O(p) in all.  The
+    order of the zeros is unspecified.
+    """
+    table = _int_table(form, p)
+    d = form.degree
+    # Prefer V or W as z, so that the lines (1, t) give points with U = 1.
+    axis = next((z for z in (1, 2, 0) if all(key[z] <= 2 for key in table)), None)
+    if axis is None:
+        yield from _zero_points_scan(form, p)
+        return
+    r, s = (m for m in range(3) if m != axis)
+    # polys[e][m] is the coefficient of z^e r^(d-e-m) s^m.
+    polys = [[0] * (max(d - e, 0) + 1) for e in range(3)]
+    for key, c in table.items():
+        polys[key[axis]][key[s]] += c
+    roots = squares_table(p)
+    pt = [0, 0, 0]
+    for xr, xs in chain(((1, t) for t in range(p)), [(0, 1)]):
+        if xr:
+            coeffs = [_poly_eval(poly, xs) % p for poly in polys]
+        else:
+            coeffs = [poly[-1] % p for poly in polys]
+        pt[r], pt[s] = xr, xs
+        for z in _quadratic_zeros(*coeffs, p, roots):
+            pt[axis] = z
+            yield _normalized(pt, p)
+    vertex = [0, 0, 0]
+    vertex[axis] = 1
+    if table.get(tuple(d * x for x in vertex), 0) % p == 0:
+        yield tuple(vertex)
+
+
+def _quadratic_zeros(c0: int, c1: int, c2: int, p: int, roots: dict):
+    """All z in F_p with c2 z^2 + c1 z + c0 = 0; every z for the zero polynomial."""
+    if c2:
+        inv = pow(2 * c2, -1, p)
+        return [(y - c1) * inv % p for y in roots.get((c1 * c1 - 4 * c2 * c0) % p, ())]
+    if c1:
+        return [-c0 * pow(c1, -1, p) % p]
+    return range(p) if c0 == 0 else []
+
+
+def _normalized(pt, p: int) -> tuple:
+    """An int triple scaled mod p so that its first nonzero entry is 1."""
+    lead = next(c for c in pt if c)
+    if lead == 1:
+        return tuple(pt)
+    inv = pow(lead, -1, p)
+    return tuple(c * inv % p for c in pt)
+
+
+def _scan_index(pt, p: int) -> int:
+    """Position of a normalized triple in the order of _zero_points_scan."""
+    u, v, w = pt
+    if u:
+        return v * p + w
+    return p * p + (w if v else p)
+
+
+def _vanishes(table: dict, pt, p: int) -> bool:
+    u, v, w = pt
+    return sum(c * u ** i * v ** j * w ** k for (i, j, k), c in table.items()) % p == 0
+
+
 def count_zero_points_over_Fp(form: TernaryForm, p: int) -> int:
     """Number of F_p points of the projective zero set of the form."""
     return sum(1 for _ in _zero_points_over_Fp(form, p))
@@ -148,29 +228,31 @@ def count_zero_points_over_Fp(form: TernaryForm, p: int) -> int:
 def smooth_over_Fp(form: TernaryForm, p: int) -> bool:
     """No F_p point kills the form and all three partials simultaneously."""
     fp = form_mod_p(form, p)
-    grads = gradient(fp)
-    field = PrimeField(p)
+    grads = [_int_table(g, p) for g in gradient(fp)]
     for pt in _zero_points_over_Fp(fp, p):
-        coords = tuple(field(c) for c in pt)
-        if all(g.evaluate(coords) == 0 for g in grads):
+        if all(_vanishes(g, pt, p) for g in grads):
             return False
     return True
 
 
 def find_flexes_over_Fp(form: TernaryForm, p: int) -> list:
-    """All F_p points of the curve that are flexes, in scan order."""
+    """All smooth F_p points of the cubic where the Hessian vanishes.
+
+    The Hessian and the gradient are tested only at the zeros of the form.
+    The flexes are returned as triples of F_p scalars, in the order of the
+    projective scan: [1:v:w] by (v, w), then [0:1:w] by w, then [0:0:1].
+    """
     fp = form_mod_p(form, p)
-    grads = gradient(fp)
-    hess = hessian_cubic(fp)
+    grads = [_int_table(g, p) for g in gradient(fp)]
+    hess = _int_table(hessian_cubic(fp), p)
+    flexes = [
+        pt
+        for pt in _zero_points_over_Fp(fp, p)
+        if _vanishes(hess, pt, p) and not all(_vanishes(g, pt, p) for g in grads)
+    ]
+    flexes.sort(key=lambda pt: _scan_index(pt, p))
     field = PrimeField(p)
-    flexes = []
-    for pt in _zero_points_over_Fp(fp, p):
-        coords = tuple(field(c) for c in pt)
-        if all(g.evaluate(coords) == 0 for g in grads):
-            continue
-        if hess.evaluate(coords) == 0:
-            flexes.append(coords)
-    return flexes
+    return [tuple(field(c) for c in pt) for pt in flexes]
 
 
 def _line_basis(line) -> tuple:
@@ -297,18 +379,6 @@ def _root_candidates(coeffs: list, p: int | None):
         if c not in seen:
             seen.add(c)
             out.append(c)
-    return sorted(out)
-
-
-def _divisors(n: int) -> list:
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-        d += 1
     return sorted(out)
 
 

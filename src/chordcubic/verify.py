@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from math import isqrt
 
 from . import poly
 from .chord import (
@@ -302,12 +303,21 @@ def verify_degree_remark(
     report is ``fail`` with that fiber as witness.  In general
     line(q, q + T) = line(q', q' + T) with q != q' forces 3q = O and
     q' = q - T, so the image has exactly #E - #E[3] points.
-    Skipped when no point of that order exists.
+    Skipped when no point of that order exists.  Raises ValueError, before
+    any point is enumerated, for an order below 2 or above the Hasse bound
+    p + 1 + 2 sqrt(p), and for ``dmax`` outside 1..8.
     """
     started = time.monotonic()
     if order < 2:
         raise ValueError("translation order must be at least 2")
+    if not 1 <= dmax <= 8:
+        raise ValueError(f"dmax must lie in 1..8, got {dmax}")
     pp = reduce_params(params, p)
+    hasse = p + 1 + isqrt(4 * p)
+    if order > hasse:
+        raise ValueError(
+            f"no point has order {order} mod {p}: #E <= {hasse} by the Hasse bound"
+        )
     points = enumerate_points(pp, p)
     t_pt = next((q for q in points if point_order(q) == order), None)
     if t_pt is None:

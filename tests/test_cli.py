@@ -1,7 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import chordcubic
+from chordcubic import verify
 from chordcubic.cli import main
 
 
@@ -108,6 +114,58 @@ def test_degree_command_reports_collision(capsys):
     report = json.loads(out)["reports"][0]
     assert report["status"] == "fail"
     assert report["stats"]["image_degree"] == 6
+
+
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        (("--order", "4", "--dmax", "0"), "dmax must lie in 1..8"),
+        (("--order", "4", "--dmax", "-3"), "dmax must lie in 1..8"),
+        (("--order", "4", "--dmax", "9"), "dmax must lie in 1..8"),
+        (("--order", "97"), "Hasse bound"),
+        (("--order", "44"), "Hasse bound"),
+    ],
+)
+def test_degree_rejects_bad_input_before_enumerating(capsys, monkeypatch, extra, message):
+    def no_enumeration(*args):
+        raise AssertionError("points were enumerated for rejected input")
+
+    monkeypatch.setattr(verify, "enumerate_points", no_enumeration)
+    code, out, err = _run(
+        capsys, "degree", "--a", "-3", "--b", "2", "--prime", "31", *extra
+    )
+    assert code == 2
+    assert out == ""
+    assert message in json.loads(err)["error"]
+
+
+def test_degree_accepts_order_at_the_hasse_bound(capsys):
+    # p = 31: #E <= 31 + 1 + floor(2 sqrt 31) = 43.
+    code, out, _ = _run(
+        capsys, "degree", "--a", "-3", "--b", "2", "--prime", "31", "--order", "43"
+    )
+    assert code == 0
+    assert json.loads(out)["reports"][0]["status"] == "skipped"
+
+
+def test_closed_stdout_exits_1_without_traceback():
+    src = str(Path(chordcubic.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))
+    ))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "chordcubic.cli", "suite", "--prime", "101",
+         "--random", "2", "--seed", "7"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    proc.stdout.close()  # the reader exits before the first byte, like `| head -0`
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 1
+    assert "Traceback" not in err
+    assert "BrokenPipeError" not in err
 
 
 def test_quotient_command(capsys):

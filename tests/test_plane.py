@@ -8,10 +8,13 @@ from chordcubic.curve import CurvePoint, reduce_params, validate_curve
 from chordcubic.plane import (
     IntersectionRecord,
     MinDegree,
+    _zero_points_over_Fp,
+    _zero_points_scan,
     count_zero_points_over_Fp,
     dual_incidence,
     evaluate_form,
     find_flexes_over_Fp,
+    form_mod_p,
     hessian_cubic,
     is_flex,
     line_cubic_intersection,
@@ -19,7 +22,9 @@ from chordcubic.plane import (
     monomials,
     smooth_over_Fp,
 )
-from chordcubic.scalars import PrimeField
+from chordcubic.scalars import PrimeField, is_prime
+
+PRIMES_BELOW_200 = [p for p in range(5, 200) if is_prime(p)]
 
 
 def _fermat() -> TernaryForm:
@@ -216,3 +221,134 @@ def test_monomials_shape():
     assert len(monomials(3)) == 10
     assert len(monomials(6)) == 28
     assert all(sum(m) == 6 for m in monomials(6))
+
+
+def _hypothesis():
+    """given, a settings decorator and the strategies module, or skip."""
+    hypothesis = pytest.importorskip("hypothesis")
+    settings = hypothesis.settings(max_examples=40, deadline=None)
+    return hypothesis.given, settings, hypothesis.strategies
+
+
+def _curves(st):
+    """Random valid (a, b, p): b (a^2 - 4b) != 0 mod p, 3 < p < 200."""
+
+    @st.composite
+    def draw_curve(draw):
+        p = draw(st.sampled_from(PRIMES_BELOW_200))
+        a = draw(st.integers(0, p - 1))
+        b = draw(st.integers(1, p - 1).filter(lambda b: (a * a - 4 * b) % p))
+        return a, b, p
+
+    return draw_curve()
+
+
+def _forms_with_a_quadratic_axis(st):
+    """Random (form, p) of degree 1 to 3, of degree <= 2 in some coordinate.
+
+    A cubic loses the cube of a drawn axis and keeps the other two cubes, so
+    the sweep runs along that axis; every axis is drawn.
+    """
+
+    @st.composite
+    def draw_form(draw):
+        p = draw(st.sampled_from(PRIMES_BELOW_200))
+        degree = draw(st.integers(1, 3))
+        axis = draw(st.integers(0, 2))
+        coeffs = {key: draw(st.integers(0, p - 1)) for key in monomials(degree)}
+        if degree == 3:
+            for m in range(3):
+                cube = tuple(3 if i == m else 0 for i in range(3))
+                coeffs[cube] = 0 if m == axis else draw(st.integers(1, p - 1))
+        return TernaryForm(degree, coeffs), p
+
+    return draw_form()
+
+
+def _sweep_matches_scan(form, p):
+    swept = sorted(_zero_points_over_Fp(form, p))
+    assert swept == sorted(_zero_points_scan(form, p))
+
+
+def _flexes_by_scan(form, p):
+    """The flexes found by testing every point of the plane: the oracle."""
+    form = form_mod_p(form, p)
+    field = PrimeField(p)
+    grads = [form.partial(i) for i in range(3)]
+    hess = hessian_cubic(form)
+    flexes = []
+    for pt in _zero_points_scan(form, p):
+        coords = tuple(field(c) for c in pt)
+        if all(g.evaluate(coords) == 0 for g in grads):
+            continue
+        if hess.evaluate(coords) == 0:
+            flexes.append(coords)
+    return flexes
+
+
+def test_sweep_matches_scan_on_the_curve_and_its_image():
+    given, settings, st = _hypothesis()
+
+    @settings
+    @given(_curves(st))
+    def check(curve):
+        a, b, p = curve
+        pp = reduce_params(validate_curve(a, b), p)
+        _sweep_matches_scan(chord_cubic(pp), p)
+        _sweep_matches_scan(weierstrass_form(pp), p)
+
+    check()
+
+
+def test_sweep_matches_scan_on_random_forms():
+    given, settings, st = _hypothesis()
+
+    @settings
+    @given(_forms_with_a_quadratic_axis(st))
+    def check(form_p):
+        _sweep_matches_scan(*form_p)
+
+    check()
+
+
+def test_sweep_matches_scan_on_curves_with_lines_and_without_an_axis():
+    # UVW contains the three coordinate lines, so whole pencil lines vanish;
+    # the Fermat cubic is cubic in every coordinate and takes the fallback.
+    given, settings, st = _hypothesis()
+
+    @settings
+    @given(st.sampled_from(PRIMES_BELOW_200))
+    def check(p):
+        assert count_zero_points_over_Fp(_triangle(), p) == 3 * p
+        _sweep_matches_scan(_triangle(), p)
+        _sweep_matches_scan(_fermat(), p)
+
+    check()
+
+
+def test_flexes_match_the_scan_in_scan_order():
+    given, settings, st = _hypothesis()
+
+    @settings
+    @given(_curves(st), _forms_with_a_quadratic_axis(st))
+    def check(curve, form_p):
+        a, b, p = curve
+        pp = reduce_params(validate_curve(a, b), p)
+        cases = [(chord_cubic(pp), p), (weierstrass_form(pp), p), (_fermat(), p)]
+        if form_p[0].degree == 3:
+            cases.append(form_p)
+        for cubic, q in cases:
+            assert find_flexes_over_Fp(cubic, q) == _flexes_by_scan(cubic, q)
+
+    check()
+
+
+def test_image_count_at_the_largest_prime_matches_euler_criterion():
+    # The image cubic is the quotient by beta, so it has #E(F_p) points.
+    p, a, b = 65521, -3, 2
+    count = 1 + sum(
+        1 + (0 if f % p == 0 else 1 if pow(f, (p - 1) // 2, p) == 1 else -1)
+        for f in (x * x * x + a * x * x + b * x for x in range(p))
+    )
+    pp = reduce_params(validate_curve(a, b), p)
+    assert count_zero_points_over_Fp(chord_cubic(pp), p) == count
