@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt, lcm
 
 from .scalars import (
     PrimeField,
@@ -24,8 +24,14 @@ from .scalars import (
 )
 
 # Rational-root searches (3-torsion over the rationals) give up beyond this
-# coefficient size and fall back to the identity-only answer.
+# coefficient size and raise rather than return an incomplete set.
 _ROOT_SEARCH_BOUND = 10 ** 12
+
+# Largest order of a rational torsion point (Mazur).
+_MAZUR_BOUND = 12
+
+# Trial divisors tried when looking for the minimal model of a rational curve.
+_SCALE_TRIAL_LIMIT = 10 ** 4
 
 
 @dataclass(frozen=True)
@@ -212,10 +218,20 @@ def translate_by_beta(p: CurvePoint) -> CurvePoint:
 
 
 def point_order(p: CurvePoint) -> int:
-    """Order of a point in the group (repeated addition; desk scale)."""
+    """Order of a point in the group, by repeated addition.
+
+    Over F_p this takes up to #E - 1 additions.  Over the rationals a point
+    of finite order has order at most 12 (Mazur, Publ. Math. IHES 47, 1977),
+    so a point still nonzero at 12 p has infinite order: ValueError.
+    """
+    bound = _MAZUR_BOUND if p.params.modulus is None else None
     n = 1
     q = p
     while not q.is_infinity:
+        if n == bound:
+            raise ValueError(
+                f"point {p} has infinite order: rational torsion has order <= {bound}"
+            )
         q = group_add(q, p)
         n += 1
     return n
@@ -276,25 +292,27 @@ def three_torsion_flexes(params: CurveParams, p: int | None = None) -> list:
     """All points q with 3q = O in the working field.
 
     Over F_p this is an exhaustive scan of the rational points.  Over the
-    rationals the affine candidates are the rational roots of the quartic
+    rationals the search runs on the minimal model (a/u^2, b/u^4) with
+    integer coefficients, whose points map back by (x, y) -> (u^2 x, u^3 y).
+    There the affine candidates are the rational roots of the quartic
     3x^4 + 4a x^3 + 6b x^2 - b^2 (the condition x(2q) = x(q)), found by the
-    rational root theorem; oversized coefficients fall back to [O].
+    rational root theorem.  ValueError when that model's coefficients are
+    too large for the search, rather than an incomplete set.
     """
     if p is not None:
         return [
             q for q in enumerate_points(params, p) if scalar_mul(3, q).is_infinity
         ]
 
-    a, b = Fraction(params.a), Fraction(params.b)
-    quartic = [Fraction(3), 4 * a, 6 * b, Fraction(0), -b * b]
-    scale = 1
-    for c in quartic:
-        scale = scale * c.denominator // gcd(scale, c.denominator)
-    ints = [int(c * scale) for c in quartic]
-    lead, const = abs(ints[0]), abs(ints[-1])
-    points = [CurvePoint.infinity(params)]
-    if lead > _ROOT_SEARCH_BOUND or const > _ROOT_SEARCH_BOUND:
-        return points
+    u = _minimal_scale(Fraction(params.a), Fraction(params.b))
+    a, b = int(params.a / u ** 2), int(params.b / u ** 4)
+    ints = [3, 4 * a, 6 * b, 0, -b * b]
+    lead, const = ints[0], b * b
+    if const > _ROOT_SEARCH_BOUND:
+        raise ValueError(
+            f"3-torsion search on {params} needs the divisors of {const}: "
+            f"too large to enumerate (bound {_ROOT_SEARCH_BOUND})"
+        )
 
     found = []
     for num in _divisors(const):
@@ -308,11 +326,38 @@ def three_torsion_flexes(params: CurveParams, p: int | None = None) -> list:
                 if s is None:
                     continue
                 for y in {s, -s}:
-                    q = CurvePoint.affine(params, x, y)
+                    q = CurvePoint.affine(params, u ** 2 * x, u ** 3 * y)
                     if scalar_mul(3, q).is_infinity and q not in found:
                         found.append(q)
     found.sort(key=lambda q: (_sort_key(q.x), _sort_key(q.y)))
-    return points + found
+    return [CurvePoint.infinity(params)] + found
+
+
+def _minimal_scale(a: Fraction, b: Fraction) -> Fraction:
+    """A u > 0 making (a/u^2, b/u^4) integers, as large as can be found.
+
+    u = e/d where d clears the denominators and e^4 is the largest fourth
+    power dividing gcd(A^2, B) for the integral A = a d^2, B = b d^4, so
+    that e^2 | A and e^4 | B.  Trial division strips each small factor t
+    and finds e exactly once t^5 exceeds the cofactor: what is left then
+    has at most four prime factors and holds a fourth power only by being
+    one.  Past _SCALE_TRIAL_LIMIT the answer may fall short of the minimal
+    model.
+    """
+    d = lcm(a.denominator, b.denominator)
+    rest = gcd(int(a * d ** 2) ** 2, int(b * d ** 4))
+    e, t = 1, 2
+    while t <= _SCALE_TRIAL_LIMIT and t ** 5 <= rest:
+        k = 0
+        while rest % t == 0:
+            rest //= t
+            k += 1
+        e *= t ** (k // 4)
+        t += 1
+    root = isqrt(isqrt(rest))
+    if root > 1 and root ** 4 == rest:
+        e *= root
+    return Fraction(e, d)
 
 
 def _divisors(n: int) -> list:

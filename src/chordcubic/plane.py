@@ -200,7 +200,9 @@ def _quadratic_zeros(c0: int, c1: int, c2: int, p: int, roots: dict):
 
 def _normalized(pt, p: int) -> tuple:
     """An int triple scaled mod p so that its first nonzero entry is 1."""
-    lead = next(c for c in pt if c)
+    lead = next((c for c in pt if c), None)
+    if lead is None:
+        raise ValueError("projective coordinates must not all vanish")
     if lead == 1:
         return tuple(pt)
     inv = pow(lead, -1, p)
@@ -399,38 +401,52 @@ def min_interpolating_degree(points, dmax: int = 8) -> MinDegree | None:
 
     Returns the degree together with the kernel dimension of the monomial
     evaluation matrix, or None when no degree up to ``dmax`` works.
-    Points must be distinct.
+    Points must be distinct and lie in one field.  Over F_p the matrix
+    entries are products of per-coordinate power tables on plain ints.
     """
     if dmax > 8:
         raise ValueError("dmax is capped at 8")
     triples = [coerce_triple(as_triple(pt)) for pt in points]
-    normalized = [normalize_triple(t) for t in triples]
+    fields = {
+        t[0].modulus if isinstance(t[0], PrimeFieldScalar) else None for t in triples
+    }
+    if len(fields) > 1:
+        raise ValueError("interpolation points must lie in one field")
+    modulus = fields.pop() if fields else None
+    if modulus is None:
+        normalized = [normalize_triple(t) for t in triples]
+    else:
+        normalized = [_normalized([c.value for c in t], modulus) for t in triples]
     if len(set(normalized)) != len(normalized):
         raise ValueError("interpolation points must be distinct")
-    modulus = None
-    for t in normalized:
-        for c in t:
-            if isinstance(c, PrimeFieldScalar):
-                modulus = c.modulus
+    if modulus is not None:
+        tables = [
+            [[pow(c, e, modulus) for e in range(dmax + 1)] for c in t] for t in normalized
+        ]
     for d in range(1, dmax + 1):
         mons = monomials(d)
-        rows = []
-        for t in normalized:
-            rows.append([t[0] ** i * t[1] ** j * t[2] ** k for (i, j, k) in mons])
-        rank = _rank(rows, modulus)
+        if modulus is None:
+            rows = [
+                [t[0] ** i * t[1] ** j * t[2] ** k for (i, j, k) in mons]
+                for t in normalized
+            ]
+            rank = _rank_over_Q(rows)
+        else:
+            rows = [
+                [pu[i] * pv[j] * pw[k] % modulus for (i, j, k) in mons]
+                for pu, pv, pw in tables
+            ]
+            rank = _rank_mod_p(rows, modulus)
         nullity = len(mons) - rank
         if nullity > 0:
             return MinDegree(d, nullity)
     return None
 
 
-def _rank(rows: list, p: int | None) -> int:
+def _rank_over_Q(rows: list) -> int:
     if not rows:
         return 0
     ncols = len(rows[0])
-    if p is not None:
-        mat = [[c.value for c in row] for row in rows]
-        return _rank_mod_p(mat, p)
     mat = [[Fraction(c) for c in row] for row in rows]
     rank = 0
     for col in range(ncols):
@@ -451,20 +467,26 @@ def _rank(rows: list, p: int | None) -> int:
 
 
 def _rank_mod_p(mat: list, p: int) -> int:
-    ncols = len(mat[0])
-    rank = 0
-    for col in range(ncols):
-        pivot = next((r for r in range(rank, len(mat)) if mat[r][col] % p), None)
-        if pivot is None:
-            continue
-        mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        inv = pow(mat[rank][col], p - 2, p)
-        mat[rank] = [v * inv % p for v in mat[rank]]
-        for r in range(len(mat)):
-            if r != rank and mat[r][col] % p:
-                factor = mat[r][col]
-                mat[r] = [(v - factor * w) % p for v, w in zip(mat[r], mat[rank])]
-        rank += 1
-        if rank == len(mat):
+    """Rank mod p of an int matrix, by row echelon form built row by row.
+
+    Each row is reduced by the pivot rows found so far and, unless it
+    vanishes, joins them as the pivot row of its first nonzero column; no
+    row is ever reduced above its pivot.  Stops at full column rank.
+    """
+    ncols = len(mat[0]) if mat else 0
+    basis = {}
+    for row in mat:
+        row = [v % p for v in row]
+        for col in range(ncols):
+            c = row[col]
+            if not c:
+                continue
+            top = basis.get(col)
+            if top is None:
+                inv = pow(c, -1, p)
+                basis[col] = [v * inv % p for v in row]
+                break
+            row = [(v - c * w) % p for v, w in zip(row, top)]
+        if len(basis) == ncols:
             break
-    return rank
+    return len(basis)

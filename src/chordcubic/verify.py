@@ -32,6 +32,7 @@ from .curve import (
     group_add,
     point_order,
     reduce_params,
+    scalar_mul,
     three_torsion_flexes,
     translate_by_beta,
     two_torsion_points,
@@ -288,6 +289,23 @@ def verify_quotient(params: CurveParams, primes, mutate: str | None = None) -> R
     return _report(CLAIM_QUOTIENT, ok, witness, started, checked, counts=counts)
 
 
+def _translation_point(points: list, order: int) -> CurvePoint | None:
+    """The first of the points with exactly the given order, or None.
+
+    ``points`` is all of E(F_p); see verify_degree_remark for the filters.
+    """
+    if len(points) % order:
+        return None
+    return next(
+        (
+            q
+            for q in points
+            if scalar_mul(order, q).is_infinity and point_order(q) == order
+        ),
+        None,
+    )
+
+
 def verify_degree_remark(
     params: CurveParams, p: int, order: int, dmax: int = 8
 ) -> Report:
@@ -303,9 +321,14 @@ def verify_degree_remark(
     report is ``fail`` with that fiber as witness.  In general
     line(q, q + T) = line(q', q' + T) with q != q' forces 3q = O and
     q' = q - T, so the image has exactly #E - #E[3] points.
-    Skipped when no point of that order exists.  Raises ValueError, before
-    any point is enumerated, for an order below 2 or above the Hasse bound
-    p + 1 + 2 sqrt(p), and for ``dmax`` outside 1..8.
+
+    T is the first point of that order in enumeration order.  The check is
+    skipped when no point has that order, at once when the order does not
+    divide #E (Lagrange).  Otherwise one scalar_mul per point keeps the q
+    with n q = O, and point_order, at most n - 1 additions each, runs only
+    on those.  Raises ValueError, before any point is enumerated, for an
+    order below 2 or above the Hasse bound p + 1 + 2 sqrt(p), and for
+    ``dmax`` outside 1..8.
     """
     started = time.monotonic()
     if order < 2:
@@ -319,7 +342,7 @@ def verify_degree_remark(
             f"no point has order {order} mod {p}: #E <= {hasse} by the Hasse bound"
         )
     points = enumerate_points(pp, p)
-    t_pt = next((q for q in points if point_order(q) == order), None)
+    t_pt = _translation_point(points, order)
     if t_pt is None:
         return _skip(CLAIM_DEGREE, f"no point of order {order} mod {p}", started)
 

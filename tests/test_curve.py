@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -190,6 +191,26 @@ def test_rational_three_torsion_found():
     assert [str(q) for q in three_torsion_flexes(validate_curve(0, 4))] == ["[0:1:0]"]
 
 
+def test_rational_three_torsion_on_a_scaled_model():
+    # (-3, 3) has 3-torsion (1, +-1); scaled by u = 40 its coefficients
+    # pass the search bound, so the search runs on the minimal model.
+    tor3 = three_torsion_flexes(validate_curve(-4800, 7680000))
+    assert [str(q) for q in tor3] == ["[0:1:0]", "[1600:-64000:1]", "[1600:64000:1]"]
+    # u = 1/2: denominators are cleared the same way.
+    tor3 = three_torsion_flexes(validate_curve(Fraction(-3, 4), Fraction(3, 16)))
+    assert [str(q) for q in tor3] == ["[0:1:0]", "[1/4:-1/8:1]", "[1/4:1/8:1]"]
+    # u = 23 is a prime above the fifth root of gcd(a^2, b) = 8 * 23^4;
+    # unscaled, b^2 = 5e12 would pass the search bound and raise.
+    tor3 = three_torsion_flexes(validate_curve(0, 8 * 23 ** 4))
+    assert [str(q) for q in tor3] == ["[0:1:0]"]
+
+
+def test_rational_three_torsion_refuses_an_undecidable_search():
+    # b is prime, so the model is minimal and b^2 passes the search bound.
+    with pytest.raises(ValueError, match="too large"):
+        three_torsion_flexes(validate_curve(1, 10_000_019))
+
+
 def test_three_torsion_points_are_hessian_flexes():
     # Rational case: the curve's own cubic must be inflected at 3-torsion.
     params = validate_curve(-2, 5)
@@ -211,3 +232,13 @@ def test_point_order():
     assert point_order(CurvePoint.infinity(params)) == 1
     assert point_order(beta(params)) == 2
     assert point_order(CurvePoint.affine(params, 2, 4)) == 4
+
+
+def test_point_order_over_Q_stops_at_the_mazur_bound():
+    started = time.monotonic()
+    with pytest.raises(ValueError, match=r"\[2:2:1\] has infinite order"):
+        point_order(CurvePoint.affine(validate_curve(0, -2), 2, 2))
+    assert time.monotonic() - started < 5
+    # Over F_p the order may exceed 12: E(F_23) is cyclic of order 24 here.
+    params = reduce_params(validate_curve(0, 4), 23)
+    assert max(point_order(q) for q in enumerate_points(params, 23)) == 24

@@ -3,11 +3,19 @@ from fractions import Fraction
 
 import pytest
 
-from chordcubic.chord import DualPoint, TernaryForm, chord_cubic, chord_map, weierstrass_form
+from chordcubic.chord import (
+    DualPoint,
+    TernaryForm,
+    chord_cubic,
+    chord_map,
+    normalize_triple,
+    weierstrass_form,
+)
 from chordcubic.curve import CurvePoint, reduce_params, validate_curve
 from chordcubic.plane import (
     IntersectionRecord,
     MinDegree,
+    _rank_mod_p,
     _zero_points_over_Fp,
     _zero_points_scan,
     count_zero_points_over_Fp,
@@ -183,6 +191,13 @@ def test_min_interpolating_degree_exceeds_dmax():
 def test_min_interpolating_degree_requires_distinct_points():
     with pytest.raises(ValueError):
         min_interpolating_degree([(1, 0, 0), (2, 0, 0)])
+    f5 = PrimeField(5)
+    with pytest.raises(ValueError, match="distinct"):
+        min_interpolating_degree([(f5(1), f5(2), f5(0)), (f5(3), f5(1), f5(0))])
+    with pytest.raises(ValueError, match="one field"):
+        min_interpolating_degree([(f5(1), f5(0), f5(0)), (0, 1, 0)])
+    with pytest.raises(ValueError, match="vanish"):
+        min_interpolating_degree([(f5(0), f5(0), f5(0))])
 
 
 def test_min_interpolating_degree_of_chord_image():
@@ -352,3 +367,92 @@ def test_image_count_at_the_largest_prime_matches_euler_criterion():
     )
     pp = reduce_params(validate_curve(a, b), p)
     assert count_zero_points_over_Fp(chord_cubic(pp), p) == count
+
+
+def _gauss_jordan_rank(mat, p):
+    """Rank mod p by a full Gauss-Jordan pass: the oracle for _rank_mod_p."""
+    mat = [list(row) for row in mat]
+    rank = 0
+    for col in range(len(mat[0]) if mat else 0):
+        pivot = next((r for r in range(rank, len(mat)) if mat[r][col] % p), None)
+        if pivot is None:
+            continue
+        mat[rank], mat[pivot] = mat[pivot], mat[rank]
+        inv = pow(mat[rank][col], p - 2, p)
+        mat[rank] = [v * inv % p for v in mat[rank]]
+        for r in range(len(mat)):
+            if r != rank and mat[r][col] % p:
+                factor = mat[r][col]
+                mat[r] = [(v - factor * w) % p for v, w in zip(mat[r], mat[rank])]
+        rank += 1
+    return rank
+
+
+def _min_degree_by_scalar_rows(points, p, dmax):
+    """Minimal degree from monomial rows of F_p scalars: the oracle."""
+    normalized = [normalize_triple(pt) for pt in points]
+    for d in range(1, dmax + 1):
+        mons = monomials(d)
+        rows = [
+            [(t[0] ** i * t[1] ** j * t[2] ** k).value for (i, j, k) in mons]
+            for t in normalized
+        ]
+        nullity = len(mons) - _gauss_jordan_rank(rows, p)
+        if nullity > 0:
+            return MinDegree(d, nullity)
+    return None
+
+
+def test_interpolation_on_ints_matches_scalar_rows():
+    given, settings, st = _hypothesis()
+
+    @st.composite
+    def point_sets(draw):
+        # Small coordinates put many points on common lines and conics.
+        p = draw(st.sampled_from(PRIMES_BELOW_200))
+        field = PrimeField(p)
+        coord = st.integers(0, draw(st.sampled_from([1, 2, 4, p - 1])))
+        triples = draw(
+            st.lists(
+                st.tuples(coord, coord, coord).filter(any).map(lambda t: tuple(map(field, t))),
+                max_size=60,
+                unique_by=normalize_triple,
+            )
+        )
+        return triples, p
+
+    @settings
+    @given(point_sets(), st.integers(1, 8))
+    def check(points_p, dmax):
+        points, p = points_p
+        expected = _min_degree_by_scalar_rows(points, p, dmax)
+        assert min_interpolating_degree(points, dmax=dmax) == expected
+
+    check()
+
+
+def test_row_echelon_rank_matches_gauss_jordan():
+    given, settings, st = _hypothesis()
+
+    @st.composite
+    def matrices(draw):
+        # Rows are small combinations of a few drawn rows, so that the rank
+        # often falls short of full; a coefficient p leaves entries that are
+        # nonzero ints but zero mod p.
+        p = draw(st.sampled_from(PRIMES_BELOW_200))
+        cols = draw(st.integers(1, 12))
+        row = st.lists(st.integers(-(10 ** 6), 10 ** 6), min_size=cols, max_size=cols)
+        basis = draw(st.lists(row, max_size=cols))
+        mat = []
+        for _ in range(draw(st.integers(0, 12))):
+            coeffs = [draw(st.integers(-3, 3) | st.just(p)) for _ in basis]
+            mat.append([sum(c * b[m] for c, b in zip(coeffs, basis)) for m in range(cols)])
+        return mat, p
+
+    @settings
+    @given(matrices())
+    def check(mat_p):
+        mat, p = mat_p
+        assert _rank_mod_p(mat, p) == _gauss_jordan_rank(mat, p)
+
+    check()

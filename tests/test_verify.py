@@ -1,5 +1,8 @@
+from math import isqrt
+
 import pytest
 
+from chordcubic import verify
 from chordcubic.chord import DualPoint, chord_map
 from chordcubic.curve import (
     beta,
@@ -12,6 +15,7 @@ from chordcubic.curve import (
     validate_curve,
 )
 from chordcubic.plane import dual_incidence, find_flexes_over_Fp
+from chordcubic.scalars import PrimeField
 from chordcubic.verify import (
     Report,
     lcg_stream,
@@ -188,6 +192,30 @@ def test_degree_remark_records_the_forced_collision():
 def test_degree_remark_rejects_tiny_order():
     with pytest.raises(ValueError):
         verify_degree_remark(validate_curve(-3, 2), 101, 1)
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13, 17])
+def test_translation_search_matches_the_full_order_search(p, monkeypatch):
+    # The oracle is the search by full point orders (repeated addition),
+    # with each point's order computed once per curve.
+    field = PrimeField(p)
+    for a in range(p):
+        for b in range(1, p):
+            if (a * a - 4 * b) % p == 0:
+                continue
+            params = validate_curve(field(a), field(b))
+            order_of = {q: point_order(q) for q in enumerate_points(params, p)}
+
+            def first_point_of_order(points, order):
+                return next((q for q in points if order_of[q] == order), None)
+
+            for order in range(2, p + 2 + isqrt(4 * p)):
+                fast = verify_degree_remark(params, p, order)
+                assert (fast.status == "skipped") == (order not in order_of.values())
+                with monkeypatch.context() as patched:
+                    patched.setattr(verify, "_translation_point", first_point_of_order)
+                    slow = verify_degree_remark(params, p, order)
+                assert fast.to_dict(include_millis=False) == slow.to_dict(include_millis=False)
 
 
 @pytest.mark.parametrize("a,b,order", [(-6, -3, 6), (-2, -3, 5), (-3, 2, 4)])
