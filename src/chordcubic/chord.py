@@ -26,11 +26,11 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .curve import CurveParams, CurvePoint, _coord_str, beta
-from .scalars import PrimeField, PrimeFieldScalar
+from .scalars import PrimeField, PrimeFieldScalar, residue
 
 
-def coerce_triple(coords) -> tuple:
-    """Lift a 3-tuple of ints/Fractions/prime-field scalars into one field."""
+def _triple_modulus(coords) -> tuple:
+    """The triple as a tuple, and the prime its field scalars share (or None)."""
     coords = tuple(coords)
     if len(coords) != 3:
         raise ValueError(f"expected a projective triple, got {coords!r}")
@@ -40,6 +40,12 @@ def coerce_triple(coords) -> tuple:
             if modulus is not None and c.modulus != modulus:
                 raise ValueError("triple mixes different prime fields")
             modulus = c.modulus
+    return coords, modulus
+
+
+def coerce_triple(coords) -> tuple:
+    """Lift a 3-tuple of ints/Fractions/prime-field scalars into one field."""
+    coords, modulus = _triple_modulus(coords)
     if modulus is not None:
         field = PrimeField(modulus)
         return tuple(field(c) for c in coords)
@@ -47,12 +53,28 @@ def coerce_triple(coords) -> tuple:
 
 
 def normalize_triple(coords) -> tuple:
-    """Scale a projective triple so its first nonzero entry is 1."""
-    coords = coerce_triple(coords)
-    for c in coords:
-        if c != 0:
-            return tuple(v / c for v in coords)
-    raise ValueError("projective coordinates must not all vanish")
+    """Scale a projective triple so its first nonzero entry is 1.
+
+    Over F_p each entry is reduced once to an int residue (coercion errors
+    as in :func:`coerce_triple`), the zero triple is rejected, and the
+    entries are scaled by one modular inverse of the first nonzero one when
+    that is not already 1; the three scalars are built last.
+    """
+    coords, modulus = _triple_modulus(coords)
+    if modulus is None:
+        coords = tuple(Fraction(c) for c in coords)
+        for c in coords:
+            if c != 0:
+                return tuple(v / c for v in coords)
+        raise ValueError("projective coordinates must not all vanish")
+    values = [residue(c, modulus) for c in coords]
+    lead = next((v for v in values if v), 0)
+    if not lead:
+        raise ValueError("projective coordinates must not all vanish")
+    if lead != 1:
+        inv = pow(lead, -1, modulus)
+        values = [v * inv for v in values]
+    return tuple(PrimeFieldScalar(v, modulus) for v in values)
 
 
 def as_triple(obj) -> tuple:

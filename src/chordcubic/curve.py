@@ -20,6 +20,7 @@ from .scalars import (
     PrimeFieldScalar,
     check_modulus,
     rational_sqrt,
+    residue,
     squares_table,
 )
 
@@ -98,18 +99,30 @@ class CurvePoint:
     """A projective point on a fixed curve, stored normalized.
 
     Affine points have Z = 1; the only infinite point is O = [0:1:0].
+    Every point is checked to lie on the curve when it is built.  Over the
+    rationals that is :func:`is_on_curve` followed by division by Z.  Over
+    F_p each coordinate is reduced once to an int residue (coercion errors
+    as in :func:`is_on_curve`), the zero triple is rejected, the curve
+    equation is tested on those ints mod p, and the triple is scaled by one
+    modular inverse of its lead coordinate (Z, or Y at infinity) when that
+    is not already 1; the three stored scalars are built last.
+    :func:`is_on_curve` stays the oracle of both paths.
     """
 
     __slots__ = ("params", "coords")
 
     def __init__(self, params: CurveParams, coords):
-        if not is_on_curve(params, coords):
-            raise ValueError(f"point {tuple(coords)} is not on {params}")
-        x, y, z = (params.coerce(c) for c in coords)
-        if z != 0:
-            coords = (x / z, y / z, params.scalar(1))
+        p = params.modulus
+        if p is not None:
+            coords = _normalized_mod_p(params, p, coords)
+        elif not is_on_curve(params, coords):
+            raise _off_curve(params, coords)
         else:
-            coords = (params.scalar(0), params.scalar(1), params.scalar(0))
+            x, y, z = (params.coerce(c) for c in coords)
+            if z != 0:
+                coords = (x / z, y / z, params.scalar(1))
+            else:
+                coords = (params.scalar(0), params.scalar(1), params.scalar(0))
         self.params = params
         self.coords = coords
 
@@ -150,6 +163,30 @@ class CurvePoint:
 
     def __repr__(self):
         return f"CurvePoint({self})"
+
+
+def _off_curve(params: CurveParams, coords) -> ValueError:
+    return ValueError(f"point {tuple(coords)} is not on {params}")
+
+
+def _normalized_mod_p(params: CurveParams, p: int, coords) -> tuple:
+    """The stored coordinates of a point over F_p, validated on ints."""
+    x, y, z = (residue(c, p) for c in coords)
+    if not (x or y or z):
+        raise ValueError("projective coordinates must not all vanish")
+    a, b = params.a.value, params.b.value
+    if (y * y * z - x * (x * x + (a * x + b * z) * z)) % p:
+        raise _off_curve(params, coords)
+    # On the curve z = 0 forces x = 0, so O is scaled by y to [0:1:0].
+    lead = z or y
+    if lead != 1:
+        inv = pow(lead, -1, p)
+        x, y, z = x * inv, y * inv, z * inv
+    return (
+        PrimeFieldScalar(x, p),
+        PrimeFieldScalar(y, p),
+        PrimeFieldScalar(z, p),
+    )
 
 
 def _coord_str(c) -> str:
@@ -193,17 +230,23 @@ def group_add(p: CurvePoint, q: CurvePoint) -> CurvePoint:
 
 
 def scalar_mul(n: int, p: CurvePoint) -> CurvePoint:
-    """n-fold sum via double-and-add; negative n through negation."""
+    """n-fold sum via double-and-add; negative n through negation.
+
+    Doubles only while higher bits remain and starts from the lowest set
+    bit's multiple, so n >= 1 with k bits, m of them set, takes
+    k + m - 2 additions (2 for n = 3).
+    """
     if n < 0:
         return scalar_mul(-n, negate(p))
-    result = CurvePoint.infinity(p.params)
+    result = None
     addend = p
     while n:
         if n & 1:
-            result = group_add(result, addend)
-        addend = group_add(addend, addend)
+            result = addend if result is None else group_add(result, addend)
         n >>= 1
-    return result
+        if n:
+            addend = group_add(addend, addend)
+    return CurvePoint.infinity(p.params) if result is None else result
 
 
 def translate_by_beta(p: CurvePoint) -> CurvePoint:

@@ -194,6 +194,17 @@ class PrimeField:
         return f"PrimeField({self.p})"
 
 
+def residue(value, p: int) -> int:
+    """The int in 0..p-1 that ``PrimeField(p)(value)`` holds, with its errors.
+
+    A scalar already mod p gives its value without a new construction;
+    anything else, ints included, is coerced by the field.
+    """
+    if isinstance(value, PrimeFieldScalar) and value.modulus == p:
+        return value.value
+    return PrimeField(p)(value).value
+
+
 @lru_cache(maxsize=None)
 def _squares_cached(p: int) -> dict:
     table: dict[int, list[int]] = {}

@@ -168,24 +168,35 @@ def verify_identity_symbolic(mutate: str | None = None) -> Report:
     )
 
 
+def _fibers(points: list, line_of) -> dict[DualPoint, list[CurvePoint]]:
+    """The points grouped by the line ``line_of`` sends each to, in order."""
+    fibers: dict[DualPoint, list[CurvePoint]] = {}
+    for q in points:
+        fibers.setdefault(line_of(q), []).append(q)
+    return fibers
+
+
+def _first_unpaired_fiber(fibers: dict, partner) -> str:
+    """A witness for the first fiber other than {q, partner(q)}, else ''."""
+    for line, fiber in fibers.items():
+        q = fiber[0]
+        if set(fiber) != {q, partner(q)}:
+            return f"fiber of {line} is {[str(v) for v in fiber]}"
+    return ""
+
+
 def verify_fibers(params: CurveParams, p: int) -> Report:
     """Every chord-map fiber over F_p is a pair {q, q + beta}."""
     started = time.monotonic()
     points = enumerate_points(params, p)
-    fibers: dict[DualPoint, list[CurvePoint]] = {}
-    for q in points:
-        fibers.setdefault(chord_map(q), []).append(q)
+    fibers = _fibers(points, chord_map)
     witness = ""
     ok = len(points) % 2 == 0 and len(fibers) == len(points) // 2
     if not ok:
         witness = f"image has {len(fibers)} lines for {len(points)} points"
     else:
-        for line, fiber in fibers.items():
-            q = fiber[0]
-            if set(fiber) != {q, translate_by_beta(q)}:
-                ok = False
-                witness = f"fiber of {line} is {[str(v) for v in fiber]}"
-                break
+        witness = _first_unpaired_fiber(fibers, translate_by_beta)
+        ok = not witness
     return _report(
         CLAIM_FIBERS, ok, witness, started, len(points), image_size=len(fibers)
     )
@@ -346,20 +357,15 @@ def verify_degree_remark(
     if t_pt is None:
         return _skip(CLAIM_DEGREE, f"no point of order {order} mod {p}", started)
 
-    fibers: dict[DualPoint, list[CurvePoint]] = {}
-    for q in points:
-        line = line_through(q.coords, group_add(q, t_pt).coords)
-        fibers.setdefault(line, []).append(q)
+    def shifted(q):
+        return group_add(q, t_pt)
 
+    fibers = _fibers(points, lambda q: line_through(q.coords, shifted(q).coords))
     ok, witness = True, ""
     if order == 2:
         expected_degree = 3
-        for line, fiber in fibers.items():
-            q = fiber[0]
-            if set(fiber) != {q, group_add(q, t_pt)}:
-                ok = False
-                witness = f"fiber of {line} is {[str(v) for v in fiber]}"
-                break
+        witness = _first_unpaired_fiber(fibers, shifted)
+        ok = not witness
     else:
         expected_degree = 6
         for line, fiber in fibers.items():

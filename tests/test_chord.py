@@ -7,9 +7,11 @@ from chordcubic.chord import (
     TernaryForm,
     chord_cubic,
     chord_map,
+    coerce_triple,
     cubic_invariants,
     invariants_form,
     line_through,
+    normalize_triple,
     weierstrass_form,
 )
 from chordcubic.curve import (
@@ -22,6 +24,8 @@ from chordcubic.curve import (
 )
 from chordcubic.plane import evaluate_form
 from chordcubic.poly import MultiPoly, poly_substitute
+from chordcubic.scalars import PrimeFieldScalar
+from fp_strategies import PRIMES_BELOW_200, hypothesis_api, outcome, triples
 
 UV2, U2W, V2W, W3 = (1, 2, 0), (2, 0, 1), (0, 2, 1), (0, 0, 3)
 
@@ -168,6 +172,45 @@ def test_dual_point_normalization():
     assert hash(DualPoint((2, 4, 6))) == hash(DualPoint((1, 2, 3)))
     with pytest.raises(ValueError):
         DualPoint((0, 0, 0))
+
+
+def test_dual_point_normalization_over_Fp():
+    p = 101
+    line = DualPoint((0, 7, PrimeFieldScalar(21, p)))
+    assert str(line) == "[0:1:3]"
+    assert all(isinstance(c, PrimeFieldScalar) for c in line.coords)
+    assert DualPoint((PrimeFieldScalar(1, p), 2, Fraction(1, 3))).coords == (1, 2, 34)
+    with pytest.raises(ValueError, match="must not all vanish"):
+        DualPoint((PrimeFieldScalar(0, p), p, -p))
+    with pytest.raises(ValueError, match="mixes different prime fields"):
+        DualPoint((PrimeFieldScalar(1, p), PrimeFieldScalar(1, 103), 0))
+    with pytest.raises(ZeroDivisionError, match="not invertible mod 101"):
+        DualPoint((PrimeFieldScalar(1, p), Fraction(1, 202), 0))
+
+
+def _normalize_by_scalar_oracle(coords):
+    """The first-nonzero-is-one triple by division in the field."""
+    coords = coerce_triple(coords)
+    for c in coords:
+        if c != 0:
+            return tuple(v / c for v in coords)
+    raise ValueError("projective coordinates must not all vanish")
+
+
+def test_int_normalization_matches_the_scalar_oracle():
+    given, settings, st = hypothesis_api(max_examples=150)
+
+    @settings
+    @given(st.data())
+    def check(data):
+        p = data.draw(st.sampled_from(PRIMES_BELOW_200))
+        # Unit vectors scaled by a unit put a lead other than 1 after zeros.
+        coords = data.draw(triples(st, p, [(1, 0, 0), (0, 1, 0), (0, 0, 1)]))
+        expected = outcome(lambda: _normalize_by_scalar_oracle(coords))
+        assert outcome(lambda: normalize_triple(coords)) == expected
+        assert outcome(lambda: DualPoint(coords).coords) == expected
+
+    check()
 
 
 def test_ternary_form_canonicalization():

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from chordcubic import curve
 from chordcubic.chord import weierstrass_form
 from chordcubic.curve import (
     CurvePoint,
@@ -21,7 +22,8 @@ from chordcubic.curve import (
     validate_curve,
 )
 from chordcubic.plane import find_flexes_over_Fp, is_flex
-from chordcubic.scalars import PrimeField
+from chordcubic.scalars import PrimeField, PrimeFieldScalar
+from fp_strategies import curve_residues, curves, hypothesis_api, outcome, triples
 
 
 def test_validate_curve():
@@ -53,6 +55,55 @@ def test_off_curve_point_rejected():
         CurvePoint.affine(validate_curve(0, 4), 1, 1)
 
 
+def test_point_normalization_over_Fp():
+    params = reduce_params(validate_curve(-3, 2), 101)
+    scaled = CurvePoint(params, (3 * 7, 39 * 7, PrimeFieldScalar(7, 101)))
+    assert str(scaled) == "[3:39:1]"
+    assert all(isinstance(c, PrimeFieldScalar) for c in scaled.coords)
+    assert str(CurvePoint(params, (0, 5, 0))) == "[0:1:0]"
+    assert CurvePoint(params, (Fraction(3, 2), Fraction(39, 2), Fraction(1, 2))) == scaled
+
+
+def test_every_point_over_Fp_is_checked_on_the_curve():
+    params = reduce_params(validate_curve(-3, 2), 101)
+    with pytest.raises(ValueError, match=r"point \(3, 40, 1\) is not on y\^2 = "):
+        CurvePoint(params, (3, 40, 1))
+    with pytest.raises(ValueError, match=r"point \(1, 0, 0\) is not on"):
+        CurvePoint(params, (1, 0, 0))
+    with pytest.raises(ValueError, match="must not all vanish"):
+        CurvePoint(params, (0, 101, 0))
+    with pytest.raises(ValueError, match="scalar mod 103 is not in F_101"):
+        CurvePoint(params, (PrimeFieldScalar(3, 103), 39, 1))
+    with pytest.raises(ZeroDivisionError, match="not invertible mod 101"):
+        CurvePoint(params, (3, 39, Fraction(1, 101)))
+
+
+def _point_by_scalar_oracle(params, coords):
+    """The stored coordinates by is_on_curve and division in the field."""
+    if not is_on_curve(params, coords):
+        raise ValueError(f"point {tuple(coords)} is not on {params}")
+    x, y, z = (params.coerce(c) for c in coords)
+    if z != 0:
+        return (x / z, y / z, params.scalar(1))
+    return (params.scalar(0), params.scalar(1), params.scalar(0))
+
+
+def test_int_construction_matches_the_scalar_oracle():
+    given, settings, st = hypothesis_api(max_examples=150)
+
+    @settings
+    @given(st.data())
+    def check(data):
+        a, b, p = data.draw(curves(st))
+        params = reduce_params(validate_curve(a, b), p)
+        coords = data.draw(triples(st, p, curve_residues(a, b, p)))
+        assert outcome(lambda: CurvePoint(params, coords).coords) == outcome(
+            lambda: _point_by_scalar_oracle(params, coords)
+        )
+
+    check()
+
+
 def test_group_identity_and_beta_order():
     params = validate_curve(0, 4)
     p = CurvePoint.affine(params, 2, 4)
@@ -75,6 +126,35 @@ def test_scalar_mul_examples():
     assert scalar_mul(0, p).is_infinity
     assert scalar_mul(4, p).is_infinity
     assert scalar_mul(-1, p) == negate(p)
+
+
+def test_scalar_mul_of_three_makes_two_additions(monkeypatch):
+    params = reduce_params(validate_curve(-3, 2), 31)
+    q = next(q for q in enumerate_points(params, 31) if point_order(q) > 3)
+    calls = []
+
+    def counted(p1, p2):
+        calls.append((p1, p2))
+        return group_add(p1, p2)
+
+    monkeypatch.setattr(curve, "group_add", counted)
+    assert scalar_mul(3, q) == group_add(group_add(q, q), q)
+    assert len(calls) == 2
+    for n in range(1, 40):
+        calls.clear()
+        scalar_mul(n, q)
+        assert len(calls) == n.bit_length() + bin(n).count("1") - 2
+
+
+def test_scalar_mul_equals_repeated_addition():
+    params = reduce_params(validate_curve(-3, 2), 31)
+    points = enumerate_points(params, 31)
+    for q in points:
+        multiple = CurvePoint.infinity(params)
+        for n in range(len(points) + 2):
+            assert scalar_mul(n, q) == multiple, (n, q)
+            assert scalar_mul(-n, q) == negate(multiple), (-n, q)
+            multiple = group_add(multiple, q)
 
 
 def test_translate_examples():

@@ -30,9 +30,8 @@ from chordcubic.plane import (
     monomials,
     smooth_over_Fp,
 )
-from chordcubic.scalars import PrimeField, is_prime
-
-PRIMES_BELOW_200 = [p for p in range(5, 200) if is_prime(p)]
+from chordcubic.scalars import PrimeField
+from fp_strategies import PRIMES_BELOW_200, curves, hypothesis_api
 
 
 def _fermat() -> TernaryForm:
@@ -238,26 +237,6 @@ def test_monomials_shape():
     assert all(sum(m) == 6 for m in monomials(6))
 
 
-def _hypothesis():
-    """given, a settings decorator and the strategies module, or skip."""
-    hypothesis = pytest.importorskip("hypothesis")
-    settings = hypothesis.settings(max_examples=40, deadline=None)
-    return hypothesis.given, settings, hypothesis.strategies
-
-
-def _curves(st):
-    """Random valid (a, b, p): b (a^2 - 4b) != 0 mod p, 3 < p < 200."""
-
-    @st.composite
-    def draw_curve(draw):
-        p = draw(st.sampled_from(PRIMES_BELOW_200))
-        a = draw(st.integers(0, p - 1))
-        b = draw(st.integers(1, p - 1).filter(lambda b: (a * a - 4 * b) % p))
-        return a, b, p
-
-    return draw_curve()
-
-
 def _forms_with_a_quadratic_axis(st):
     """Random (form, p) of degree 1 to 3, of degree <= 2 in some coordinate.
 
@@ -302,10 +281,10 @@ def _flexes_by_scan(form, p):
 
 
 def test_sweep_matches_scan_on_the_curve_and_its_image():
-    given, settings, st = _hypothesis()
+    given, settings, st = hypothesis_api()
 
     @settings
-    @given(_curves(st))
+    @given(curves(st))
     def check(curve):
         a, b, p = curve
         pp = reduce_params(validate_curve(a, b), p)
@@ -316,7 +295,7 @@ def test_sweep_matches_scan_on_the_curve_and_its_image():
 
 
 def test_sweep_matches_scan_on_random_forms():
-    given, settings, st = _hypothesis()
+    given, settings, st = hypothesis_api()
 
     @settings
     @given(_forms_with_a_quadratic_axis(st))
@@ -329,7 +308,7 @@ def test_sweep_matches_scan_on_random_forms():
 def test_sweep_matches_scan_on_curves_with_lines_and_without_an_axis():
     # UVW contains the three coordinate lines, so whole pencil lines vanish;
     # the Fermat cubic is cubic in every coordinate and takes the fallback.
-    given, settings, st = _hypothesis()
+    given, settings, st = hypothesis_api()
 
     @settings
     @given(st.sampled_from(PRIMES_BELOW_200))
@@ -342,10 +321,10 @@ def test_sweep_matches_scan_on_curves_with_lines_and_without_an_axis():
 
 
 def test_flexes_match_the_scan_in_scan_order():
-    given, settings, st = _hypothesis()
+    given, settings, st = hypothesis_api()
 
     @settings
-    @given(_curves(st), _forms_with_a_quadratic_axis(st))
+    @given(curves(st), _forms_with_a_quadratic_axis(st))
     def check(curve, form_p):
         a, b, p = curve
         pp = reduce_params(validate_curve(a, b), p)
@@ -404,7 +383,7 @@ def _min_degree_by_scalar_rows(points, p, dmax):
 
 
 def test_interpolation_on_ints_matches_scalar_rows():
-    given, settings, st = _hypothesis()
+    given, settings, st = hypothesis_api()
 
     @st.composite
     def point_sets(draw):
@@ -432,7 +411,7 @@ def test_interpolation_on_ints_matches_scalar_rows():
 
 
 def test_row_echelon_rank_matches_gauss_jordan():
-    given, settings, st = _hypothesis()
+    given, settings, st = hypothesis_api()
 
     @st.composite
     def matrices(draw):
