@@ -48,14 +48,8 @@ from .plane import (
     min_interpolating_degree,
     smooth_over_Fp,
 )
-from .poly import MultiPoly, is_zero, poly_mul, poly_substitute, reduce_mod_curve
-from .scalars import (
-    PrimeField,
-    PrimeFieldScalar,
-    field_inv,
-    make_rational,
-    squares_table,
-)
+from .poly import MultiPoly, poly_substitute, reduce_mod_curve
+from .scalars import PrimeField, PrimeFieldScalar, squares_table
 from .verify import (
     Report,
     run_full_suite,

@@ -67,14 +67,19 @@ def normalize_triple(coords) -> tuple:
             if c != 0:
                 return tuple(v / c for v in coords)
         raise ValueError("projective coordinates must not all vanish")
-    values = [residue(c, modulus) for c in coords]
-    lead = next((v for v in values if v), 0)
-    if not lead:
-        raise ValueError("projective coordinates must not all vanish")
-    if lead != 1:
-        inv = pow(lead, -1, modulus)
-        values = [v * inv for v in values]
+    values = normalize_mod_p([residue(c, modulus) for c in coords], modulus)
     return tuple(PrimeFieldScalar(v, modulus) for v in values)
+
+
+def normalize_mod_p(values, p: int) -> tuple:
+    """A triple of residues mod p scaled so that its first nonzero entry is 1."""
+    lead = next((c for c in values if c), None)
+    if lead is None:
+        raise ValueError("projective coordinates must not all vanish")
+    if lead == 1:
+        return tuple(values)
+    inv = pow(lead, -1, p)
+    return tuple(c * inv % p for c in values)
 
 
 def as_triple(obj) -> tuple:
@@ -272,6 +277,18 @@ def line_through(p, q) -> DualPoint:
     return DualPoint(cross)
 
 
+def line_through_mod_p(s, t, p: int) -> tuple:
+    """line_through on two int triples mod p, as a normalized int triple."""
+    cross = (
+        (s[1] * t[2] - s[2] * t[1]) % p,
+        (s[2] * t[0] - s[0] * t[2]) % p,
+        (s[0] * t[1] - s[1] * t[0]) % p,
+    )
+    if not any(cross):
+        raise ValueError("no unique line: the points coincide")
+    return normalize_mod_p(cross, p)
+
+
 def chord_map(p: CurvePoint) -> DualPoint:
     """The line through p and p + beta, as a dual-plane point."""
     params = p.params
@@ -280,6 +297,16 @@ def chord_map(p: CurvePoint) -> DualPoint:
         return DualPoint((one, zero, zero))
     x, y, b = p.x, p.y, params.b
     return DualPoint((y * (x * x + b), b * x - x ** 3, -2 * b * x * y))
+
+
+def chord_mod_p(b: int, p: int, s) -> tuple:
+    """chord_map on an int residue pair (None for O), as a normalized int triple."""
+    if s is None or s == (0, 0):
+        return (1, 0, 0)
+    x, y = s
+    return normalize_mod_p(
+        ((x * x + b) * y % p, (b - x * x) * x % p, -2 * b * x * y % p), p
+    )
 
 
 def chord_cubic_generic(a, b, one) -> TernaryForm:

@@ -210,23 +210,56 @@ def negate(p: CurvePoint) -> CurvePoint:
 
 
 def group_add(p: CurvePoint, q: CurvePoint) -> CurvePoint:
-    """Chord-and-tangent sum with zero O = [0:1:0]."""
+    """Chord-and-tangent sum with zero O = [0:1:0].
+
+    Over F_p the slope arithmetic runs on int residues (:func:`add_mod_p`);
+    the sum is still built as a validated point.
+    """
     _same_curve(p, q)
     if p.is_infinity:
         return q
     if q.is_infinity:
         return p
-    a, b = p.params.a, p.params.b
+    params = p.params
+    modulus = params.modulus
+    if modulus is not None:
+        (x1, y1, _), (x2, y2, _) = p.coords, q.coords
+        a, b = params.a.value, params.b.value
+        total = add_mod_p(a, b, modulus, (x1.value, y1.value), (x2.value, y2.value))
+        if total is None:
+            return CurvePoint.infinity(params)
+        return CurvePoint.affine(params, *total)
+    a, b = params.a, params.b
     x1, y1, x2, y2 = p.x, p.y, q.x, q.y
     if x1 == x2:
         if y1 == -y2:
-            return CurvePoint.infinity(p.params)
+            return CurvePoint.infinity(params)
         lam = (3 * x1 * x1 + 2 * a * x1 + b) / (2 * y1)
     else:
         lam = (y2 - y1) / (x2 - x1)
     x3 = lam * lam - a - x1 - x2
     y3 = lam * (x1 - x3) - y1
-    return CurvePoint.affine(p.params, x3, y3)
+    return CurvePoint.affine(params, x3, y3)
+
+
+def add_mod_p(a: int, b: int, p: int, s, t):
+    """The chord-and-tangent sum on E(F_p) for int residue pairs (x, y).
+
+    None stands for O, both as an argument and as the result.
+    """
+    if s is None:
+        return t
+    if t is None:
+        return s
+    (x1, y1), (x2, y2) = s, t
+    if x1 == x2:
+        if (y1 + y2) % p == 0:
+            return None
+        lam = (3 * x1 * x1 + 2 * a * x1 + b) * pow(2 * y1, -1, p)
+    else:
+        lam = (y2 - y1) * pow(x2 - x1, -1, p)
+    x3 = (lam * lam - a - x1 - x2) % p
+    return x3, (lam * (x1 - x3) - y1) % p
 
 
 def scalar_mul(n: int, p: CurvePoint) -> CurvePoint:
@@ -258,6 +291,17 @@ def translate_by_beta(p: CurvePoint) -> CurvePoint:
         return CurvePoint.infinity(params)
     x, y, b = p.x, p.y, params.b
     return CurvePoint.affine(params, b / x, -b * y / (x * x))
+
+
+def translate_mod_p(b: int, p: int, s):
+    """translate_by_beta on an int residue pair, None standing for O."""
+    if s is None:
+        return (0, 0)
+    x, y = s
+    if x == 0 and y == 0:
+        return None
+    inv = pow(x, -1, p)
+    return b * inv % p, -b * y * inv * inv % p
 
 
 def point_order(p: CurvePoint) -> int:
@@ -315,20 +359,24 @@ def reduce_params(params: CurveParams, p: int) -> CurveParams:
     return CurveParams(field.from_rational(params.a), field.from_rational(params.b))
 
 
+def affine_points_mod_p(a: int, b: int, p: int) -> list:
+    """The affine points of y^2 = x^3 + a x^2 + b x over F_p as int pairs.
+
+    ``a`` and ``b`` are residues mod p; the pairs come by increasing (x, y).
+    """
+    roots = squares_table(p)
+    return [
+        (x, y)
+        for x in range(p)
+        for y in roots.get((x * x % p * x + a * x * x + b * x) % p, ())
+    ]
+
+
 def enumerate_points(params: CurveParams, p: int) -> list:
     """All F_p-rational points, O first, then by increasing (x, y)."""
     pp = reduce_params(params, p)
-    a, b = pp.a.value, pp.b.value
-    table = squares_table(p)
-    points = [CurvePoint.infinity(pp)]
-    for x in range(p):
-        rhs = (x * x % p * x + a * x * x + b * x) % p
-        roots = table.get(rhs)
-        if roots is None:
-            continue
-        for y in roots:
-            points.append(CurvePoint.affine(pp, x, y))
-    return points
+    affine = affine_points_mod_p(pp.a.value, pp.b.value, p)
+    return [CurvePoint.infinity(pp)] + [CurvePoint.affine(pp, x, y) for x, y in affine]
 
 
 def three_torsion_flexes(params: CurveParams, p: int | None = None) -> list:

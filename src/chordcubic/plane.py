@@ -19,7 +19,14 @@ from fractions import Fraction
 from itertools import chain
 from math import gcd
 
-from .chord import DualPoint, TernaryForm, as_triple, coerce_triple, normalize_triple
+from .chord import (
+    DualPoint,
+    TernaryForm,
+    as_triple,
+    coerce_triple,
+    normalize_mod_p,
+    normalize_triple,
+)
 from .curve import _divisors
 from .scalars import PrimeField, PrimeFieldScalar, check_modulus, squares_table
 
@@ -181,7 +188,7 @@ def _zero_points_over_Fp(form: TernaryForm, p: int):
         pt[r], pt[s] = xr, xs
         for z in _quadratic_zeros(*coeffs, p, roots):
             pt[axis] = z
-            yield _normalized(pt, p)
+            yield normalize_mod_p(pt, p)
     vertex = [0, 0, 0]
     vertex[axis] = 1
     if table.get(tuple(d * x for x in vertex), 0) % p == 0:
@@ -196,17 +203,6 @@ def _quadratic_zeros(c0: int, c1: int, c2: int, p: int, roots: dict):
     if c1:
         return [-c0 * pow(c1, -1, p) % p]
     return range(p) if c0 == 0 else []
-
-
-def _normalized(pt, p: int) -> tuple:
-    """An int triple scaled mod p so that its first nonzero entry is 1."""
-    lead = next((c for c in pt if c), None)
-    if lead is None:
-        raise ValueError("projective coordinates must not all vanish")
-    if lead == 1:
-        return tuple(pt)
-    inv = pow(lead, -1, p)
-    return tuple(c * inv % p for c in pt)
 
 
 def _scan_index(pt, p: int) -> int:
@@ -416,7 +412,9 @@ def min_interpolating_degree(points, dmax: int = 8) -> MinDegree | None:
     if modulus is None:
         normalized = [normalize_triple(t) for t in triples]
     else:
-        normalized = [_normalized([c.value for c in t], modulus) for t in triples]
+        normalized = [
+            normalize_mod_p([c.value for c in t], modulus) for t in triples
+        ]
     if len(set(normalized)) != len(normalized):
         raise ValueError("interpolation points must be distinct")
     if modulus is not None:

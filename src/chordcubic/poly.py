@@ -183,14 +183,6 @@ def f_curve() -> MultiPoly:
     return X ** 3 + A * X ** 2 + B * X
 
 
-def poly_mul(lhs: MultiPoly, rhs: MultiPoly) -> MultiPoly:
-    return lhs * rhs
-
-
-def is_zero(q) -> bool:
-    return q == 0
-
-
 def reduce_mod_curve(q: MultiPoly) -> MultiPoly:
     """Rewrite y^2 -> x^3 + a x^2 + b x until every term has y-degree <= 1."""
     f = f_curve()

@@ -181,9 +181,6 @@ class PrimeField:
     def one(self) -> PrimeFieldScalar:
         return PrimeFieldScalar(1, self.p)
 
-    def sqrt_table(self):
-        return squares_table(self.p)
-
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p
 
@@ -197,9 +194,12 @@ class PrimeField:
 def residue(value, p: int) -> int:
     """The int in 0..p-1 that ``PrimeField(p)(value)`` holds, with its errors.
 
-    A scalar already mod p gives its value without a new construction;
-    anything else, ints included, is coerced by the field.
+    A plain int (not a bool) is reduced by ``% p`` and a scalar already mod
+    p gives its value, neither through a new construction; anything else
+    is coerced by the field.
     """
+    if type(value) is int:
+        return value % check_modulus(p)
     if isinstance(value, PrimeFieldScalar) and value.modulus == p:
         return value.value
     return PrimeField(p)(value).value
@@ -221,26 +221,6 @@ def squares_table(p: int) -> dict:
     """
     check_modulus(p)
     return dict(_squares_cached(p))
-
-
-def make_rational(n: int, d: int = 1) -> Fraction:
-    """Exact reduced fraction n/d; the sign is carried on the numerator."""
-    for part in (n, d):
-        if not isinstance(part, int) or isinstance(part, bool):
-            raise ValueError(f"rational parts must be integers, got {part!r}")
-    if d == 0:
-        raise ZeroDivisionError("zero denominator")
-    return Fraction(n, d)
-
-
-def field_inv(s):
-    """Multiplicative inverse of a nonzero scalar, in its own field."""
-    if isinstance(s, PrimeFieldScalar):
-        return s.inverse()
-    q = Fraction(s)
-    if q == 0:
-        raise ZeroDivisionError("0 has no inverse")
-    return 1 / q
 
 
 def rational_sqrt(q) -> Fraction | None:

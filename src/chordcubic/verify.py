@@ -21,12 +21,16 @@ from .chord import (
     chord_cubic,
     chord_cubic_generic,
     chord_map,
+    chord_mod_p,
     line_through,
+    line_through_mod_p,
     weierstrass_form,
 )
 from .curve import (
     CurveParams,
     CurvePoint,
+    add_mod_p,
+    affine_points_mod_p,
     beta,
     enumerate_points,
     group_add,
@@ -34,14 +38,14 @@ from .curve import (
     reduce_params,
     scalar_mul,
     three_torsion_flexes,
-    translate_by_beta,
+    translate_mod_p,
     two_torsion_points,
     validate_curve,
 )
 from .plane import (
+    _int_table,
+    _vanishes,
     count_zero_points_over_Fp,
-    dual_incidence,
-    evaluate_form,
     find_flexes_over_Fp,
     is_flex,
     min_interpolating_degree,
@@ -168,48 +172,99 @@ def verify_identity_symbolic(mutate: str | None = None) -> Report:
     )
 
 
-def _fibers(points: list, line_of) -> dict[DualPoint, list[CurvePoint]]:
+@dataclass(frozen=True)
+class FpContext:
+    """E(F_p) on plain ints, shared by the per-point claims of one suite.
+
+    ``pp`` is the curve reduced mod ``p`` and ``a``, ``b`` its coefficients
+    as residues.  ``points`` is E(F_p) in enumeration order: None for O,
+    then the affine points as int pairs (x, y).
+    """
+
+    pp: CurveParams
+    p: int
+    a: int
+    b: int
+    points: list
+
+
+def fp_context(params: CurveParams, p: int) -> FpContext:
+    """Reduce the curve mod p and enumerate E(F_p) once, on ints."""
+    pp = reduce_params(params, p)
+    a, b = pp.a.value, pp.b.value
+    return FpContext(pp, p, a, b, [None] + affine_points_mod_p(a, b, p))
+
+
+def _triple(s) -> tuple:
+    """The normalized projective int triple of a pair (None for O)."""
+    return (0, 1, 0) if s is None else (s[0], s[1], 1)
+
+
+def _point_str(ctx: FpContext, s) -> str:
+    return str(CurvePoint(ctx.pp, _triple(s)))
+
+
+def _incident(pt, line, p: int) -> bool:
+    """Whether the int point [X:Y:Z] lies on the int line U X + V Y + W Z = 0."""
+    return (line[0] * pt[0] + line[1] * pt[1] + line[2] * pt[2]) % p == 0
+
+
+def _fibers(points: list, line_of) -> dict:
     """The points grouped by the line ``line_of`` sends each to, in order."""
-    fibers: dict[DualPoint, list[CurvePoint]] = {}
+    fibers: dict = {}
     for q in points:
         fibers.setdefault(line_of(q), []).append(q)
     return fibers
 
 
-def _first_unpaired_fiber(fibers: dict, partner) -> str:
+def _first_unpaired_fiber(fibers: dict, partner, line_str=str, point_str=str) -> str:
     """A witness for the first fiber other than {q, partner(q)}, else ''."""
     for line, fiber in fibers.items():
         q = fiber[0]
         if set(fiber) != {q, partner(q)}:
-            return f"fiber of {line} is {[str(v) for v in fiber]}"
+            return f"fiber of {line_str(line)} is {[point_str(v) for v in fiber]}"
     return ""
 
 
-def verify_fibers(params: CurveParams, p: int) -> Report:
-    """Every chord-map fiber over F_p is a pair {q, q + beta}."""
+def verify_fibers(
+    params: CurveParams, p: int, *, context: FpContext | None = None
+) -> Report:
+    """Every chord-map fiber over F_p is a pair {q, q + beta}.
+
+    Runs on the int points of ``context`` (built here when None).
+    """
     started = time.monotonic()
-    points = enumerate_points(params, p)
-    fibers = _fibers(points, chord_map)
+    ctx = context or fp_context(params, p)
+    b, points = ctx.b, ctx.points
+    fibers = _fibers(points, lambda q: chord_mod_p(b, p, q))
     witness = ""
     ok = len(points) % 2 == 0 and len(fibers) == len(points) // 2
     if not ok:
         witness = f"image has {len(fibers)} lines for {len(points)} points"
     else:
-        witness = _first_unpaired_fiber(fibers, translate_by_beta)
+        witness = _first_unpaired_fiber(
+            fibers,
+            lambda q: translate_mod_p(b, p, q),
+            lambda line: str(DualPoint(line)),
+            lambda q: _point_str(ctx, q),
+        )
         ok = not witness
     return _report(
         CLAIM_FIBERS, ok, witness, started, len(points), image_size=len(fibers)
     )
 
 
-def verify_flex_correspondence(params: CurveParams, p: int) -> Report:
+def verify_flex_correspondence(
+    params: CurveParams, p: int, *, torsion3: list | None = None
+) -> Report:
     """Flexes of the image cubic are the chords of 3-torsion translates.
 
     Needs full rational 2-torsion mod p so that a translation gamma with
     gamma != beta exists; otherwise the check is skipped.  Each translate
     q + gamma of a 3-torsion point q must map to a flex of the image
     cubic, and every F_p-rational flex of the image cubic must arise that
-    way.
+    way.  ``torsion3``, when given, is ``three_torsion_flexes(params, p)``
+    already computed.
     """
     started = time.monotonic()
     pp = reduce_params(params, p)
@@ -218,7 +273,8 @@ def verify_flex_correspondence(params: CurveParams, p: int) -> Report:
         return _skip(CLAIM_FLEX, f"x^2 + a x + b has no root mod {p}", started)
     b_pt = beta(pp)
     gammas = [t for t in torsion2 if not t.is_infinity and t != b_pt]
-    torsion3 = three_torsion_flexes(pp, p)
+    if torsion3 is None:
+        torsion3 = three_torsion_flexes(pp, p)
     cubic = chord_cubic(pp)
     expected = set()
     for q in torsion3:
@@ -287,7 +343,8 @@ def verify_quotient(params: CurveParams, primes, mutate: str | None = None) -> R
                 counts[p] = "skipped"
                 continue
             image_count = count_zero_points_over_Fp(chord_cubic(pp), p)
-            isogenous = len(enumerate_points(quotient_params(pp), p))
+            qp = quotient_params(pp)
+            isogenous = 1 + len(affine_points_mod_p(qp.a.value, qp.b.value, p))
             counts[p] = image_count
             checked += 1
             if image_count != isogenous:
@@ -398,7 +455,37 @@ def verify_degree_remark(
     )
 
 
-def verify_cross_checks(params: CurveParams, p: int) -> Report:
+def _point_fault(ctx: FpContext, g: dict, q) -> str:
+    """The first per-point cross-check failing at q, as a witness template.
+
+    ``{q}`` in the template stands for the point; '' when every check holds.
+    """
+    p, a, b = ctx.p, ctx.a, ctx.b
+    shifted = translate_mod_p(b, p, q)
+    if shifted != add_mod_p(a, b, p, q, (0, 0)):
+        return "translation formula disagrees at {q}"
+    if translate_mod_p(b, p, shifted) != q:
+        return "translation is not an involution at {q}"
+    line = chord_mod_p(b, p, q)
+    if line != chord_mod_p(b, p, shifted):
+        return "chord map does not factor at {q}"
+    q3, s3 = _triple(q), _triple(shifted)
+    if q != shifted and line != line_through_mod_p(q3, s3, p):
+        return "chord of {q} is not the two-point line"
+    if not (_incident(q3, line, p) and _incident(s3, line, p)):
+        return "chord of {q} misses an endpoint"
+    if not _vanishes(g, line, p):
+        return f"chord {DualPoint(line)} of {{q}} is off the image cubic"
+    return ""
+
+
+def verify_cross_checks(
+    params: CurveParams,
+    p: int,
+    *,
+    context: FpContext | None = None,
+    torsion3: list | None = None,
+) -> Report:
     """Point-by-point consistency scan tying the modules together.
 
     Over all of E(F_p): the closed-form translation agrees with the group
@@ -407,10 +494,19 @@ def verify_cross_checks(params: CurveParams, p: int) -> Report:
     chord satisfies the image cubic.  The point count must sit in the
     Hasse window and be even; the image cubic must be smooth; the flexes
     of the curve's own Weierstrass cubic must be exactly the 3-torsion.
+
+    The scan runs on the int points of ``context`` (built here when None)
+    with the int kernels: ``translate_mod_p`` against ``add_mod_p`` for
+    q + beta, ``chord_mod_p``, ``line_through_mod_p`` and G on its int
+    coefficient table.  Curve points and dual points are built only for a
+    witness.  The 3-torsion stays the exhaustive ``three_torsion_flexes``
+    scan on curve points (``torsion3`` when given, else run here), and the
+    scalar functions stay the oracles of the int kernels and the only path
+    over Q.
     """
     started = time.monotonic()
-    pp = reduce_params(params, p)
-    points = enumerate_points(pp, p)
+    ctx = context or fp_context(params, p)
+    pp, points = ctx.pp, ctx.points
     count = len(points)
     ok, witness = True, ""
 
@@ -418,50 +514,41 @@ def verify_cross_checks(params: CurveParams, p: int) -> Report:
     if drift * drift > 4 * p or count % 2:
         ok, witness = False, f"point count {count} violates the Hasse window"
 
-    b_pt = beta(pp)
     cubic = chord_cubic(pp)
     if ok:
+        g = _int_table(cubic, p)
         for q in points:
-            shifted = translate_by_beta(q)
-            if shifted != group_add(q, b_pt):
-                ok, witness = False, f"translation formula disagrees at {q}"
-                break
-            if translate_by_beta(shifted) != q:
-                ok, witness = False, f"translation is not an involution at {q}"
-                break
-            line = chord_map(q)
-            if line != chord_map(shifted):
-                ok, witness = False, f"chord map does not factor at {q}"
-                break
-            if q != shifted and line != line_through(q.coords, shifted.coords):
-                ok, witness = False, f"chord of {q} is not the two-point line"
-                break
-            if not (dual_incidence(q, line) and dual_incidence(shifted, line)):
-                ok, witness = False, f"chord of {q} misses an endpoint"
-                break
-            if evaluate_form(cubic, line.coords) != 0:
-                ok, witness = False, f"chord {line} of {q} is off the image cubic"
+            fault = _point_fault(ctx, g, q)
+            if fault:
+                ok, witness = False, fault.format(q=_point_str(ctx, q))
                 break
     if ok and not smooth_over_Fp(cubic, p):
         ok, witness = False, "image cubic is singular"
     if ok:
         flexes = {DualPoint(t) for t in find_flexes_over_Fp(weierstrass_form(pp), p)}
-        torsion3 = {DualPoint(q.coords) for q in three_torsion_flexes(pp, p)}
-        if flexes != torsion3:
+        if torsion3 is None:
+            torsion3 = three_torsion_flexes(pp, p)
+        if flexes != {DualPoint(q.coords) for q in torsion3}:
             ok = False
             witness = "Weierstrass flexes differ from the 3-torsion"
     return _report(CLAIM_CROSS, ok, witness, started, count, curve_points=count)
 
 
 def run_full_suite(params: CurveParams, p: int) -> list:
-    """All checks keyed on (params, p), in fixed claim order."""
-    reduce_params(params, p)
+    """All checks keyed on (params, p), in fixed claim order.
+
+    E(F_p) is enumerated once on ints (:func:`fp_context`) for the
+    cross-checks and the fibers, and its 3-torsion is scanned once for the
+    cross-checks and the flex claim.
+    """
+    ctx = fp_context(params, p)
+    torsion3 = three_torsion_flexes(ctx.pp, p)
     return [
         verify_chord_incidence_symbolic(),
         verify_identity_symbolic(),
-        verify_cross_checks(params, p),
-        verify_fibers(params, p),
-        verify_flex_correspondence(params, p),
+        verify_cross_checks(params, p, context=ctx, torsion3=torsion3),
+        verify_fibers(params, p, context=ctx),
+        verify_flex_correspondence(params, p, torsion3=torsion3),
         verify_quotient(params, [p]),
     ]
 

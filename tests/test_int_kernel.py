@@ -1,0 +1,230 @@
+"""The int kernel of E(F_p) against the scalar path, and its group laws.
+
+The per-point claims of ``suite`` run on int residue pairs (None for O)
+and normalized int triples.  Each kernel operation is compared here with
+its scalar counterpart on random curves with p < 200, and the invariants
+the suite relies on (associativity, the translation by beta as an
+involution, the chord map factoring through it, the Hasse window) are
+checked on both representations.
+"""
+
+from chordcubic.chord import (
+    DualPoint,
+    chord_cubic,
+    chord_map,
+    chord_mod_p,
+    line_through,
+    line_through_mod_p,
+)
+from chordcubic.curve import (
+    CurvePoint,
+    add_mod_p,
+    affine_points_mod_p,
+    enumerate_points,
+    group_add,
+    reduce_params,
+    translate_by_beta,
+    translate_mod_p,
+    validate_curve,
+)
+from chordcubic.plane import _int_table, _vanishes, evaluate_form
+from chordcubic.scalars import PrimeFieldScalar
+from fp_strategies import curve_residues, curves, hypothesis_api, outcome
+
+
+def _setup(data, st):
+    """A random curve over F_p: the reduced params and the int points, O first."""
+    a, b, p = data.draw(curves(st))
+    pp = reduce_params(validate_curve(a, b), p)
+    return pp, a, b, p, [None] + affine_points_mod_p(a, b, p)
+
+
+def _pair(point: CurvePoint):
+    return None if point.is_infinity else (point.x.value, point.y.value)
+
+
+def _point(pp, s) -> CurvePoint:
+    return CurvePoint.infinity(pp) if s is None else CurvePoint.affine(pp, *s)
+
+
+def _triple(s) -> tuple:
+    return (0, 1, 0) if s is None else (s[0], s[1], 1)
+
+
+def _ints(coords) -> tuple:
+    return tuple(c.value for c in coords)
+
+
+def test_int_points_match_enumerate_points_and_the_brute_force_list():
+    given, settings, st = hypothesis_api()
+
+    @settings
+    @given(st.data())
+    def check(data):
+        pp, a, b, p, points = _setup(data, st)
+        assert points == [_pair(q) for q in enumerate_points(pp, p)]
+        assert [_triple(s) for s in points] == curve_residues(a, b, p)
+
+    check()
+
+
+def _meets_curve_again(a, b, p, s, t, total) -> bool:
+    """Whether the chord (or tangent) through s and t passes through -(s + t)."""
+    r = _triple(None if total is None else (total[0], -total[1] % p))
+    if s != t:
+        rows = (_triple(s), _triple(t), r)
+        det = (
+            rows[0][0] * (rows[1][1] * rows[2][2] - rows[1][2] * rows[2][1])
+            - rows[0][1] * (rows[1][0] * rows[2][2] - rows[1][2] * rows[2][0])
+            + rows[0][2] * (rows[1][0] * rows[2][1] - rows[1][1] * rows[2][0])
+        )
+        return det % p == 0
+    x, y, z = _triple(s)
+    grad = (
+        -3 * x * x - 2 * a * x * z - b * z * z,
+        2 * y * z,
+        y * y - a * x * x - 2 * b * x * z,
+    )
+    return sum(g * c for g, c in zip(grad, r)) % p == 0
+
+
+def test_int_add_matches_group_add_and_the_chord_tangent_geometry():
+    given, settings, st = hypothesis_api(max_examples=80)
+
+    @settings
+    @given(st.data())
+    def check(data):
+        pp, a, b, p, points = _setup(data, st)
+        s, t = data.draw(st.sampled_from(points)), data.draw(st.sampled_from(points))
+        total = add_mod_p(a, b, p, s, t)
+        assert total == _pair(group_add(_point(pp, s), _point(pp, t)))
+        assert total is None or total in points
+        if s is not None and t is not None:
+            assert _meets_curve_again(a, b, p, s, t, total)
+
+    check()
+
+
+def test_int_translation_matches_translate_by_beta():
+    given, settings, st = hypothesis_api()
+
+    @settings
+    @given(st.data())
+    def check(data):
+        pp, a, b, p, points = _setup(data, st)
+        for s in points:
+            assert translate_mod_p(b, p, s) == _pair(translate_by_beta(_point(pp, s)))
+
+    check()
+
+
+def test_int_chord_matches_chord_map():
+    given, settings, st = hypothesis_api()
+
+    @settings
+    @given(st.data())
+    def check(data):
+        pp, a, b, p, points = _setup(data, st)
+        for s in points:
+            assert chord_mod_p(b, p, s) == _ints(chord_map(_point(pp, s)).coords)
+
+    check()
+
+
+def test_int_cross_product_matches_line_through():
+    given, settings, st = hypothesis_api(max_examples=150)
+
+    @settings
+    @given(st.data())
+    def check(data):
+        p = data.draw(curves(st))[2]
+        residue = st.integers(0, p - 1)
+        s = data.draw(st.tuples(residue, residue, residue).filter(any))
+        # A multiple of s, the zero triple, or an unrelated triple.
+        unit = data.draw(st.integers(0, p - 1))
+        t = data.draw(
+            st.sampled_from([tuple(c * unit % p for c in s)])
+            | st.tuples(residue, residue, residue)
+        )
+        scalars = [tuple(PrimeFieldScalar(c, p) for c in v) for v in (s, t)]
+        assert outcome(lambda: line_through_mod_p(s, t, p)) == outcome(
+            lambda: _ints(line_through(*scalars).coords)
+        )
+
+    check()
+
+
+def test_int_g_matches_evaluate_form_on_chords_and_random_lines():
+    given, settings, st = hypothesis_api()
+
+    @settings
+    @given(st.data())
+    def check(data):
+        pp, a, b, p, points = _setup(data, st)
+        cubic = chord_cubic(pp)
+        table = _int_table(cubic, p)
+        residue = st.integers(0, p - 1)
+        lines = [chord_mod_p(b, p, s) for s in points]
+        lines += data.draw(st.lists(st.tuples(residue, residue, residue), max_size=20))
+        for line in lines:
+            scalars = tuple(PrimeFieldScalar(c, p) for c in line)
+            assert _vanishes(table, line, p) == (evaluate_form(cubic, scalars) == 0)
+
+    check()
+
+
+def test_group_add_is_associative_on_ints_and_on_curve_points():
+    given, settings, st = hypothesis_api(max_examples=80)
+
+    @settings
+    @given(st.data())
+    def check(data):
+        pp, a, b, p, points = _setup(data, st)
+        s, t, u = (data.draw(st.sampled_from(points)) for _ in range(3))
+
+        def add(v, w):
+            return add_mod_p(a, b, p, v, w)
+
+        assert add(add(s, t), u) == add(s, add(t, u))
+        q, r, w = (_point(pp, v) for v in (s, t, u))
+        assert group_add(group_add(q, r), w) == group_add(q, group_add(r, w))
+
+    check()
+
+
+def test_translation_by_beta_is_an_involution_and_the_chord_factors_through_it():
+    given, settings, st = hypothesis_api()
+
+    @settings
+    @given(st.data())
+    def check(data):
+        pp, a, b, p, points = _setup(data, st)
+        for s in points:
+            shifted = translate_mod_p(b, p, s)
+            assert shifted != s and translate_mod_p(b, p, shifted) == s
+            assert chord_mod_p(b, p, shifted) == chord_mod_p(b, p, s)
+            q = _point(pp, s)
+            assert translate_by_beta(translate_by_beta(q)) == q
+            assert chord_map(translate_by_beta(q)) == chord_map(q)
+
+    check()
+
+
+def test_point_count_sits_in_the_hasse_window():
+    given, settings, st = hypothesis_api()
+
+    @settings
+    @given(st.data())
+    def check(data):
+        pp, a, b, p, points = _setup(data, st)
+        for count in (len(points), len(enumerate_points(pp, p))):
+            assert (count - p - 1) ** 2 <= 4 * p
+            assert count % 2 == 0
+
+    check()
+
+
+def test_dual_point_of_an_int_chord_prints_like_chord_map():
+    pp = reduce_params(validate_curve(-3, 2), 101)
+    for s in [None] + affine_points_mod_p(pp.a.value, pp.b.value, 101):
+        assert str(DualPoint(chord_mod_p(2, 101, s))) == str(chord_map(_point(pp, s)))

@@ -6,55 +6,10 @@ import pytest
 from chordcubic.scalars import (
     PrimeField,
     PrimeFieldScalar,
-    field_inv,
     is_prime,
-    make_rational,
     rational_sqrt,
     squares_table,
 )
-
-
-def test_make_rational_reduces():
-    assert make_rational(2, 4) == Fraction(1, 2)
-    assert make_rational(0, 5) == Fraction(0, 1)
-    assert make_rational(-3, -6) == Fraction(1, 2)
-
-
-def test_make_rational_sign_on_numerator():
-    q = make_rational(3, -6)
-    assert q.numerator == -1 and q.denominator == 2
-
-
-def test_make_rational_rejects_zero_denominator():
-    with pytest.raises(ZeroDivisionError):
-        make_rational(1, 0)
-
-
-def test_make_rational_rejects_non_integers():
-    with pytest.raises(ValueError):
-        make_rational(1.5, 2)
-
-
-def test_field_inv_examples():
-    assert field_inv(PrimeFieldScalar(3, 7)) == PrimeFieldScalar(5, 7)
-    assert field_inv(PrimeFieldScalar(1, 7)) == PrimeFieldScalar(1, 7)
-    assert field_inv(Fraction(1)) == 1
-    assert field_inv(Fraction(-2, 3)) == Fraction(-3, 2)
-    with pytest.raises(ZeroDivisionError):
-        field_inv(PrimeFieldScalar(0, 7))
-    with pytest.raises(ZeroDivisionError):
-        field_inv(Fraction(0))
-
-
-def test_field_inv_is_involutive():
-    rng = random.Random(7)
-    for p in (5, 7, 101, 409):
-        for _ in range(20):
-            s = PrimeFieldScalar(rng.randrange(1, p), p)
-            assert field_inv(field_inv(s)) == s
-    for _ in range(20):
-        q = Fraction(rng.randrange(-40, 40) or 1, rng.randrange(1, 40))
-        assert field_inv(field_inv(q)) == q
 
 
 def test_fermat_little_theorem_sampled():

@@ -3,18 +3,29 @@ from math import isqrt
 import pytest
 
 from chordcubic import verify
-from chordcubic.chord import DualPoint, chord_map
+from chordcubic.chord import (
+    DualPoint,
+    chord_cubic,
+    chord_map,
+    chord_mod_p,
+    line_through,
+    line_through_mod_p,
+)
 from chordcubic.curve import (
+    add_mod_p,
     beta,
     enumerate_points,
     group_add,
+    negate,
     point_order,
     reduce_params,
     scalar_mul,
     three_torsion_flexes,
+    translate_by_beta,
+    translate_mod_p,
     validate_curve,
 )
-from chordcubic.plane import dual_incidence, find_flexes_over_Fp
+from chordcubic.plane import dual_incidence, evaluate_form, find_flexes_over_Fp
 from chordcubic.scalars import PrimeField
 from chordcubic.verify import (
     Report,
@@ -307,3 +318,225 @@ def test_sample_params_deterministic_and_valid():
     assert len(first) == 20
     for params in first:
         assert params.b != 0 and params.a * params.a - 4 * params.b != 0
+
+
+def _scalar_cross_witness(pp, p, **ops) -> str:
+    """The per-point loop of verify_cross_checks run on curve points.
+
+    This is the scalar path the int loop replaced, kept as its oracle; any
+    step can be swapped through ``ops``.
+    """
+    translate = ops.get("translate", translate_by_beta)
+    add = ops.get("add", group_add)
+    chord = ops.get("chord", chord_map)
+    line_of = ops.get("line", line_through)
+    incident = ops.get("incident", dual_incidence)
+    cubic = chord_cubic(pp)
+    on_g = ops.get("on_g", lambda line: evaluate_form(cubic, line.coords) == 0)
+    b_pt = beta(pp)
+    for q in enumerate_points(pp, p):
+        shifted = translate(q)
+        if shifted != add(q, b_pt):
+            return f"translation formula disagrees at {q}"
+        if translate(shifted) != q:
+            return f"translation is not an involution at {q}"
+        line = chord(q)
+        if line != chord(shifted):
+            return f"chord map does not factor at {q}"
+        if q != shifted and line != line_of(q.coords, shifted.coords):
+            return f"chord of {q} is not the two-point line"
+        if not (incident(q, line) and incident(shifted, line)):
+            return f"chord of {q} misses an endpoint"
+        if not on_g(line):
+            return f"chord {line} of {q} is off the image cubic"
+    return ""
+
+
+def _scalar_fiber_witness(pp, p, chord=chord_map) -> str:
+    """verify_fibers' verdict on curve points, with the chord map swappable."""
+    points = enumerate_points(pp, p)
+    fibers = verify._fibers(points, chord)
+    if len(points) % 2 or len(fibers) != len(points) // 2:
+        return f"image has {len(fibers)} lines for {len(points)} points"
+    return verify._first_unpaired_fiber(fibers, translate_by_beta)
+
+
+def _wrong_at(right, hit, wrong):
+    """``right`` with its result replaced by ``wrong(*args)`` wherever ``hit(*args)``."""
+    return lambda *args: wrong(*args) if hit(*args) else right(*args)
+
+
+WITNESS_PRIME = 101
+
+
+def _fault_target():
+    """The curve (-3, 2) mod 101 and its first affine point T off the x-axis."""
+    pp = reduce_params(validate_curve(-3, 2), WITNESS_PRIME)
+    target = next(q for q in enumerate_points(pp, WITNESS_PRIME)[2:] if q.y != 0)
+    return pp, target, (target.x.value, target.y.value)
+
+
+def _cross_faults(pp, T, t):
+    """Fault name -> (int-kernel patches of verify, scalar ops, witness prefix)."""
+    unit_line = DualPoint((pp.scalar(1), pp.scalar(0), pp.scalar(0)))
+    t_line = chord_mod_p(pp.b.value, WITNESS_PRIME, t)
+    t_triple = (*t, 1)
+
+    def negated_sum(a, b, p, s, u):
+        x, y = add_mod_p(a, b, p, s, u)
+        return x, -y % p
+
+    return {
+        "translation against the group law": (
+            {
+                "add_mod_p": _wrong_at(
+                    add_mod_p, lambda a, b, p, s, u: s == t, negated_sum
+                )
+            },
+            {
+                "add": _wrong_at(
+                    group_add, lambda q, r: q == T, lambda q, r: negate(group_add(q, r))
+                )
+            },
+            f"translation formula disagrees at {T}",
+        ),
+        "involution": (
+            {
+                "translate_mod_p": _wrong_at(
+                    translate_mod_p, lambda b, p, s: s == (0, 0), lambda b, p, s: s
+                )
+            },
+            {
+                "translate": _wrong_at(
+                    translate_by_beta, lambda q: q == beta(pp), lambda q: q
+                )
+            },
+            "translation is not an involution at [0:1:0]",
+        ),
+        "factoring": (
+            {
+                "chord_mod_p": _wrong_at(
+                    chord_mod_p, lambda b, p, s: s == t, lambda b, p, s: (1, 0, 0)
+                )
+            },
+            {"chord": _wrong_at(chord_map, lambda q: q == T, lambda q: unit_line)},
+            "chord map does not factor at ",
+        ),
+        "two-point line": (
+            {
+                "line_through_mod_p": _wrong_at(
+                    line_through_mod_p,
+                    lambda s, u, p: s == t_triple,
+                    lambda s, u, p: (1, 0, 0),
+                )
+            },
+            {
+                "line": _wrong_at(
+                    line_through, lambda s, u: s == T.coords, lambda s, u: unit_line
+                )
+            },
+            f"chord of {T} is not the two-point line",
+        ),
+        "missed endpoint": (
+            {
+                "_incident": _wrong_at(
+                    verify._incident, lambda pt, line, p: pt == t_triple, lambda *_: False
+                )
+            },
+            {
+                "incident": _wrong_at(
+                    dual_incidence, lambda q, line: q == T, lambda *_: False
+                )
+            },
+            "chord of ",
+        ),
+        "off-G": (
+            {
+                "_vanishes": _wrong_at(
+                    verify._vanishes, lambda g, line, p: line == t_line, lambda *_: False
+                )
+            },
+            {"on_g": lambda line: line != chord_map(T)},
+            "chord [",
+        ),
+    }
+
+
+@pytest.mark.parametrize(
+    "fault",
+    [
+        "translation against the group law",
+        "involution",
+        "factoring",
+        "two-point line",
+        "missed endpoint",
+        "off-G",
+    ],
+)
+def test_cross_check_witness_matches_the_scalar_path(fault, monkeypatch):
+    pp, T, t = _fault_target()
+    int_patches, scalar_ops, prefix = _cross_faults(pp, T, t)[fault]
+    expected = _scalar_cross_witness(pp, WITNESS_PRIME, **scalar_ops)
+    assert expected.startswith(prefix)
+    for name, fn in int_patches.items():
+        monkeypatch.setattr(verify, name, fn)
+    report = verify_cross_checks(pp, WITNESS_PRIME)
+    assert (report.status, report.witness) == ("fail", expected)
+
+
+def test_cross_check_passes_where_the_scalar_path_passes():
+    pp, _, _ = _fault_target()
+    assert _scalar_cross_witness(pp, WITNESS_PRIME) == ""
+    assert verify_cross_checks(pp, WITNESS_PRIME).witness == ""
+
+
+@pytest.mark.parametrize("fault", ["unpaired fiber", "too few lines"])
+def test_fiber_witness_matches_the_scalar_path(fault, monkeypatch):
+    pp, T, _ = _fault_target()
+    p = WITNESS_PRIME
+    shifted = translate_by_beta(T)
+    # A point outside T's fiber whose chord T (and, for too few lines, T + beta) takes.
+    other = next(
+        q for q in enumerate_points(pp, p)[2:] if q not in (T, shifted) and q.y != 0
+    )
+    movers = {T} if fault == "unpaired fiber" else {T, shifted}
+    mover_pairs = {(q.x.value, q.y.value) for q in movers}
+    other_line = chord_map(other)
+    monkeypatch.setattr(
+        verify,
+        "chord_mod_p",
+        _wrong_at(
+            chord_mod_p,
+            lambda b, p, s: s in mover_pairs,
+            lambda b, p, s: tuple(c.value for c in other_line.coords),
+        ),
+    )
+    expected = _scalar_fiber_witness(
+        pp, p, _wrong_at(chord_map, lambda q: q in movers, lambda q: other_line)
+    )
+    assert expected.startswith("fiber of " if fault == "unpaired fiber" else "image has ")
+    report = verify_fibers(pp, p)
+    assert (report.status, report.witness) == ("fail", expected)
+
+
+def test_suite_enumerates_once_for_the_context_and_scans_the_3_torsion_once(monkeypatch):
+    from chordcubic import curve
+
+    calls = {"enumerate_points": 0, "three_torsion_flexes": 0}
+
+    def counted(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    for module in (curve, verify):
+        for name in calls:
+            counted(module, name)
+    reports = run_full_suite(validate_curve(-3, 2), 1019)
+    assert all(r.status == "pass" for r in reports)
+    assert reports[4].stats["flexes"] == 3  # three rational 3-torsion points
+    assert calls == {"enumerate_points": 1, "three_torsion_flexes": 1}
