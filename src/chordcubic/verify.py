@@ -201,6 +201,7 @@ def _triple(s) -> tuple:
 
 
 def _point_str(ctx: FpContext, s) -> str:
+    """What ``str`` of the curve point with int pair s prints, for a witness."""
     return str(CurvePoint(ctx.pp, _triple(s)))
 
 
