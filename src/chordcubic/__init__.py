@@ -37,14 +37,12 @@ from .curve import (
     validate_curve,
 )
 from .plane import (
-    IntersectionRecord,
     MinDegree,
     dual_incidence,
     evaluate_form,
     find_flexes_over_Fp,
     hessian_cubic,
     is_flex,
-    line_cubic_intersection,
     min_interpolating_degree,
     smooth_over_Fp,
 )

@@ -112,7 +112,13 @@ def _curve_json(params) -> dict:
 
 
 def _reports_payload(reports) -> list:
-    return [r.to_dict(include_millis=False) for r in reports]
+    return [r.to_dict() for r in reports]
+
+
+def _claim_result(params, key, value, reports):
+    """The (payload, reports) of a run on one curve; key names its prime(s)."""
+    payload = {"curve": _curve_json(params), key: value, "reports": _reports_payload(reports)}
+    return payload, reports
 
 
 def _emit(payload, reports, fmt) -> int:
@@ -123,10 +129,10 @@ def _emit(payload, reports, fmt) -> int:
     return 0 if all(r.ok for r in reports) else 1
 
 
-def _emit_text(payload, reports, indent=""):
+def _emit_text(payload, reports):
     if reports:
         for r in reports:
-            line = f"{indent}{r.claim}: {r.status}"
+            line = f"{r.claim}: {r.status}"
             if r.witness:
                 line += f" ({r.witness})"
             line += f" [{r.stats.get('millis', 0)} ms]"
@@ -139,105 +145,99 @@ def _curve_from_args(args):
     return validate_curve(_parse_rational(args.a), _parse_rational(args.b))
 
 
-def _run(args) -> int:
-    if args.command == "identity":
-        reports = [verify_chord_incidence_symbolic(), verify_identity_symbolic()]
-        return _emit(_reports_payload(reports), reports, args.format)
+def _identity(args):
+    reports = [verify_chord_incidence_symbolic(), verify_identity_symbolic()]
+    return _reports_payload(reports), reports
 
-    if args.command == "cubic":
-        params = _curve_from_args(args)
-        payload = {
-            "curve": _curve_json(params),
-            "cubic": chord_cubic(params).as_json_table(),
-            "invariants": cubic_invariants(params).as_dict(),
-        }
-        return _emit(payload, [], args.format)
 
-    if args.command == "map":
-        params = _curve_from_args(args)
-        if args.prime is not None:
-            check_modulus(args.prime)
-            params = reduce_params(params, args.prime)
-        if args.x is None:
-            point = CurvePoint.infinity(params)
-        else:
-            if args.y is None:
-                raise CliError("--y is required with --x")
-            x = params.coerce(_parse_rational(args.x))
-            y = params.coerce(_parse_rational(args.y))
-            point = CurvePoint.affine(params, x, y)
-        payload = {
-            "curve": _curve_json(params),
-            "point": str(point),
-            "line": str(chord_map(point)),
-        }
-        return _emit(payload, [], args.format)
+def _cubic(args):
+    params = _curve_from_args(args)
+    payload = {
+        "curve": _curve_json(params),
+        "cubic": chord_cubic(params).as_json_table(),
+        "invariants": cubic_invariants(params).as_dict(),
+    }
+    return payload, []
 
-    if args.command == "suite":
+
+def _map(args):
+    params = _curve_from_args(args)
+    if args.prime is not None:
         check_modulus(args.prime)
-        if args.random is not None:
-            if args.random <= 0:
-                raise CliError("--random wants a positive count")
-            runs = []
-            reports = []
-            for params in sample_params(args.prime, args.random, args.seed):
-                batch = run_full_suite(params, args.prime)
-                reports.extend(batch)
-                runs.append(
-                    {"curve": _curve_json(params), "reports": _reports_payload(batch)}
-                )
-            payload = {"prime": args.prime, "seed": args.seed, "runs": runs}
-            return _emit(payload, reports, args.format)
+        params = reduce_params(params, args.prime)
+    if args.x is None:
+        if args.y is not None:
+            raise CliError("--x is required with --y")
+        point = CurvePoint.infinity(params)
+    else:
+        if args.y is None:
+            raise CliError("--y is required with --x")
+        x = params.coerce(_parse_rational(args.x))
+        y = params.coerce(_parse_rational(args.y))
+        point = CurvePoint.affine(params, x, y)
+    payload = {
+        "curve": _curve_json(params),
+        "point": str(point),
+        "line": str(chord_map(point)),
+    }
+    return payload, []
+
+
+def _suite(args):
+    check_modulus(args.prime)
+    if args.random is None:
         if args.a is None or args.b is None:
             raise CliError("--a and --b are required without --random")
         params = _curve_from_args(args)
-        reports = run_full_suite(params, args.prime)
-        payload = {
-            "curve": _curve_json(params),
-            "prime": args.prime,
-            "reports": _reports_payload(reports),
-        }
-        return _emit(payload, reports, args.format)
+        return _claim_result(params, "prime", args.prime, run_full_suite(params, args.prime))
+    if args.a is not None or args.b is not None:
+        raise CliError("--a and --b cannot be combined with --random")
+    if args.random <= 0:
+        raise CliError("--random wants a positive count")
+    runs = []
+    reports = []
+    for params in sample_params(args.prime, args.random, args.seed):
+        batch = run_full_suite(params, args.prime)
+        reports.extend(batch)
+        runs.append({"curve": _curve_json(params), "reports": _reports_payload(batch)})
+    return {"prime": args.prime, "seed": args.seed, "runs": runs}, reports
 
-    if args.command == "degree":
-        params = _curve_from_args(args)
-        report = verify_degree_remark(params, args.prime, args.order, dmax=args.dmax)
-        payload = {
-            "curve": _curve_json(params),
-            "prime": args.prime,
-            "reports": _reports_payload([report]),
-        }
-        return _emit(payload, [report], args.format)
 
-    if args.command == "quotient":
-        params = _curve_from_args(args)
-        primes = (args.prime,) if args.prime else DEFAULT_QUOTIENT_PRIMES
-        report = verify_quotient(params, primes)
-        payload = {
-            "curve": _curve_json(params),
-            "primes": list(primes),
-            "reports": _reports_payload([report]),
-        }
-        return _emit(payload, [report], args.format)
+def _degree(args):
+    params = _curve_from_args(args)
+    report = verify_degree_remark(params, args.prime, args.order, dmax=args.dmax)
+    return _claim_result(params, "prime", args.prime, [report])
 
-    if args.command == "flexes":
-        params = _curve_from_args(args)
-        report = verify_flex_correspondence(params, args.prime)
-        payload = {
-            "curve": _curve_json(params),
-            "prime": args.prime,
-            "reports": _reports_payload([report]),
-        }
-        return _emit(payload, [report], args.format)
 
-    raise CliError(f"unknown subcommand {args.command!r}")
+def _quotient(args):
+    params = _curve_from_args(args)
+    primes = (args.prime,) if args.prime is not None else DEFAULT_QUOTIENT_PRIMES
+    return _claim_result(params, "primes", list(primes), [verify_quotient(params, primes)])
+
+
+def _flexes(args):
+    params = _curve_from_args(args)
+    report = verify_flex_correspondence(params, args.prime)
+    return _claim_result(params, "prime", args.prime, [report])
+
+
+_COMMANDS = {
+    "identity": _identity,
+    "cubic": _cubic,
+    "map": _map,
+    "suite": _suite,
+    "degree": _degree,
+    "quotient": _quotient,
+    "flexes": _flexes,
+}
 
 
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        code = _run(args)
+        payload, reports = _COMMANDS[args.command](args)
+        code = _emit(payload, reports, args.format)
         sys.stdout.flush()
         return code
     except BrokenPipeError:

@@ -1,8 +1,6 @@
 """Generic projective plane-curve utilities over either supported field.
 
-Everything here is exact: Hessians are expanded symbolically, line-curve
-intersections restrict the form to a binary form and count roots with
-multiplicity in the working field only (no field extensions), and the
+Everything here is exact: Hessians are expanded symbolically, and the
 minimal interpolating degree comes from exact nullspace ranks of monomial
 evaluation matrices.  The F_p zeros of a form at most quadratic in some
 coordinate are found in O(p) by sweeping the pencil of lines through that
@@ -17,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from math import gcd
 
 from .chord import (
     DualPoint,
@@ -27,16 +24,7 @@ from .chord import (
     normalize_mod_p,
     normalize_triple,
 )
-from .curve import _divisors
 from .scalars import PrimeField, PrimeFieldScalar, check_modulus, squares_table
-
-
-@dataclass(frozen=True)
-class IntersectionRecord:
-    """One intersection point of a line with a curve, with multiplicity."""
-
-    point: tuple
-    multiplicity: int
 
 
 @dataclass(frozen=True)
@@ -253,131 +241,11 @@ def find_flexes_over_Fp(form: TernaryForm, p: int) -> list:
     return [tuple(field(c) for c in pt) for pt in flexes]
 
 
-def _line_basis(line) -> tuple:
-    """Two deterministic independent points spanning the line's point set."""
-    coeffs = coerce_triple(as_triple(line))
-    pivot = next(i for i, c in enumerate(coeffs) if c != 0)
-    basis = []
-    for j in range(3):
-        if j == pivot:
-            continue
-        vec = [coeffs[pivot] * 0] * 3
-        vec[j] = coeffs[pivot] / coeffs[pivot]
-        vec[pivot] = -coeffs[j] / coeffs[pivot]
-        basis.append(tuple(vec))
-    return basis[0], basis[1]
-
-
-def line_cubic_intersection(form: TernaryForm, line) -> list:
-    """Intersection of a line with a cubic, with multiplicities.
-
-    The form is restricted along a deterministic parametrization of the
-    line to a binary cubic; only roots rational over the working field are
-    reported, so the multiplicities sum to 3 exactly when the restriction
-    splits and to at most 3 otherwise.  A line contained in the curve is
-    rejected.
-    """
-    p = _form_modulus(form)
-    line_coords = coerce_triple(as_triple(line))
-    if p is not None:
-        field = PrimeField(p)
-        line_coords = tuple(field(c) for c in line_coords)
-    p0, p1 = _line_basis(DualPoint(line_coords))
-    d = form.degree
-    # Restrict: each coordinate of s*p0 + t*p1 is linear in (s, t); binary
-    # polynomials are lists indexed by the power of s.
-    coords = [[p1[m], p0[m]] for m in range(3)]
-    rest = [None] * (d + 1)
-    for (i, j, k), coeff in form.coeffs.items():
-        term = [coeff]
-        for axis, e in ((0, i), (1, j), (2, k)):
-            for _ in range(e):
-                term = _bp_mul(term, coords[axis])
-        for m, c in enumerate(term):
-            rest[m] = c if rest[m] is None else rest[m] + c
-    if all(c is None or c == 0 for c in rest):
-        raise ValueError("degenerate: the line lies on the cubic")
-    rest = [0 if c is None else c for c in rest]
-
-    records = []
-    top = max(m for m, c in enumerate(rest) if c != 0)
-    if top < d:
-        records.append(
-            IntersectionRecord(normalize_triple(p0), multiplicity=d - top)
-        )
-    for root, mult in _univariate_roots(rest[: top + 1], p):
-        pt = tuple(root * p0[m] + p1[m] for m in range(3))
-        records.append(IntersectionRecord(normalize_triple(pt), mult))
-    return records
-
-
-def _bp_mul(lhs: list, rhs: list) -> list:
-    out = [None] * (len(lhs) + len(rhs) - 1)
-    for i, a in enumerate(lhs):
-        for j, b in enumerate(rhs):
-            prod = a * b
-            out[i + j] = prod if out[i + j] is None else out[i + j] + prod
-    return out
-
-
-def _univariate_roots(coeffs: list, p: int | None) -> list:
-    """Roots (with multiplicity) of sum coeffs[m] s^m in the working field."""
-    degree = max((m for m, c in enumerate(coeffs) if c != 0), default=-1)
-    if degree <= 0:
-        return []
-    work = list(coeffs[: degree + 1])
-    roots = []
-    for cand in _root_candidates(work, p):
-        mult = 0
-        while _poly_eval(work, cand) == 0:
-            work = _synthetic_divide(work, cand)
-            mult += 1
-            if len(work) == 1:
-                break
-        if mult:
-            roots.append((cand, mult))
-    return roots
-
-
-def _poly_eval(coeffs: list, s):
-    acc = None
+def _poly_eval(coeffs: list, s: int) -> int:
+    acc = 0
     for c in reversed(coeffs):
-        acc = c if acc is None else acc * s + c
+        acc = acc * s + c
     return acc
-
-
-def _synthetic_divide(coeffs: list, root) -> list:
-    out = [None] * (len(coeffs) - 1)
-    carry = coeffs[-1]
-    for m in range(len(coeffs) - 2, -1, -1):
-        out[m] = carry
-        carry = coeffs[m] + carry * root
-    return out
-
-
-def _root_candidates(coeffs: list, p: int | None):
-    if p is not None:
-        field = PrimeField(p)
-        return [field(v) for v in range(p)]
-    fracs = [Fraction(c) for c in coeffs]
-    scale = 1
-    for c in fracs:
-        scale = scale * c.denominator // gcd(scale, c.denominator)
-    ints = [int(c * scale) for c in fracs]
-    low = next(i for i, c in enumerate(ints) if c != 0)
-    candidates = [Fraction(0)] if low > 0 else []
-    lead, const = abs(ints[-1]), abs(ints[low])
-    for num in _divisors(const):
-        for den in _divisors(lead):
-            candidates.append(Fraction(num, den))
-            candidates.append(Fraction(-num, den))
-    seen = set()
-    out = []
-    for c in candidates:
-        if c not in seen:
-            seen.add(c)
-            out.append(c)
-    return sorted(out)
 
 
 def monomials(degree: int) -> list:

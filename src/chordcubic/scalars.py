@@ -177,10 +177,6 @@ class PrimeField:
     def zero(self) -> PrimeFieldScalar:
         return PrimeFieldScalar(0, self.p)
 
-    @property
-    def one(self) -> PrimeFieldScalar:
-        return PrimeFieldScalar(1, self.p)
-
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p
 

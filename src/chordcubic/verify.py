@@ -78,10 +78,10 @@ class Report:
     def ok(self) -> bool:
         return self.status in (PASS, SKIPPED)
 
-    def to_dict(self, include_millis: bool = True) -> dict:
+    def to_dict(self) -> dict:
+        """JSON form; the wall-clock ``millis`` is dropped so that it repeats."""
         stats = dict(self.stats)
-        if not include_millis:
-            stats.pop("millis", None)
+        stats.pop("millis", None)
         return {
             "claim": self.claim,
             "status": self.status,
@@ -396,14 +396,20 @@ def verify_degree_remark(
     divide #E (Lagrange).  Otherwise one scalar_mul per point keeps the q
     with n q = O, and point_order, at most n - 1 additions each, runs only
     on those.  Raises ValueError, before any point is enumerated, for an
-    order below 2 or above the Hasse bound p + 1 + 2 sqrt(p), and for
-    ``dmax`` outside 1..8.
+    order below 2 or above the Hasse bound p + 1 + 2 sqrt(p), for
+    ``dmax`` outside 1..8, and for a ``dmax`` below the claimed degree
+    (3 for order 2, 6 above), which could only end in a ``fail``.
     """
     started = time.monotonic()
     if order < 2:
         raise ValueError("translation order must be at least 2")
     if not 1 <= dmax <= 8:
         raise ValueError(f"dmax must lie in 1..8, got {dmax}")
+    expected_degree = 3 if order == 2 else 6
+    if dmax < expected_degree:
+        raise ValueError(
+            f"dmax {dmax} is below the claimed degree {expected_degree} of order {order}"
+        )
     pp = reduce_params(params, p)
     hasse = p + 1 + isqrt(4 * p)
     if order > hasse:
@@ -421,11 +427,9 @@ def verify_degree_remark(
     fibers = _fibers(points, lambda q: line_through(q.coords, shifted(q).coords))
     ok, witness = True, ""
     if order == 2:
-        expected_degree = 3
         witness = _first_unpaired_fiber(fibers, shifted)
         ok = not witness
     else:
-        expected_degree = 6
         for line, fiber in fibers.items():
             if len(fiber) != 1:
                 ok = False

@@ -124,6 +124,8 @@ def test_degree_command_reports_collision(capsys):
         (("--order", "4", "--dmax", "9"), "dmax must lie in 1..8"),
         (("--order", "97"), "Hasse bound"),
         (("--order", "44"), "Hasse bound"),
+        (("--order", "2", "--dmax", "2"), "below the claimed degree 3"),
+        (("--order", "4", "--dmax", "5"), "below the claimed degree 6"),
     ],
 )
 def test_degree_rejects_bad_input_before_enumerating(capsys, monkeypatch, extra, message):
@@ -193,10 +195,29 @@ def test_malformed_rational_rejected(capsys):
     assert "malformed rational" in json.loads(err)["error"]
 
 
-def test_composite_prime_rejected(capsys):
-    code, _, err = _run(capsys, "suite", "--a", "-3", "--b", "2", "--prime", "91")
+@pytest.mark.parametrize(
+    "command, prime", [("suite", "91"), ("quotient", "0")], ids=["suite-91", "quotient-0"]
+)
+def test_composite_prime_rejected(capsys, command, prime):
+    code, out, err = _run(capsys, command, "--a", "-3", "--b", "2", "--prime", prime)
     assert code == 2
+    assert out == ""
     assert "prime" in json.loads(err)["error"]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("suite", "--prime", "101", "--random", "2", "--a", "-3"), "--random"),
+        (("map", "--a", "0", "--b", "4", "--y", "4"), "--x is required"),
+    ],
+    ids=["suite-random-with-curve", "map-y-without-x"],
+)
+def test_ignored_arguments_rejected(capsys, argv, message):
+    code, out, err = _run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert message in json.loads(err)["error"]
 
 
 def test_unknown_command_rejected(capsys):

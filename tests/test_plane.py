@@ -13,7 +13,6 @@ from chordcubic.chord import (
 )
 from chordcubic.curve import CurvePoint, reduce_params, validate_curve
 from chordcubic.plane import (
-    IntersectionRecord,
     MinDegree,
     _rank_mod_p,
     _zero_points_over_Fp,
@@ -25,7 +24,6 @@ from chordcubic.plane import (
     form_mod_p,
     hessian_cubic,
     is_flex,
-    line_cubic_intersection,
     min_interpolating_degree,
     monomials,
     smooth_over_Fp,
@@ -96,58 +94,21 @@ def test_line_cubic_intersection_triple_contact():
     # The flex tangent of the image cubic at [0:1:0] is 2bU - aW = 0.
     for a, b in [(-3, 2), (3, 1), (0, 1)]:
         cubic = chord_cubic(validate_curve(a, b))
-        records = line_cubic_intersection(cubic, DualPoint((2 * b, 0, -a)))
-        assert records == [IntersectionRecord((Fraction(0), Fraction(1), Fraction(0)), 3)]
-
-
-def test_line_cubic_intersection_splitting():
-    cubic = chord_cubic(validate_curve(-3, 2))
-    # Restricting to V = 0 gives W (2U^2 - W^2): one rational point plus a
-    # conjugate pair that only becomes rational mod 7.
-    over_q = line_cubic_intersection(cubic, DualPoint((0, 1, 0)))
-    assert [(tuple(map(str, r.point)), r.multiplicity) for r in over_q] == [
-        (("1", "0", "0"), 1)
-    ]
-    cubic7 = chord_cubic(reduce_params(validate_curve(-3, 2), 7))
-    field = PrimeField(7)
-    over_f7 = line_cubic_intersection(cubic7, DualPoint((field(0), field(1), field(0))))
-    assert sum(r.multiplicity for r in over_f7) == 3
-    assert len(over_f7) == 3
-
-
-def test_line_cubic_intersection_three_distinct():
-    field = PrimeField(7)
-    fermat = TernaryForm(3, {(3, 0, 0): field(1), (0, 3, 0): field(1), (0, 0, 3): field(1)})
-    records = line_cubic_intersection(fermat, DualPoint((field(0), field(0), field(1))))
-    assert len(records) == 3
-    assert all(r.multiplicity == 1 for r in records)
-
-
-def test_line_cubic_intersection_degenerate():
-    reducible = TernaryForm(3, {(2, 1, 0): 1, (0, 3, 0): 1, (0, 1, 2): 1})  # V*(U^2+V^2+W^2)
-    with pytest.raises(ValueError):
-        line_cubic_intersection(reducible, DualPoint((0, 1, 0)))
-
-
-def test_multiplicities_never_exceed_degree():
-    rng = random.Random(4)
-    cubic = chord_cubic(reduce_params(validate_curve(-3, 2), 101))
-    field = PrimeField(101)
-    for _ in range(10):
-        line = DualPoint(
-            (field(rng.randrange(101)), field(rng.randrange(101)), field(1))
-        )
-        records = line_cubic_intersection(cubic, line)
-        assert sum(r.multiplicity for r in records) <= 3
+        grad = tuple(cubic.partial(i).evaluate((0, 1, 0)) for i in range(3))
+        assert normalize_triple(grad) == normalize_triple((2 * b, 0, -a))
+        assert is_flex(cubic, (0, 1, 0))
 
 
 def test_flex_tangents_meet_only_at_the_flex():
     cubic = chord_cubic(reduce_params(validate_curve(-3, 2), 7))
     grads = [cubic.partial(i) for i in range(3)]
-    for pt in find_flexes_over_Fp(cubic, 7):
+    zeros = list(_zero_points_scan(cubic, 7))
+    flexes = find_flexes_over_Fp(cubic, 7)
+    assert flexes
+    for pt in flexes:
         tangent = DualPoint(tuple(g.evaluate(pt) for g in grads))
-        records = line_cubic_intersection(cubic, tangent)
-        assert records == [IntersectionRecord(pt, 3)]
+        on_tangent = [z for z in zeros if dual_incidence(z, tangent)]
+        assert on_tangent == [tuple(c.value for c in pt)]
 
 
 def test_find_flexes_over_Fp():

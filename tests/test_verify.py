@@ -226,7 +226,7 @@ def test_translation_search_matches_the_full_order_search(p, monkeypatch):
                 with monkeypatch.context() as patched:
                     patched.setattr(verify, "_translation_point", first_point_of_order)
                     slow = verify_degree_remark(params, p, order)
-                assert fast.to_dict(include_millis=False) == slow.to_dict(include_millis=False)
+                assert fast.to_dict() == slow.to_dict()
 
 
 @pytest.mark.parametrize("a,b,order", [(-6, -3, 6), (-2, -3, 5), (-3, 2, 4)])
@@ -274,9 +274,7 @@ def test_run_full_suite_passes_and_is_deterministic():
         "quotient_two_isogeny",
     ]
     assert all(r.status == "pass" for r in first)
-    assert [r.to_dict(include_millis=False) for r in first] == [
-        r.to_dict(include_millis=False) for r in second
-    ]
+    assert [r.to_dict() for r in first] == [r.to_dict() for r in second]
 
 
 def test_run_full_suite_non_split_curve():
@@ -291,7 +289,7 @@ def test_run_full_suite_rejects_singular_reduction():
 
 def test_report_shape():
     report = Report("claim", "pass", "", {"points_checked": 1, "millis": 2.0})
-    payload = report.to_dict(include_millis=False)
+    payload = report.to_dict()
     assert payload == {
         "claim": "claim",
         "status": "pass",
