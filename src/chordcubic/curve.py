@@ -13,26 +13,22 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from itertools import count
+from math import lcm
 
 from .scalars import (
     PrimeField,
     PrimeFieldScalar,
     check_modulus,
+    horner,
+    is_prime,
     rational_sqrt,
     residue,
     squares_table,
 )
 
-# Rational-root searches (3-torsion over the rationals) give up beyond this
-# coefficient size and raise rather than return an incomplete set.
-_ROOT_SEARCH_BOUND = 10 ** 12
-
 # Largest order of a rational torsion point (Mazur).
 _MAZUR_BOUND = 12
-
-# Trial divisors tried when looking for the minimal model of a rational curve.
-_SCALE_TRIAL_LIMIT = 10 ** 4
 
 
 @dataclass(frozen=True)
@@ -383,81 +379,59 @@ def three_torsion_flexes(params: CurveParams, p: int | None = None) -> list:
     """All points q with 3q = O in the working field.
 
     Over F_p this is an exhaustive scan of the rational points.  Over the
-    rationals the search runs on the minimal model (a/u^2, b/u^4) with
-    integer coefficients, whose points map back by (x, y) -> (u^2 x, u^3 y).
-    There the affine candidates are the rational roots of the quartic
-    3x^4 + 4a x^3 + 6b x^2 - b^2 (the condition x(2q) = x(q)), found by the
-    rational root theorem.  ValueError when that model's coefficients are
-    too large for the search, rather than an incomplete set.
+    rationals it is exact, with no size limit.  With d the common
+    denominator of a and b, the integral model (a d^2, b d^4) has the points
+    (x, y) -> (d^2 x, d^3 y), and by Nagell-Lutz (Silverman-Tate, Rational
+    Points on Elliptic Curves, 2.4) its torsion points have integer
+    coordinates.  So the affine candidates are the integer roots x of
+    psi3 = 3x^4 + 4a x^3 + 6b x^2 - b^2 (the condition x(2q) = x(q)) on that
+    model, each with y = +-sqrt(f(x)) when f(x) is a square; every
+    candidate is confirmed by scalar_mul.  Those roots come from
+    :func:`_integer_roots`.  psi3 is squarefree on a smooth curve, as its
+    four roots are the x-coordinates of the four pairs +-q of order 3.
     """
     if p is not None:
         return [
             q for q in enumerate_points(params, p) if scalar_mul(3, q).is_infinity
         ]
 
-    u = _minimal_scale(Fraction(params.a), Fraction(params.b))
-    a, b = int(params.a / u ** 2), int(params.b / u ** 4)
-    ints = [3, 4 * a, 6 * b, 0, -b * b]
-    lead, const = ints[0], b * b
-    if const > _ROOT_SEARCH_BOUND:
-        raise ValueError(
-            f"3-torsion search on {params} needs the divisors of {const}: "
-            f"too large to enumerate (bound {_ROOT_SEARCH_BOUND})"
-        )
-
+    d = lcm(params.a.denominator, params.b.denominator)
+    a, b = int(params.a * d ** 2), int(params.b * d ** 4)
     found = []
-    for num in _divisors(const):
-        for den in _divisors(lead):
-            for sign in (1, -1):
-                x = Fraction(sign * num, den)
-                if sum(c * x ** (4 - i) for i, c in enumerate(ints)) != 0:
-                    continue
-                fx = x ** 3 + a * x * x + b * x
-                s = rational_sqrt(fx)
-                if s is None:
-                    continue
-                for y in {s, -s}:
-                    q = CurvePoint.affine(params, u ** 2 * x, u ** 3 * y)
-                    if scalar_mul(3, q).is_infinity and q not in found:
-                        found.append(q)
-    found.sort(key=lambda q: (_sort_key(q.x), _sort_key(q.y)))
+    for x in _integer_roots([-b * b, 0, 6 * b, 4 * a, 3]):
+        s = rational_sqrt(x ** 3 + a * x * x + b * x)
+        for y in [] if s is None else sorted({-s, s}):
+            q = CurvePoint.affine(params, Fraction(x, d ** 2), Fraction(y, d ** 3))
+            if scalar_mul(3, q).is_infinity:
+                found.append(q)
     return [CurvePoint.infinity(params)] + found
 
 
-def _minimal_scale(a: Fraction, b: Fraction) -> Fraction:
-    """A u > 0 making (a/u^2, b/u^4) integers, as large as can be found.
+def _integer_roots(coeffs: list) -> list:
+    """The integer roots of a squarefree int polynomial, in increasing order.
 
-    u = e/d where d clears the denominators and e^4 is the largest fourth
-    power dividing gcd(A^2, B) for the integral A = a d^2, B = b d^4, so
-    that e^2 | A and e^4 | B.  Trial division strips each small factor t
-    and finds e exactly once t^5 exceeds the cofactor: what is left then
-    has at most four prime factors and holds a fourth power only by being
-    one.  Past _SCALE_TRIAL_LIMIT the answer may fall short of the minimal
-    model.
+    ``coeffs[i]`` is the coefficient of x^i.  Every root lies within the
+    Cauchy bound 1 + max |coeffs[i] / coeffs[-1]|.  At the first prime q not
+    dividing the leading coefficient at which each root mod q is simple
+    (one exists, as q then only has to avoid the discriminant), each
+    integer root reduces to one of those roots and is its unique Hensel
+    lift.  Newton's iteration lifts every root mod q to a modulus q^(2^k)
+    above twice the bound, where the symmetric residue is the only
+    candidate and is tested exactly (Loos, SIAM J. Comput. 12, 1983).
     """
-    d = lcm(a.denominator, b.denominator)
-    rest = gcd(int(a * d ** 2) ** 2, int(b * d ** 4))
-    e, t = 1, 2
-    while t <= _SCALE_TRIAL_LIMIT and t ** 5 <= rest:
-        k = 0
-        while rest % t == 0:
-            rest //= t
-            k += 1
-        e *= t ** (k // 4)
-        t += 1
-    root = isqrt(isqrt(rest))
-    if root > 1 and root ** 4 == rest:
-        e *= root
-    return Fraction(e, d)
-
-
-def _divisors(n: int) -> list:
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-        d += 1
-    return sorted(out)
+    lead = coeffs[-1]
+    deriv = [i * c for i, c in enumerate(coeffs)][1:]
+    bound = 1 - max(abs(c) for c in coeffs[:-1]) // -abs(lead)
+    q = 2
+    while True:
+        if lead % q:
+            roots = [r for r in range(q) if horner(coeffs, r) % q == 0]
+            if all(horner(deriv, r) % q for r in roots):
+                break
+        q = next(n for n in count(q + 1) if is_prime(n))
+    m = q
+    while m <= 2 * bound:
+        m *= m
+        roots = [(r - horner(coeffs, r) * pow(horner(deriv, r), -1, m)) % m for r in roots]
+    lifted = sorted(r - m if 2 * r > m else r for r in roots)
+    return [x for x in lifted if horner(coeffs, x) == 0]

@@ -24,7 +24,7 @@ from .chord import (
     normalize_mod_p,
     normalize_triple,
 )
-from .scalars import PrimeField, PrimeFieldScalar, check_modulus, squares_table
+from .scalars import PrimeField, PrimeFieldScalar, check_modulus, horner, squares_table
 
 
 @dataclass(frozen=True)
@@ -170,7 +170,7 @@ def _zero_points_over_Fp(form: TernaryForm, p: int):
     pt = [0, 0, 0]
     for xr, xs in chain(((1, t) for t in range(p)), [(0, 1)]):
         if xr:
-            coeffs = [_poly_eval(poly, xs) % p for poly in polys]
+            coeffs = [horner(poly, xs) % p for poly in polys]
         else:
             coeffs = [poly[-1] % p for poly in polys]
         pt[r], pt[s] = xr, xs
@@ -239,13 +239,6 @@ def find_flexes_over_Fp(form: TernaryForm, p: int) -> list:
     flexes.sort(key=lambda pt: _scan_index(pt, p))
     field = PrimeField(p)
     return [tuple(field(c) for c in pt) for pt in flexes]
-
-
-def _poly_eval(coeffs: list, s: int) -> int:
-    acc = 0
-    for c in reversed(coeffs):
-        acc = acc * s + c
-    return acc
 
 
 def monomials(degree: int) -> list:

@@ -19,6 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
+from types import MappingProxyType
 
 MAX_PRIME = 1 << 16
 
@@ -202,21 +203,26 @@ def residue(value, p: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _squares_cached(p: int) -> dict:
-    table: dict[int, list[int]] = {}
-    for y in range(p):
-        table.setdefault(y * y % p, []).append(y)
-    return {r: tuple(ys) for r, ys in table.items()}
-
-
-def squares_table(p: int) -> dict:
+def squares_table(p: int) -> MappingProxyType:
     """Map each quadratic residue mod p to the tuple of its square roots.
 
     Roots are listed in increasing order; non-residues are absent.  The
     table has exactly (p+1)/2 keys and the root tuples partition 0..p-1.
+    It is built once per modulus and shared read-only.
     """
     check_modulus(p)
-    return dict(_squares_cached(p))
+    table: dict[int, list[int]] = {}
+    for y in range(p):
+        table.setdefault(y * y % p, []).append(y)
+    return MappingProxyType({r: tuple(ys) for r, ys in table.items()})
+
+
+def horner(coeffs: list, s: int) -> int:
+    """The int polynomial sum(coeffs[i] s^i) at s, by Horner's rule."""
+    acc = 0
+    for c in reversed(coeffs):
+        acc = acc * s + c
+    return acc
 
 
 def rational_sqrt(q) -> Fraction | None:

@@ -22,7 +22,7 @@ from chordcubic.curve import (
     validate_curve,
 )
 from chordcubic.plane import find_flexes_over_Fp, is_flex
-from chordcubic.scalars import PrimeField, PrimeFieldScalar
+from chordcubic.scalars import PrimeField, PrimeFieldScalar, rational_sqrt
 from fp_strategies import curve_residues, curves, hypothesis_api, outcome, triples
 
 
@@ -272,23 +272,85 @@ def test_rational_three_torsion_found():
 
 
 def test_rational_three_torsion_on_a_scaled_model():
-    # (-3, 3) has 3-torsion (1, +-1); scaled by u = 40 its coefficients
-    # pass the search bound, so the search runs on the minimal model.
+    # (-3, 3) has 3-torsion (1, +-1); scaled by u = 40 it is found on
+    # that integral model itself.
     tor3 = three_torsion_flexes(validate_curve(-4800, 7680000))
     assert [str(q) for q in tor3] == ["[0:1:0]", "[1600:-64000:1]", "[1600:64000:1]"]
-    # u = 1/2: denominators are cleared the same way.
+    # u = 1/2: the search runs on the integral model with d = 16.
     tor3 = three_torsion_flexes(validate_curve(Fraction(-3, 4), Fraction(3, 16)))
     assert [str(q) for q in tor3] == ["[0:1:0]", "[1/4:-1/8:1]", "[1/4:1/8:1]"]
-    # u = 23 is a prime above the fifth root of gcd(a^2, b) = 8 * 23^4;
-    # unscaled, b^2 = 5e12 would pass the search bound and raise.
     tor3 = three_torsion_flexes(validate_curve(0, 8 * 23 ** 4))
     assert [str(q) for q in tor3] == ["[0:1:0]"]
 
 
-def test_rational_three_torsion_refuses_an_undecidable_search():
-    # b is prime, so the model is minimal and b^2 passes the search bound.
-    with pytest.raises(ValueError, match="too large"):
-        three_torsion_flexes(validate_curve(1, 10_000_019))
+def test_rational_three_torsion_is_decided_for_large_coefficients():
+    # b is prime and b^2 exceeds 10^14: no model with smaller coefficients.
+    assert [str(q) for q in three_torsion_flexes(validate_curve(1, 10_000_019))] == [
+        "[0:1:0]"
+    ]
+    # (-2, 5) scaled by u = 7^20.
+    tor3 = three_torsion_flexes(validate_curve(-2 * 7 ** 40, 5 * 7 ** 80))
+    assert [str(q) for q in tor3] == [
+        "[0:1:0]",
+        f"[{7 ** 40}:{-2 * 7 ** 60}:1]",
+        f"[{7 ** 40}:{2 * 7 ** 60}:1]",
+    ]
+    tor3 = three_torsion_flexes(validate_curve(Fraction(-27, 5), Fraction(-35, 6)))
+    assert [str(q) for q in tor3] == ["[0:1:0]"]
+
+
+def _brute_three_torsion(a: int, b: int) -> list:
+    """Every integer x within the Cauchy bound of psi3, with y from rational_sqrt."""
+    bound = 1 + max(4 * abs(a), 6 * abs(b), b * b) // 3 + 1
+    found = []
+    for x in range(-bound, bound + 1):
+        if 3 * x ** 4 + 4 * a * x ** 3 + 6 * b * x * x - b * b:
+            continue
+        s = rational_sqrt(x ** 3 + a * x * x + b * x)
+        if s is not None and s != 0:
+            found += [f"[{x}:{-s}:1]", f"[{x}:{s}:1]"]
+    return ["[0:1:0]"] + found
+
+
+def test_rational_three_torsion_matches_a_brute_force_search():
+    decided = 0
+    for a in range(-12, 13):
+        for b in range(-30, 31):
+            if b == 0 or a * a == 4 * b:
+                continue
+            found = [str(q) for q in three_torsion_flexes(validate_curve(a, b))]
+            assert found == _brute_three_torsion(a, b), (a, b)
+            decided += len(found) > 1
+    assert decided > 0
+
+
+def test_rational_three_torsion_follows_a_change_of_scale():
+    given, settings, st = hypothesis_api(max_examples=60)
+    small = st.integers(-20, 20)
+
+    @settings
+    @given(small, small, small.filter(bool), st.integers(1, 12))
+    def check(a, b, num, den):
+        if b == 0 or a * a == 4 * b:
+            return
+        u = Fraction(num, den)
+        scaled = validate_curve(a * u ** 2, b * u ** 4)
+        expected = {
+            (u ** 2 * q.x, u ** 3 * q.y)
+            for q in three_torsion_flexes(validate_curve(a, b))[1:]
+        }
+        tor3 = three_torsion_flexes(scaled)
+        assert tor3[0].is_infinity
+        assert {(q.x, q.y) for q in tor3[1:]} == expected
+
+    check()
+
+
+def test_integer_roots_skips_rational_non_integers():
+    # (3x - 1)(x - 5)(x + 7)(x^2 + 1)
+    coeffs = [35, -107, 40, -104, 5, 3]
+    assert curve._integer_roots(coeffs) == [-7, 5]
+    assert curve._integer_roots([-2, 0, 1]) == []
 
 
 def test_three_torsion_points_are_hessian_flexes():

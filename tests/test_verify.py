@@ -1,3 +1,7 @@
+import dataclasses
+import io
+import json
+from contextlib import redirect_stdout
 from math import isqrt
 
 import pytest
@@ -23,10 +27,12 @@ from chordcubic.curve import (
     three_torsion_flexes,
     translate_by_beta,
     translate_mod_p,
+    two_torsion_points,
     validate_curve,
 )
 from chordcubic.plane import dual_incidence, evaluate_form, find_flexes_over_Fp
 from chordcubic.scalars import PrimeField
+from chordcubic.cli import main
 from chordcubic.verify import (
     Report,
     lcg_stream,
@@ -70,7 +76,7 @@ def test_identity_specializes_to_zero():
     # Substitute a = -3, b = 2 into G(U(x,y), V(x,y), W(x,y)) and reduce by
     # the specialized relation y^2 = x^3 - 3x^2 + 2x: still the zero poly.
     from chordcubic.chord import chord_cubic_generic
-    from chordcubic.poly import MultiPoly, X, Y, poly_substitute
+    from chordcubic.poly import MultiPoly, X, Y
 
     u = Y * (X ** 2 + 2)
     v = 2 * X - X ** 3
@@ -538,3 +544,86 @@ def test_suite_enumerates_once_for_the_context_and_scans_the_3_torsion_once(monk
     assert all(r.status == "pass" for r in reports)
     assert reports[4].stats["flexes"] == 3  # three rational 3-torsion points
     assert calls == {"enumerate_points": 1, "three_torsion_flexes": 1}
+
+
+SPLIT = (-3, 2, 1019)  # three rational 3-torsion points and full 2-torsion
+
+
+def _split_curve():
+    a, b, p = SPLIT
+    pp = reduce_params(validate_curve(a, b), p)
+    torsion3 = three_torsion_flexes(pp, p)
+    assert len(torsion3) == 3
+    return pp, p, torsion3
+
+
+def _hasse_fault(monkeypatch):
+    pp, p, _ = _split_curve()
+    ctx = verify.fp_context(pp, p)
+    short = dataclasses.replace(ctx, points=ctx.points[:-1])
+    report = verify_cross_checks(pp, p, context=short)
+    return report, f"point count {len(short.points)} violates the Hasse window"
+
+
+def _singular_fault(monkeypatch):
+    pp, p, _ = _split_curve()
+    monkeypatch.setattr(verify, "smooth_over_Fp", lambda form, p: False)
+    return verify_cross_checks(pp, p), "image cubic is singular"
+
+
+def _weierstrass_fault(monkeypatch):
+    pp, p, torsion3 = _split_curve()
+    report = verify_cross_checks(pp, p, torsion3=torsion3[:-1])
+    return report, "Weierstrass flexes differ from the 3-torsion"
+
+
+def _count_fault(monkeypatch):
+    pp, p, _ = _split_curve()
+    true_count = verify.count_zero_points_over_Fp(chord_cubic(pp), p)
+    monkeypatch.setattr(verify, "count_zero_points_over_Fp", lambda form, p: true_count + 1)
+    report = verify_quotient(pp, [p])
+    return report, f"p={p}: image cubic has {true_count + 1} points, quotient curve has {true_count}"
+
+
+def _flex_set_fault(monkeypatch):
+    pp, p, torsion3 = _split_curve()
+    gamma = two_torsion_points(pp)[2]
+    lost = chord_map(group_add(torsion3[-1], gamma))
+    report = verify_flex_correspondence(pp, p, torsion3=torsion3[:-1])
+    return report, f"flex sets disagree on {[str(lost)]}"
+
+
+@pytest.mark.parametrize(
+    "force",
+    [_hasse_fault, _singular_fault, _weierstrass_fault, _count_fault, _flex_set_fault],
+    ids=["hasse window", "singular image", "weierstrass flexes", "point count", "flex sets"],
+)
+def test_every_suite_fail_branch_reports_its_witness(force, monkeypatch):
+    report, witness = force(monkeypatch)
+    assert (report.status, report.witness) == ("fail", witness)
+
+
+def _cli(*argv):
+    with redirect_stdout(io.StringIO()) as out:
+        code = main(list(argv))
+    return code, json.loads(out.getvalue())["reports"][0]
+
+
+def test_a_forced_count_mismatch_exits_1(monkeypatch):
+    _, witness = _count_fault(monkeypatch)
+    code, report = _cli("quotient", "--a", "-3", "--b", "2", "--prime", "1019")
+    assert (code, report["status"], report["witness"]) == (1, "fail", witness)
+
+
+def test_chords_off_the_image_cubic_fail_the_flex_claim(monkeypatch):
+    def off_g(q):
+        u, v, w = chord_map(q).coords
+        return DualPoint((u + 1, v + 1, w))
+
+    pp, p, torsion3 = _split_curve()
+    moved = str(off_g(group_add(torsion3[1], two_torsion_points(pp)[2])))
+    monkeypatch.setattr(verify, "chord_map", off_g)
+    code, report = _cli("flexes", "--a", "-3", "--b", "2", "--prime", "1019")
+    assert (code, report["status"]) == (1, "fail")
+    assert report["witness"].startswith("flex sets disagree on [")
+    assert repr(moved) in report["witness"]
