@@ -46,7 +46,7 @@ from .plane import (
     min_interpolating_degree,
     smooth_over_Fp,
 )
-from .poly import MultiPoly, poly_substitute, reduce_mod_curve
+from .poly import MultiPoly, reduce_mod_curve
 from .scalars import PrimeField, PrimeFieldScalar, squares_table
 from .verify import (
     Report,

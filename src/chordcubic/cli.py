@@ -86,7 +86,7 @@ def _build_parser() -> _Parser:
         prime=True,
         extra=(
             ("--random", {"type": int, "metavar": "N", "help": "sample N curves"}),
-            ("--seed", {"type": int, "default": 1}),
+            ("--seed", {"type": int, "help": "sampling seed (default 1)"}),
         ),
     )
     add(
@@ -188,19 +188,22 @@ def _suite(args):
     if args.random is None:
         if args.a is None or args.b is None:
             raise CliError("--a and --b are required without --random")
+        if args.seed is not None:
+            raise CliError("--seed needs --random")
         params = _curve_from_args(args)
         return _claim_result(params, "prime", args.prime, run_full_suite(params, args.prime))
     if args.a is not None or args.b is not None:
         raise CliError("--a and --b cannot be combined with --random")
     if args.random <= 0:
         raise CliError("--random wants a positive count")
+    seed = 1 if args.seed is None else args.seed
     runs = []
     reports = []
-    for params in sample_params(args.prime, args.random, args.seed):
+    for params in sample_params(args.prime, args.random, seed):
         batch = run_full_suite(params, args.prime)
         reports.extend(batch)
         runs.append({"curve": _curve_json(params), "reports": _reports_payload(batch)})
-    return {"prime": args.prime, "seed": args.seed, "runs": runs}, reports
+    return {"prime": args.prime, "seed": seed, "runs": runs}, reports
 
 
 def _degree(args):

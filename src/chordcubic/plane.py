@@ -118,27 +118,15 @@ def _zero_points_scan(form: TernaryForm, p: int):
     O(p^2): the sweep below falls back to it for a form of degree at least
     3 in every coordinate, and the tests use it as the oracle for the sweep.
     """
-    table = _int_table(form, p)
-    d = form.degree
-    grid, edge, corner = _chart_tables(table, d)
+    grid, edge, corner = _chart_tables(_int_table(form, p), form.degree)
+    columns = list(zip(*grid))  # columns[k][j] is the coefficient of v^j w^k
     for v in range(p):
-        vpow = [1] * (d + 1)
-        for j in range(1, d + 1):
-            vpow[j] = vpow[j - 1] * v % p
-        wcoef = [
-            sum(grid[j][k] * vpow[j] for j in range(d + 1)) % p for k in range(d + 1)
-        ]
+        wcoef = [horner(column, v) % p for column in columns]
         for w in range(p):
-            acc = 0
-            for k in range(d, -1, -1):
-                acc = (acc * w + wcoef[k]) % p
-            if acc == 0:
+            if horner(wcoef, w) % p == 0:
                 yield (1, v, w)
     for w in range(p):
-        acc = 0
-        for k in range(d, -1, -1):
-            acc = (acc * w + edge[k]) % p
-        if acc == 0:
+        if horner(edge, w) % p == 0:
             yield (0, 1, w)
     if corner % p == 0:
         yield (0, 0, 1)

@@ -9,7 +9,7 @@ polynomial is the empty table.
 The one rewriting rule this module knows is reduction modulo the curve
 relation y^2 = x^3 + a x^2 + b x: every term is rewritten until its
 y-degree is at most 1.  Coefficients stay rational throughout;
-specialisation into a prime field happens only at substitution time.
+specialisation into a prime field happens only at evaluation time.
 
 Canonical term order is descending lexicographic on (e_y, e_x, e_a, e_b),
 which fixes the textual form used in serialised output.
@@ -145,14 +145,30 @@ class MultiPoly:
             reverse=True,
         )
 
-    def occurring(self) -> set:
-        """Names of the variables present with positive exponent."""
-        names = set()
-        for key in self.terms:
-            for i, e in enumerate(key):
+    def evaluate(self, **values):
+        """The value at a full assignment, over Q or over one F_p.
+
+        Values are ints, Fractions or scalars of one prime field.  With a
+        scalar among them every value and coefficient is reduced mod its p
+        (ZeroDivisionError when p divides a denominator).  An unknown
+        variable, or one that occurs unbound, raises ValueError.
+        """
+        unknown = values.keys() - _VAR_INDEX.keys()
+        if unknown:
+            raise ValueError(f"unknown variables {sorted(unknown)}; expected {VARIABLES}")
+        moduli = {v.modulus for v in values.values() if isinstance(v, PrimeFieldScalar)}
+        lift = PrimeField(min(moduli)) if moduli else Fraction
+        point = {name: lift(value) for name, value in values.items()}
+        total = lift(0)
+        for key, coeff in self.terms.items():
+            term = lift(coeff)
+            for name, e in zip(VARIABLES, key):
                 if e:
-                    names.add(VARIABLES[i])
-        return names
+                    if name not in point:
+                        raise ValueError(f"variable {name!r} is unbound")
+                    term = term * point[name] ** e
+            total = total + term
+        return total
 
     def __str__(self):
         if not self.terms:
@@ -198,78 +214,3 @@ def reduce_mod_curve(q: MultiPoly) -> MultiPoly:
             term = term * powers[half]
         out = out + term
     return out
-
-
-def poly_substitute(q: MultiPoly, bindings: dict):
-    """Substitute values for some or all of x, y, a, b.
-
-    Binding values may be ints, Fractions, other polynomials, or
-    prime-field scalars.  A prime-field assignment must cover every
-    variable occurring in ``q`` and yields a scalar; each rational
-    coefficient is reduced mod p, which fails if its denominator is
-    divisible by p.  A rational assignment yields a Fraction when every
-    occurring variable is bound to a scalar, and a polynomial otherwise.
-    """
-    for name in bindings:
-        if name not in _VAR_INDEX:
-            raise ValueError(f"unknown variable {name!r} in substitution")
-
-    modulus = None
-    for value in bindings.values():
-        if isinstance(value, PrimeFieldScalar):
-            if modulus is not None and value.modulus != modulus:
-                raise ValueError("bindings mix different prime fields")
-            modulus = value.modulus
-
-    occurring = q.occurring()
-    if modulus is not None:
-        missing = occurring - set(bindings)
-        if missing:
-            raise ValueError(
-                f"prime-field substitution leaves {sorted(missing)} unbound"
-            )
-        field = PrimeField(modulus)
-        values = {}
-        for name, value in bindings.items():
-            if isinstance(value, MultiPoly):
-                raise ValueError(
-                    "cannot substitute a polynomial under a prime-field assignment"
-                )
-            values[_VAR_INDEX[name]] = field(value)
-        acc = field.zero
-        for key, coeff in q.terms.items():
-            term = field.from_rational(coeff)
-            for i, e in enumerate(key):
-                if e:
-                    term = term * values[i] ** e
-            acc = acc + term
-        return acc
-
-    values = {}
-    all_scalar = True
-    for name, value in bindings.items():
-        if isinstance(value, MultiPoly):
-            values[_VAR_INDEX[name]] = value
-            all_scalar = False
-        else:
-            values[_VAR_INDEX[name]] = MultiPoly.const(value)
-    out = MultiPoly.zero()
-    for key, coeff in q.terms.items():
-        term = MultiPoly.const(coeff)
-        for i, e in enumerate(key):
-            if not e:
-                continue
-            if i in values:
-                term = term * values[i] ** e
-            else:
-                term = term * MultiPoly({_unit_key(i): Fraction(1)}) ** e
-        out = out + term
-    if all_scalar and occurring <= set(bindings):
-        return out.terms.get((0, 0, 0, 0), Fraction(0))
-    return out
-
-
-def _unit_key(i: int) -> tuple:
-    key = [0, 0, 0, 0]
-    key[i] = 1
-    return tuple(key)

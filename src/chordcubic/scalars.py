@@ -174,10 +174,6 @@ class PrimeField:
         num = PrimeFieldScalar(q.numerator, self.p)
         return num * PrimeFieldScalar(q.denominator, self.p).inverse()
 
-    @property
-    def zero(self) -> PrimeFieldScalar:
-        return PrimeFieldScalar(0, self.p)
-
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p
 

@@ -22,7 +22,6 @@ from .chord import (
     chord_cubic_generic,
     chord_map,
     chord_mod_p,
-    line_through,
     line_through_mod_p,
     weierstrass_form,
 )
@@ -32,7 +31,6 @@ from .curve import (
     add_mod_p,
     affine_points_mod_p,
     beta,
-    enumerate_points,
     group_add,
     point_order,
     reduce_params,
@@ -51,7 +49,7 @@ from .plane import (
     smooth_over_Fp,
 )
 from .poly import MultiPoly, reduce_mod_curve
-from .scalars import PrimeField, check_modulus
+from .scalars import PrimeField, PrimeFieldScalar, check_modulus
 
 CLAIM_INCIDENCE = "chord_line_incidence"
 CLAIM_IDENTITY = "image_cubic_identity"
@@ -217,12 +215,17 @@ def _fibers(points: list, line_of) -> dict:
     return fibers
 
 
-def _first_unpaired_fiber(fibers: dict, partner, line_str=str, point_str=str) -> str:
+def _fiber_str(ctx: FpContext, line, fiber) -> str:
+    """The text of a fiber witness: the int line and its int points."""
+    return f"fiber of {DualPoint(line)} is {[_point_str(ctx, v) for v in fiber]}"
+
+
+def _first_unpaired_fiber(ctx: FpContext, fibers: dict, partner) -> str:
     """A witness for the first fiber other than {q, partner(q)}, else ''."""
     for line, fiber in fibers.items():
         q = fiber[0]
         if set(fiber) != {q, partner(q)}:
-            return f"fiber of {line_str(line)} is {[point_str(v) for v in fiber]}"
+            return _fiber_str(ctx, line, fiber)
     return ""
 
 
@@ -242,12 +245,7 @@ def verify_fibers(
     if not ok:
         witness = f"image has {len(fibers)} lines for {len(points)} points"
     else:
-        witness = _first_unpaired_fiber(
-            fibers,
-            lambda q: translate_mod_p(b, p, q),
-            lambda line: str(DualPoint(line)),
-            lambda q: _point_str(ctx, q),
-        )
+        witness = _first_unpaired_fiber(ctx, fibers, lambda q: translate_mod_p(b, p, q))
         ok = not witness
     return _report(
         CLAIM_FIBERS, ok, witness, started, len(points), image_size=len(fibers)
@@ -349,21 +347,19 @@ def verify_quotient(params: CurveParams, primes, mutate: str | None = None) -> R
     return _report(CLAIM_QUOTIENT, ok, witness, started, checked, counts=counts)
 
 
-def _translation_point(points: list, order: int) -> CurvePoint | None:
-    """The first of the points with exactly the given order, or None.
+def _translation_point(ctx: FpContext, order: int):
+    """The int pair of the first point of exactly the given order, or None.
 
-    ``points`` is all of E(F_p); see verify_degree_remark for the filters.
+    Walks ``ctx.points`` in enumeration order and builds a curve point only
+    for the order test; see verify_degree_remark for the filters.
     """
-    if len(points) % order:
+    if len(ctx.points) % order:
         return None
-    return next(
-        (
-            q
-            for q in points
-            if scalar_mul(order, q).is_infinity and point_order(q) == order
-        ),
-        None,
-    )
+    for s in ctx.points:
+        q = CurvePoint(ctx.pp, _triple(s))
+        if scalar_mul(order, q).is_infinity and point_order(q) == order:
+            return s
+    return None
 
 
 def verify_degree_remark(
@@ -381,6 +377,12 @@ def verify_degree_remark(
     report is ``fail`` with that fiber as witness.  In general
     line(q, q + T) = line(q', q' + T) with q != q' forces 3q = O and
     q' = q - T, so the image has exactly #E - #E[3] points.
+
+    E(F_p) is the int enumeration of :func:`fp_context`, as in the suite,
+    and the fibers group the points by ``line_through_mod_p`` of q and
+    ``add_mod_p(q, T)``; curve and dual points are built only for the
+    order test and the witness.  The image lines go to
+    min_interpolating_degree as F_p scalar triples.
 
     T is the first point of that order in enumeration order.  The check is
     skipped when no point has that order, at once when the order does not
@@ -407,31 +409,33 @@ def verify_degree_remark(
         raise ValueError(
             f"no point has order {order} mod {p}: #E <= {hasse} by the Hasse bound"
         )
-    points = enumerate_points(pp, p)
-    t_pt = _translation_point(points, order)
-    if t_pt is None:
+    ctx = fp_context(pp, p)
+    a, b, points = ctx.a, ctx.b, ctx.points
+    t = _translation_point(ctx, order)
+    if t is None:
         return _skip(CLAIM_DEGREE, f"no point of order {order} mod {p}", started)
 
-    def shifted(q):
-        return group_add(q, t_pt)
+    def shifted(s):
+        return add_mod_p(a, b, p, s, t)
 
-    fibers = _fibers(points, lambda q: line_through(q.coords, shifted(q).coords))
+    fibers = _fibers(
+        points, lambda s: line_through_mod_p(_triple(s), _triple(shifted(s)), p)
+    )
     ok, witness = True, ""
     if order == 2:
-        witness = _first_unpaired_fiber(fibers, shifted)
+        witness = _first_unpaired_fiber(ctx, fibers, shifted)
         ok = not witness
     else:
         for line, fiber in fibers.items():
             if len(fiber) != 1:
                 ok = False
-                witness = (
-                    f"fiber of {line} is {[str(v) for v in fiber]}, not a singleton"
-                )
+                witness = f"{_fiber_str(ctx, line, fiber)}, not a singleton"
                 break
         if ok and len(fibers) < 31:
             ok, witness = False, f"only {len(fibers)} image points"
 
-    found = min_interpolating_degree([line.coords for line in fibers], dmax=dmax)
+    lines = [tuple(PrimeFieldScalar(c, p) for c in line) for line in fibers]
+    found = min_interpolating_degree(lines, dmax=dmax)
     degree = found.degree if found else None
     if degree != expected_degree:
         ok = False
@@ -445,7 +449,7 @@ def verify_degree_remark(
         started,
         len(points),
         order=order,
-        translation=str(t_pt),
+        translation=_point_str(ctx, t),
         image_size=len(fibers),
         image_degree=degree,
     )

@@ -23,7 +23,7 @@ from chordcubic.curve import (
     validate_curve,
 )
 from chordcubic.plane import evaluate_form
-from chordcubic.poly import MultiPoly, poly_substitute
+from chordcubic.poly import MultiPoly
 from chordcubic.scalars import PrimeFieldScalar
 from fp_strategies import PRIMES_BELOW_200, hypothesis_api, outcome, triples
 
@@ -161,9 +161,7 @@ def test_chord_cubic_symbolic_specialization():
         Fraction(-3), Fraction(2), Fraction(1)
     )
     for key, coeff in generic.coeffs.items():
-        assert poly_substitute(coeff, {"a": -3, "b": 2}) == numeric.coeffs.get(
-            key, Fraction(0)
-        )
+        assert coeff.evaluate(a=-3, b=2) == numeric.coeffs.get(key, Fraction(0))
 
 
 def test_dual_point_normalization():

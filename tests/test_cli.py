@@ -132,7 +132,7 @@ def test_degree_rejects_bad_input_before_enumerating(capsys, monkeypatch, extra,
     def no_enumeration(*args):
         raise AssertionError("points were enumerated for rejected input")
 
-    monkeypatch.setattr(verify, "enumerate_points", no_enumeration)
+    monkeypatch.setattr(verify, "affine_points_mod_p", no_enumeration)
     code, out, err = _run(
         capsys, "degree", "--a", "-3", "--b", "2", "--prime", "31", *extra
     )
@@ -210,8 +210,9 @@ def test_composite_prime_rejected(capsys, command, prime):
     [
         (("suite", "--prime", "101", "--random", "2", "--a", "-3"), "--random"),
         (("map", "--a", "0", "--b", "4", "--y", "4"), "--x is required"),
+        (("suite", "--a", "-3", "--b", "2", "--prime", "101", "--seed", "3"), "--seed"),
     ],
-    ids=["suite-random-with-curve", "map-y-without-x"],
+    ids=["suite-random-with-curve", "map-y-without-x", "suite-seed-without-random"],
 )
 def test_ignored_arguments_rejected(capsys, argv, message):
     code, out, err = _run(capsys, *argv)

@@ -10,7 +10,6 @@ from chordcubic.poly import (
     X,
     Y,
     f_curve,
-    poly_substitute,
     reduce_mod_curve,
 )
 from chordcubic.scalars import PrimeField, squares_table
@@ -47,26 +46,29 @@ def test_reduce_is_a_ring_map():
 
 
 def test_substitute_examples():
-    assert poly_substitute(f_curve(), {"a": 0, "b": 4}) == X ** 3 + 4 * X
-    assert poly_substitute(X ** 2 + B, {"x": 2, "b": 4}) == 8
+    assert (X ** 2 + B).evaluate(x=2, b=4) == 8
+    half = Fraction(1, 2)
+    assert (half * X * Y - A).evaluate(x=3, y=Fraction(1, 3), a=1) == -half
+    assert f_curve().evaluate(x=3, a=1, b=PrimeField(7)(2)) == PrimeField(7)(0)
+    assert MultiPoly.const(Fraction(1, 2)).evaluate(x=PrimeField(5)(1)) == PrimeField(5)(3)
     field = PrimeField(5)
     with pytest.raises(ZeroDivisionError):
-        poly_substitute(Fraction(1, 5) * X, {"x": field(2)})
-
-
-def test_substitute_with_polynomial_values():
-    assert poly_substitute(X ** 2, {"x": Y + 1}) == Y ** 2 + 2 * Y + 1
+        (Fraction(1, 5) * X).evaluate(x=field(2))
 
 
 def test_substitute_rejects_partial_prime_field_assignment():
     field = PrimeField(7)
     with pytest.raises(ValueError):
-        poly_substitute(X + Y, {"x": field(1)})
+        (X + Y).evaluate(x=field(1))
+    with pytest.raises(ValueError):
+        (X + Y).evaluate(x=1)
+    with pytest.raises(ValueError):
+        X.evaluate(x=field(1), y=PrimeField(5)(1))
 
 
 def test_substitute_unknown_variable():
     with pytest.raises(ValueError):
-        poly_substitute(X, {"z": 1})
+        X.evaluate(x=1, z=1)
 
 
 def test_substitution_commutes_with_reduction_on_curve_points():
@@ -88,7 +90,7 @@ def test_substitution_commutes_with_reduction_on_curve_points():
         y = table[rhs][0]
         point = {"x": field(x), "y": field(y), "a": field(a), "b": field(b)}
         q = _random_poly(rng)
-        assert poly_substitute(reduce_mod_curve(q), point) == poly_substitute(q, point)
+        assert reduce_mod_curve(q).evaluate(**point) == q.evaluate(**point)
         checked += 1
 
 

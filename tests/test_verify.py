@@ -30,7 +30,12 @@ from chordcubic.curve import (
     two_torsion_points,
     validate_curve,
 )
-from chordcubic.plane import dual_incidence, evaluate_form, find_flexes_over_Fp
+from chordcubic.plane import (
+    dual_incidence,
+    evaluate_form,
+    find_flexes_over_Fp,
+    min_interpolating_degree,
+)
 from chordcubic.scalars import PrimeField
 from chordcubic.cli import main
 from chordcubic.verify import (
@@ -223,8 +228,9 @@ def test_translation_search_matches_the_full_order_search(p, monkeypatch):
             params = validate_curve(field(a), field(b))
             order_of = {q: point_order(q) for q in enumerate_points(params, p)}
 
-            def first_point_of_order(points, order):
-                return next((q for q in points if order_of[q] == order), None)
+            def first_point_of_order(ctx, order):
+                q = next((q for q in order_of if order_of[q] == order), None)
+                return None if q is None else (q.x.value, q.y.value)
 
             for order in range(2, p + 2 + isqrt(4 * p)):
                 fast = verify_degree_remark(params, p, order)
@@ -235,13 +241,89 @@ def test_translation_search_matches_the_full_order_search(p, monkeypatch):
                 assert fast.to_dict() == slow.to_dict()
 
 
+def _scalar_degree_remark(params, p, order) -> dict:
+    """verify_degree_remark's report on curve points with scalar group_add.
+
+    The exact path the int fibers replaced, kept as their oracle: T by
+    scalar_mul and point_order over enumerate_points, fibers grouped by
+    line_through(q, group_add(q, T)).
+    """
+    expected_degree = 3 if order == 2 else 6
+    points = enumerate_points(reduce_params(params, p), p)
+
+    def report(status, witness, **stats):
+        return {
+            "claim": "translation_degree",
+            "status": status,
+            "witness": witness,
+            "stats": stats,
+        }
+
+    t_pt = None
+    if len(points) % order == 0:
+        t_pt = next(
+            (
+                q
+                for q in points
+                if scalar_mul(order, q).is_infinity and point_order(q) == order
+            ),
+            None,
+        )
+    if t_pt is None:
+        return report("skipped", f"no point of order {order} mod {p}", points_checked=0)
+    fibers = {}
+    for q in points:
+        fibers.setdefault(line_through(q.coords, group_add(q, t_pt).coords), []).append(q)
+    witness = ""
+    for line, fiber in fibers.items():
+        q = fiber[0]
+        paired = set(fiber) == {q, group_add(q, t_pt)}
+        if (order == 2 and not paired) or (order > 2 and len(fiber) != 1):
+            witness = f"fiber of {line} is {[str(v) for v in fiber]}"
+            witness += ", not a singleton" if order > 2 else ""
+            break
+    if not witness and order > 2 and len(fibers) < 31:
+        witness = f"only {len(fibers)} image points"
+    found = min_interpolating_degree([line.coords for line in fibers])
+    degree = found.degree if found else None
+    if degree != expected_degree:
+        witness = witness or (
+            f"image interpolates at degree {degree}, expected {expected_degree}"
+        )
+    return report(
+        "fail" if witness else "pass",
+        witness,
+        points_checked=len(points),
+        order=order,
+        translation=str(t_pt),
+        image_size=len(fibers),
+        image_degree=degree,
+    )
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13])
+def test_degree_remark_matches_the_scalar_path(p):
+    # Every smooth curve mod p and every order up to the Hasse bound.
+    field = PrimeField(p)
+    verdicts = set()
+    for a in range(p):
+        for b in range(1, p):
+            if (a * a - 4 * b) % p == 0:
+                continue
+            params = validate_curve(field(a), field(b))
+            for order in range(2, p + 2 + isqrt(4 * p)):
+                expected = _scalar_degree_remark(params, p, order)
+                assert verify_degree_remark(params, p, order).to_dict() == expected
+                verdicts.add((order == 2, expected["status"]))
+    assert {(True, "fail"), (False, "fail"), (False, "skipped")} <= verdicts
+    # At p = 5 the order-2 image has at most 5 points, which lie on a conic.
+    assert ((True, "pass") in verdicts) == (p > 5)
+
+
 @pytest.mark.parametrize("a,b,order", [(-6, -3, 6), (-2, -3, 5), (-3, 2, 4)])
 def test_translation_chord_true_structure(a, b, order):
     # What actually holds: fibers have size at most 2, the doubled fibers
     # are exactly {w - T, w} for 3-torsion w, and the image is a sextic.
-    from chordcubic.chord import line_through
-    from chordcubic.plane import min_interpolating_degree
-
     params = reduce_params(validate_curve(a, b), 101)
     points = enumerate_points(params, 101)
     t_pt = next(q for q in points if point_order(q) == order)
@@ -362,7 +444,11 @@ def _scalar_fiber_witness(pp, p, chord=chord_map) -> str:
     fibers = verify._fibers(points, chord)
     if len(points) % 2 or len(fibers) != len(points) // 2:
         return f"image has {len(fibers)} lines for {len(points)} points"
-    return verify._first_unpaired_fiber(fibers, translate_by_beta)
+    for line, fiber in fibers.items():
+        q = fiber[0]
+        if set(fiber) != {q, translate_by_beta(q)}:
+            return f"fiber of {line} is {[str(v) for v in fiber]}"
+    return ""
 
 
 def _wrong_at(right, hit, wrong):
@@ -537,9 +623,10 @@ def test_suite_enumerates_once_for_the_context_and_scans_the_3_torsion_once(monk
 
         monkeypatch.setattr(module, name, wrapper)
 
+    # verify binds no enumerate_points: its points come from fp_context.
+    counted(curve, "enumerate_points")
     for module in (curve, verify):
-        for name in calls:
-            counted(module, name)
+        counted(module, "three_torsion_flexes")
     reports = run_full_suite(validate_curve(-3, 2), 1019)
     assert all(r.status == "pass" for r in reports)
     assert reports[4].stats["flexes"] == 3  # three rational 3-torsion points
