@@ -1,13 +1,13 @@
 """Generic projective plane-curve utilities over either supported field.
 
 Everything here is exact: Hessians are expanded symbolically, and the
-minimal interpolating degree comes from exact nullspace ranks of monomial
-evaluation matrices.  The F_p zeros of a form at most quadratic in some
-coordinate are found in O(p) by sweeping the pencil of lines through that
-coordinate's vertex and solving one quadratic per line; smoothness and
-flex searches over F_p test the gradient and the Hessian only at those
-zeros.  The working field is inferred from the scalars inside the forms
-and points.
+minimal interpolating degree of a set of F_p points comes from ranks mod p
+of monomial evaluation matrices.  The F_p zeros of a form at most
+quadratic in some coordinate are found in O(p) by sweeping the pencil of
+lines through that coordinate's vertex and solving one quadratic per line;
+smoothness and flex searches over F_p test the gradient and the Hessian
+only at those zeros.  The working field is inferred from the scalars
+inside the forms and points.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from .chord import (
     as_triple,
     coerce_triple,
     normalize_mod_p,
-    normalize_triple,
 )
 from .scalars import PrimeField, PrimeFieldScalar, check_modulus, horner, squares_table
 
@@ -231,23 +230,22 @@ def find_flexes_over_Fp(form: TernaryForm, p: int) -> list:
 
 def monomials(degree: int) -> list:
     """All exponent triples of one degree, descending lexicographic."""
-    return sorted(
-        (
-            (i, j, degree - i - j)
-            for i in range(degree, -1, -1)
-            for j in range(degree - i, -1, -1)
-        ),
-        reverse=True,
-    )
+    return [
+        (i, j, degree - i - j)
+        for i in range(degree, -1, -1)
+        for j in range(degree - i, -1, -1)
+    ]
 
 
 def min_interpolating_degree(points, dmax: int = 8) -> MinDegree | None:
-    """Smallest degree of a nonzero form vanishing at all given points.
+    """Smallest degree of a nonzero form vanishing at all given F_p points.
 
     Returns the degree together with the kernel dimension of the monomial
-    evaluation matrix, or None when no degree up to ``dmax`` works.
-    Points must be distinct and lie in one field.  Over F_p the matrix
-    entries are products of per-coordinate power tables on plain ints.
+    evaluation matrix, or None when no degree up to ``dmax`` works; an
+    empty point list gives MinDegree(1, 3).  Points must be distinct and
+    lie in one prime field: rational triples raise ValueError.  The matrix
+    entries are products of per-coordinate power tables on plain ints, and
+    each degree's rows are generated only as the rank consumes them.
     """
     if dmax > 8:
         raise ValueError("dmax is capped at 8")
@@ -257,75 +255,37 @@ def min_interpolating_degree(points, dmax: int = 8) -> MinDegree | None:
     }
     if len(fields) > 1:
         raise ValueError("interpolation points must lie in one field")
-    modulus = fields.pop() if fields else None
-    if modulus is None:
-        normalized = [normalize_triple(t) for t in triples]
-    else:
-        normalized = [
-            normalize_mod_p([c.value for c in t], modulus) for t in triples
-        ]
+    if None in fields:
+        raise ValueError("interpolation points must have F_p coordinates")
+    p = fields.pop() if fields else None  # no points: no row is ever reduced
+    normalized = [normalize_mod_p([c.value for c in t], p) for t in triples]
     if len(set(normalized)) != len(normalized):
         raise ValueError("interpolation points must be distinct")
-    if modulus is not None:
-        tables = [
-            [[pow(c, e, modulus) for e in range(dmax + 1)] for c in t] for t in normalized
-        ]
+    tables = [[[pow(c, e, p) for e in range(dmax + 1)] for c in t] for t in normalized]
     for d in range(1, dmax + 1):
         mons = monomials(d)
-        if modulus is None:
-            rows = [
-                [t[0] ** i * t[1] ** j * t[2] ** k for (i, j, k) in mons]
-                for t in normalized
-            ]
-            rank = _rank_over_Q(rows)
-        else:
-            rows = [
-                [pu[i] * pv[j] * pw[k] % modulus for (i, j, k) in mons]
-                for pu, pv, pw in tables
-            ]
-            rank = _rank_mod_p(rows, modulus)
-        nullity = len(mons) - rank
+        rows = (
+            [pu[i] * pv[j] * pw[k] % p for (i, j, k) in mons] for pu, pv, pw in tables
+        )
+        nullity = len(mons) - _rank_mod_p(rows, p, len(mons))
         if nullity > 0:
             return MinDegree(d, nullity)
     return None
 
 
-def _rank_over_Q(rows: list) -> int:
-    if not rows:
-        return 0
-    ncols = len(rows[0])
-    mat = [[Fraction(c) for c in row] for row in rows]
-    rank = 0
-    for col in range(ncols):
-        pivot = next((r for r in range(rank, len(mat)) if mat[r][col] != 0), None)
-        if pivot is None:
-            continue
-        mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        inv = 1 / mat[rank][col]
-        mat[rank] = [v * inv for v in mat[rank]]
-        for r in range(len(mat)):
-            if r != rank and mat[r][col] != 0:
-                factor = mat[r][col]
-                mat[r] = [v - factor * w for v, w in zip(mat[r], mat[rank])]
-        rank += 1
-        if rank == len(mat):
-            break
-    return rank
+def _rank_mod_p(rows, p: int, ncols: int) -> int:
+    """Rank mod p of int rows of length ncols, by row echelon form.
 
-
-def _rank_mod_p(mat: list, p: int) -> int:
-    """Rank mod p of an int matrix, by row echelon form built row by row.
-
+    The rows are read in one pass, so they may come from a generator.
     Each row is reduced by the pivot rows found so far and, unless it
-    vanishes, joins them as the pivot row of its first nonzero column; no
-    row is ever reduced above its pivot.  Stops at full column rank.
+    vanishes mod p, joins them as the pivot row of its first nonzero
+    column; no row is ever reduced above its pivot.  Once the rank reaches
+    ncols no further row is read.
     """
-    ncols = len(mat[0]) if mat else 0
     basis = {}
-    for row in mat:
-        row = [v % p for v in row]
+    for row in rows:
         for col in range(ncols):
-            c = row[col]
+            c = row[col] % p
             if not c:
                 continue
             top = basis.get(col)

@@ -136,22 +136,37 @@ def test_count_zero_points_matches_enumeration():
         assert count == len(enumerate_points(params, p))
 
 
+def _fp_triples(triples, p):
+    field = PrimeField(p)
+    return [tuple(field(c) for c in t) for t in triples]
+
+
 def test_min_interpolating_degree_line():
-    pts = [(0, 1, 0), (0, 0, 1), (0, 1, 1)]
+    pts = _fp_triples([(0, 1, 0), (0, 0, 1), (0, 1, 1)], 7)
     assert min_interpolating_degree(pts) == MinDegree(1, 1)
+    assert min_interpolating_degree([]) == MinDegree(1, 3)
 
 
 def test_min_interpolating_degree_exceeds_dmax():
     with pytest.raises(ValueError):
-        min_interpolating_degree([(1, 0, 0)], dmax=9)
-    pts = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+        min_interpolating_degree(_fp_triples([(1, 0, 0)], 7), dmax=9)
+    pts = _fp_triples([(1, 0, 0), (0, 1, 0), (0, 0, 1)], 7)
     assert min_interpolating_degree(pts, dmax=1) is None
 
 
+def test_min_interpolating_degree_rejects_rational_points():
+    for pts in (
+        [(0, 1, 0), (0, 0, 1), (0, 1, 1)],
+        [(Fraction(1, 2), 1, 0), (1, Fraction(-3, 4), 2)],
+    ):
+        with pytest.raises(ValueError, match="F_p"):
+            min_interpolating_degree(pts)
+
+
 def test_min_interpolating_degree_requires_distinct_points():
-    with pytest.raises(ValueError):
-        min_interpolating_degree([(1, 0, 0), (2, 0, 0)])
     f5 = PrimeField(5)
+    with pytest.raises(ValueError):
+        min_interpolating_degree([(f5(1), f5(0), f5(0)), (f5(2), f5(0), f5(0))])
     with pytest.raises(ValueError, match="distinct"):
         min_interpolating_degree([(f5(1), f5(2), f5(0)), (f5(3), f5(1), f5(0))])
     with pytest.raises(ValueError, match="one field"):
@@ -387,12 +402,20 @@ def test_row_echelon_rank_matches_gauss_jordan():
         for _ in range(draw(st.integers(0, 12))):
             coeffs = [draw(st.integers(-3, 3) | st.just(p)) for _ in basis]
             mat.append([sum(c * b[m] for c, b in zip(coeffs, basis)) for m in range(cols)])
-        return mat, p
+        return mat, p, cols
 
     @settings
     @given(matrices())
     def check(mat_p):
-        mat, p = mat_p
-        assert _rank_mod_p(mat, p) == _gauss_jordan_rank(mat, p)
+        mat, p, cols = mat_p
+        assert _rank_mod_p(iter(mat), p, cols) == _gauss_jordan_rank(mat, p)
 
     check()
+
+
+def test_rank_mod_p_reads_no_row_after_full_rank():
+    def rows():
+        yield from ([1, 0, 0], [5, 6, 0], [0, 0, 3])
+        raise AssertionError("row read after full column rank")
+
+    assert _rank_mod_p(rows(), 7, 3) == 3
