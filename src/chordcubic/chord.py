@@ -72,7 +72,7 @@ def normalize_triple(coords) -> tuple:
 
 
 def normalize_mod_p(values, p: int) -> tuple:
-    """A triple of residues mod p scaled so that its first nonzero entry is 1."""
+    """Residues mod p (a triple or any vector) scaled so that the first nonzero is 1."""
     lead = next((c for c in values if c), None)
     if lead is None:
         raise ValueError("projective coordinates must not all vanish")

@@ -235,10 +235,15 @@ _COMMANDS = {
 }
 
 
+_parser = None  # built by the first main call, then reused
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
+    global _parser
+    if _parser is None:
+        _parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser.parse_args(argv)
         payload, reports = _COMMANDS[args.command](args)
         code = _emit(payload, reports, args.format)
         sys.stdout.flush()

@@ -258,6 +258,23 @@ def add_mod_p(a: int, b: int, p: int, s, t):
     return x3, (lam * (x1 - x3) - y1) % p
 
 
+def scalar_mul_mod_p(a: int, b: int, p: int, n: int, s):
+    """n s on E(F_p) for an int residue pair s (None for O), n >= 0.
+
+    The double-and-add of scalar_mul on ints, through add_mod_p.
+    """
+    if n < 0:
+        raise ValueError(f"multiplier must be nonnegative, got {n}")
+    result = None
+    while n:
+        if n & 1:
+            result = add_mod_p(a, b, p, result, s)
+        n >>= 1
+        if n:
+            s = add_mod_p(a, b, p, s, s)
+    return result
+
+
 def scalar_mul(n: int, p: CurvePoint) -> CurvePoint:
     """n-fold sum via double-and-add; negative n through negation.
 

@@ -12,9 +12,10 @@ inside the forms and points.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
+from operator import mul
 
 from .chord import (
     DualPoint,
@@ -28,10 +29,16 @@ from .scalars import PrimeField, PrimeFieldScalar, check_modulus, horner, square
 
 @dataclass(frozen=True)
 class MinDegree:
-    """Result of implicitization: smallest interpolating degree and nullity."""
+    """Result of implicitization: smallest interpolating degree and nullity.
+
+    At nullity 1, ``kernel`` holds the interpolating form's coefficients
+    mod p in ``monomials(degree)`` order, scaled to 1 at its last nonzero
+    entry; otherwise it is None.  It takes no part in equality.
+    """
 
     degree: int
     nullity: int
+    kernel: tuple | None = field(default=None, compare=False)
 
 
 def evaluate_form(form: TernaryForm, pt):
@@ -241,11 +248,13 @@ def min_interpolating_degree(points, dmax: int = 8) -> MinDegree | None:
     """Smallest degree of a nonzero form vanishing at all given F_p points.
 
     Returns the degree together with the kernel dimension of the monomial
-    evaluation matrix, or None when no degree up to ``dmax`` works; an
-    empty point list gives MinDegree(1, 3).  Points must be distinct and
-    lie in one prime field: rational triples raise ValueError.  The matrix
-    entries are products of per-coordinate power tables on plain ints, and
-    each degree's rows are generated only as the rank consumes them.
+    evaluation matrix (and, at nullity 1, the kernel form), or None when
+    no degree up to ``dmax`` works; an empty point list gives
+    MinDegree(1, 3).  Points must be distinct and lie in one prime field:
+    rational triples raise ValueError.  The matrix entries are products of
+    per-coordinate powers mod p on plain ints, reduced mod p by the rank,
+    and each degree's rows, powers included, are generated only as the
+    rank consumes them.
     """
     if dmax > 8:
         raise ValueError("dmax is capped at 8")
@@ -261,29 +270,51 @@ def min_interpolating_degree(points, dmax: int = 8) -> MinDegree | None:
     normalized = [normalize_mod_p([c.value for c in t], p) for t in triples]
     if len(set(normalized)) != len(normalized):
         raise ValueError("interpolation points must be distinct")
-    tables = [[[pow(c, e, p) for e in range(dmax + 1)] for c in t] for t in normalized]
     for d in range(1, dmax + 1):
         mons = monomials(d)
         rows = (
-            [pu[i] * pv[j] * pw[k] % p for (i, j, k) in mons] for pu, pv, pw in tables
+            [pu[i] * pv[j] * pw[k] for (i, j, k) in mons]
+            for pu, pv, pw in ([_powers_mod_p(c, p, d) for c in t] for t in normalized)
         )
-        nullity = len(mons) - _rank_mod_p(rows, p, len(mons))
-        if nullity > 0:
-            return MinDegree(d, nullity)
+        rank, kernel = _rank_and_kernel_mod_p(rows, p, len(mons))
+        if rank < len(mons):
+            return MinDegree(d, len(mons) - rank, kernel)
     return None
 
 
+def _powers_mod_p(c: int, p: int, top: int) -> list:
+    """c^0 .. c^top mod p, by repeated products."""
+    powers = [1]
+    for _ in range(top):
+        powers.append(powers[-1] * c % p)
+    return powers
+
+
 def _rank_mod_p(rows, p: int, ncols: int) -> int:
-    """Rank mod p of int rows of length ncols, by row echelon form.
+    """Rank mod p of int rows of length ncols; see _rank_and_kernel_mod_p."""
+    return _rank_and_kernel_mod_p(rows, p, ncols)[0]
+
+
+def _rank_and_kernel_mod_p(rows, p: int, ncols: int) -> tuple:
+    """Rank mod p of int rows of length ncols, and the kernel at nullity 1.
 
     The rows are read in one pass, so they may come from a generator.
     Each row is reduced by the pivot rows found so far and, unless it
     vanishes mod p, joins them as the pivot row of its first nonzero
     column; no row is ever reduced above its pivot.  Once the rank reaches
-    ncols no further row is read.
+    ncols - 1, back-substitution gives the kernel vector k (1 at the free
+    column), and each further row raises the rank iff row . k != 0 mod p,
+    since the row space is the orthogonal complement of the kernel.  The
+    first such row gives rank ncols, and no row after it is read.  The
+    kernel is returned as a tuple when the rank ends at ncols - 1, else
+    None.
     """
+    rows = iter(rows)
     basis = {}
-    for row in rows:
+    while len(basis) < ncols - 1:
+        row = next(rows, None)
+        if row is None:
+            return len(basis), None
         for col in range(ncols):
             c = row[col] % p
             if not c:
@@ -294,6 +325,12 @@ def _rank_mod_p(rows, p: int, ncols: int) -> int:
                 basis[col] = [v * inv % p for v in row]
                 break
             row = [(v - c * w) % p for v, w in zip(row, top)]
-        if len(basis) == ncols:
-            break
-    return len(basis)
+    kernel = [0] * ncols
+    kernel[next(col for col in range(ncols) if col not in basis)] = 1
+    for col in sorted(basis, reverse=True):
+        top = basis[col]
+        kernel[col] = -sum(top[m] * kernel[m] for m in range(col + 1, ncols)) % p
+    for row in rows:
+        if sum(map(mul, row, kernel)) % p:
+            return ncols, None
+    return ncols - 1, tuple(kernel)

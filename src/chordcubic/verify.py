@@ -18,11 +18,13 @@ from math import isqrt
 from . import poly
 from .chord import (
     DualPoint,
+    TernaryForm,
     chord_cubic,
     chord_cubic_generic,
     chord_map,
     chord_mod_p,
     line_through_mod_p,
+    normalize_mod_p,
     weierstrass_form,
 )
 from .curve import (
@@ -34,7 +36,7 @@ from .curve import (
     group_add,
     point_order,
     reduce_params,
-    scalar_mul,
+    scalar_mul_mod_p,
     three_torsion_flexes,
     translate_mod_p,
     two_torsion_points,
@@ -46,6 +48,7 @@ from .plane import (
     count_zero_points_over_Fp,
     find_flexes_over_Fp,
     min_interpolating_degree,
+    monomials,
     smooth_over_Fp,
 )
 from .poly import MultiPoly, reduce_mod_curve
@@ -347,17 +350,27 @@ def verify_quotient(params: CurveParams, primes, mutate: str | None = None) -> R
     return _report(CLAIM_QUOTIENT, ok, witness, started, checked, counts=counts)
 
 
+def _cubic_str(coeffs, p: int) -> str:
+    """The cubic form with int coefficients mod p in monomials(3) order."""
+    return str(
+        TernaryForm(3, {m: PrimeFieldScalar(c, p) for m, c in zip(monomials(3), coeffs)})
+    )
+
+
 def _translation_point(ctx: FpContext, order: int):
     """The int pair of the first point of exactly the given order, or None.
 
-    Walks ``ctx.points`` in enumeration order and builds a curve point only
-    for the order test; see verify_degree_remark for the filters.
+    Walks ``ctx.points`` in enumeration order, screens n q = O on ints and
+    builds a curve point only for the order test of the survivors; see
+    verify_degree_remark for the filters.
     """
     if len(ctx.points) % order:
         return None
+    a, b, p = ctx.a, ctx.b, ctx.p
     for s in ctx.points:
-        q = CurvePoint(ctx.pp, _triple(s))
-        if scalar_mul(order, q).is_infinity and point_order(q) == order:
+        if scalar_mul_mod_p(a, b, p, order, s) is None and (
+            point_order(CurvePoint(ctx.pp, _triple(s))) == order
+        ):
             return s
     return None
 
@@ -382,13 +395,16 @@ def verify_degree_remark(
     and the fibers group the points by ``line_through_mod_p`` of q and
     ``add_mod_p(q, T)``; curve and dual points are built only for the
     order test and the witness.  The image lines go to
-    min_interpolating_degree as F_p scalar triples.
+    min_interpolating_degree as F_p scalar triples.  With order 2, T is
+    beta and the image lies on the image cubic G, so a one-dimensional
+    kernel at degree 3 must be proportional to G mod p; otherwise the
+    report is ``fail`` with both forms as witness.
 
     T is the first point of that order in enumeration order.  The check is
     skipped when no point has that order, at once when the order does not
-    divide #E (Lagrange).  Otherwise one scalar_mul per point keeps the q
-    with n q = O, and point_order, at most n - 1 additions each, runs only
-    on those.  Raises ValueError, before any point is enumerated, for an
+    divide #E (Lagrange).  Otherwise ``scalar_mul_mod_p`` on ints keeps the
+    q with n q = O, and point_order, at most n - 1 additions each, runs
+    only on those.  Raises ValueError, before any point is enumerated, for an
     order below 2 or above the Hasse bound p + 1 + 2 sqrt(p), for
     ``dmax`` outside 1..8, and for a ``dmax`` below the claimed degree
     (3 for order 2, 6 above), which could only end in a ``fail``.
@@ -442,6 +458,16 @@ def verify_degree_remark(
         witness = witness or (
             f"image interpolates at degree {degree}, expected {expected_degree}"
         )
+    elif order == 2 and found.kernel is not None:
+        table = _int_table(chord_cubic(pp), p)
+        g = [table.get(m, 0) for m in monomials(3)]
+        kernel, cubic = normalize_mod_p(found.kernel, p), normalize_mod_p(g, p)
+        if kernel != cubic:
+            ok = False
+            witness = witness or (
+                f"image interpolates at {_cubic_str(kernel, p)}, "
+                f"not at the image cubic {_cubic_str(cubic, p)}"
+            )
     return _report(
         CLAIM_DEGREE,
         ok,

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import chordcubic
-from chordcubic import verify
+from chordcubic import cli, verify
 from chordcubic.cli import main
 
 
@@ -219,6 +219,24 @@ def test_ignored_arguments_rejected(capsys, argv, message):
     assert code == 2
     assert out == ""
     assert message in json.loads(err)["error"]
+
+
+def test_parser_is_built_once_and_parses_like_a_fresh_one(capsys, monkeypatch):
+    rejected = ["degree", "--a", "-3", "--b", "2", "--prime", "101"]  # no --order
+    valid = rejected + ["--order", "2"]
+    requests = [rejected, valid, rejected]
+    fresh = []
+    for argv in requests:
+        monkeypatch.setattr(cli, "_parser", None)
+        fresh.append(_run(capsys, *argv))
+    assert [code for code, _, _ in fresh] == [2, 0, 2]
+
+    built = []
+    build = cli._build_parser
+    monkeypatch.setattr(cli, "_build_parser", lambda: built.append(1) or build())
+    monkeypatch.setattr(cli, "_parser", None)
+    assert [_run(capsys, *argv) for argv in requests * 2] == fresh * 2
+    assert len(built) == 1
 
 
 def test_unknown_command_rejected(capsys):

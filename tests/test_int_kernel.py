@@ -2,11 +2,16 @@
 
 The per-point claims of ``suite`` run on int residue pairs (None for O)
 and normalized int triples.  Each kernel operation is compared here with
-its scalar counterpart on random curves with p < 200, and the invariants
+its scalar counterpart on random curves with p < 200 (the multiples n q
+also on every smooth curve at p <= 11), and the invariants
 the suite relies on (associativity, the translation by beta as an
 involution, the chord map factoring through it, the Hasse window) are
 checked on both representations.
 """
+
+from math import isqrt
+
+import pytest
 
 from chordcubic.chord import (
     DualPoint,
@@ -23,12 +28,14 @@ from chordcubic.curve import (
     enumerate_points,
     group_add,
     reduce_params,
+    scalar_mul,
+    scalar_mul_mod_p,
     translate_by_beta,
     translate_mod_p,
     validate_curve,
 )
 from chordcubic.plane import _int_table, _vanishes, evaluate_form
-from chordcubic.scalars import PrimeFieldScalar
+from chordcubic.scalars import PrimeField, PrimeFieldScalar
 from fp_strategies import curve_residues, curves, hypothesis_api, outcome
 
 
@@ -103,6 +110,42 @@ def test_int_add_matches_group_add_and_the_chord_tangent_geometry():
             assert _meets_curve_again(a, b, p, s, t, total)
 
     check()
+
+
+@pytest.mark.parametrize("p", [5, 7, 11])
+def test_int_multiple_matches_scalar_mul_on_every_small_curve(p):
+    # Every point of every smooth curve mod p and every n up to the Hasse
+    # bound (at p <= 31 this sweep would take minutes against scalar_mul).
+    field = PrimeField(p)
+    for a in range(p):
+        for b in range(1, p):
+            if (a * a - 4 * b) % p == 0:
+                continue
+            pp = validate_curve(field(a), field(b))
+            for s in [None] + affine_points_mod_p(a, b, p):
+                q = _point(pp, s)
+                for n in range(p + 2 + isqrt(4 * p)):
+                    assert scalar_mul_mod_p(a, b, p, n, s) == _pair(scalar_mul(n, q))
+
+
+def test_int_multiple_matches_scalar_mul():
+    given, settings, st = hypothesis_api()
+
+    @settings
+    @given(st.data())
+    def check(data):
+        pp, a, b, p, points = _setup(data, st)
+        s = data.draw(st.sampled_from(points))
+        q = _point(pp, s)
+        for n in range(p + 2 + isqrt(4 * p)):
+            assert scalar_mul_mod_p(a, b, p, n, s) == _pair(scalar_mul(n, q))
+
+    check()
+
+
+def test_int_multiple_rejects_a_negative_multiplier():
+    with pytest.raises(ValueError, match="nonnegative"):
+        scalar_mul_mod_p(-3, 2, 101, -1, (0, 0))
 
 
 def test_int_translation_matches_translate_by_beta():

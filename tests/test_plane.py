@@ -14,6 +14,7 @@ from chordcubic.chord import (
 from chordcubic.curve import CurvePoint, reduce_params, validate_curve
 from chordcubic.plane import (
     MinDegree,
+    _rank_and_kernel_mod_p,
     _rank_mod_p,
     _zero_points_over_Fp,
     _zero_points_scan,
@@ -416,6 +417,58 @@ def test_row_echelon_rank_matches_gauss_jordan():
 def test_rank_mod_p_reads_no_row_after_full_rank():
     def rows():
         yield from ([1, 0, 0], [5, 6, 0], [0, 0, 3])
+        raise AssertionError("row read after full column rank")
+
+    assert _rank_mod_p(rows(), 7, 3) == 3
+
+
+def test_kernel_path_matches_gauss_jordan_on_rows_past_nullity_one():
+    given, settings, st = hypothesis_api()
+
+    @st.composite
+    def matrices(draw):
+        # More rows than columns from a basis of ncols - nullity rows; the
+        # first ``late`` rows avoid the last basis row, so that the rank sits
+        # at ncols - 1 while further rows arrive, and a coefficient p leaves
+        # entries that are nonzero ints but zero mod p.
+        p = draw(st.sampled_from(PRIMES_BELOW_200))
+        nullity = draw(st.integers(0, 2))
+        cols = draw(st.integers(max(1, nullity), 12))
+        row = st.lists(st.integers(-(10 ** 6), 10 ** 6), min_size=cols, max_size=cols)
+        basis = draw(st.lists(row, min_size=cols - nullity, max_size=cols - nullity))
+        late = draw(st.integers(0, cols + 6))
+        mat = []
+        for n in range(draw(st.integers(cols + 1, cols + 12))):
+            coeffs = [draw(st.integers(-3, 3) | st.just(p)) for _ in basis]
+            if basis and n < late:
+                coeffs[-1] = 0
+            mat.append([sum(c * b[m] for c, b in zip(coeffs, basis)) for m in range(cols)])
+        return mat, p, cols
+
+    @settings
+    @given(matrices())
+    def check(mat_p):
+        mat, p, cols = mat_p
+        rank = _gauss_jordan_rank(mat, p)
+        assert _rank_mod_p(iter(mat), p, cols) == rank
+        found, kernel = _rank_and_kernel_mod_p(iter(mat), p, cols)
+        assert found == rank
+        assert (kernel is not None) == (rank == cols - 1)
+        if kernel is not None:
+            assert any(kernel)
+            assert all(sum(v * k for v, k in zip(r, kernel)) % p == 0 for r in mat)
+
+    check()
+
+
+def test_rank_mod_p_reads_no_row_after_a_row_off_the_kernel():
+    # At p = 7 the first three rows give rank 2 and the kernel (3, 2, 1);
+    # [3, 7, 5] lies on it, [0, 0, 1] does not.
+    head = ([1, 2, 0], [2, 4, 0], [0, 1, 5], [3, 7, 5])
+    assert _rank_and_kernel_mod_p(iter(head), 7, 3) == (2, (3, 2, 1))
+
+    def rows():
+        yield from head + ([0, 0, 1],)
         raise AssertionError("row read after full column rank")
 
     assert _rank_mod_p(rows(), 7, 3) == 3

@@ -196,6 +196,26 @@ def test_degree_remark_beta_case_passes():
     assert report.stats["image_size"] == 52
 
 
+def test_degree_remark_ties_the_order_2_image_to_the_image_cubic(monkeypatch):
+    # With order 2 the kernel at degree 3 must be proportional to G mod p:
+    # a scaled G still passes, another curve's cubic is refuted.
+    params = validate_curve(-3, 2)
+    cubic = chord_cubic(reduce_params(params, 101))
+    monkeypatch.setattr(verify, "chord_cubic", lambda pp: cubic * 3)
+    assert verify_degree_remark(params, 101, 2).status == "pass"
+    wrong = chord_cubic(reduce_params(validate_curve(-3, 5), 101))
+    monkeypatch.setattr(verify, "chord_cubic", lambda pp: wrong)
+    report = verify_degree_remark(params, 101, 2)
+    assert report.status == "fail"
+    assert report.witness == (
+        "image interpolates at 1·U^2·W + 4·U·V^2 + 3·V^2·W + 50·W^3, "
+        "not at the image cubic 1·U^2·W + 10·U·V^2 + 3·V^2·W + 20·W^3"
+    )
+    assert report.stats["image_degree"] == 3
+    with redirect_stdout(io.StringIO()):
+        assert main(["degree", "--a=-3", "--b=2", "--prime=101", "--order=2"]) == 1
+
+
 def test_degree_remark_skipped_without_order():
     report = verify_degree_remark(validate_curve(-3, 2), 101, 5)  # group order 104
     assert report.status == "skipped"
