@@ -341,24 +341,21 @@ def _sort_key(scalar):
     return scalar.value if isinstance(scalar, PrimeFieldScalar) else scalar
 
 
+def _sqrt(params: CurveParams, v):
+    """A square root of the field element v, or None if v is not a square."""
+    if params.modulus is None:
+        return rational_sqrt(v)
+    entry = squares_table(params.modulus).get(v.value)
+    return None if entry is None else params.scalar(entry[0])
+
+
 def two_torsion_points(params: CurveParams) -> list:
     """O, beta, and (r, 0) for each root r of x^2 + a x + b in the field."""
     a, b = params.a, params.b
-    points = [CurvePoint.infinity(params), beta(params)]
-    disc = a * a - 4 * b
-    roots = []
-    if params.modulus is not None:
-        entry = squares_table(params.modulus).get(disc.value)
-        if entry is not None:
-            s = params.scalar(entry[0])
-            roots = [(-a + s) / 2, (-a - s) / 2]
-    else:
-        s = rational_sqrt(disc)
-        if s is not None:
-            roots = [(-a + s) / 2, (-a - s) / 2]
-    for r in sorted(set(roots), key=_sort_key):
-        points.append(CurvePoint.affine(params, r, 0))
-    return points
+    s = _sqrt(params, a * a - 4 * b)
+    roots = [] if s is None else [(-a + s) / 2, (-a - s) / 2]
+    affine = [CurvePoint.affine(params, r, 0) for r in sorted(roots, key=_sort_key)]
+    return [CurvePoint.infinity(params), beta(params)] + affine
 
 
 def reduce_params(params: CurveParams, p: int) -> CurveParams:
@@ -393,35 +390,40 @@ def enumerate_points(params: CurveParams, p: int) -> list:
 
 
 def three_torsion_flexes(params: CurveParams, p: int | None = None) -> list:
-    """All points q with 3q = O in the working field.
+    """All points q with 3q = O in the working field (F_p when p is given).
 
-    Over F_p this is an exhaustive scan of the rational points.  Over the
-    rationals it is exact, with no size limit.  With d the common
-    denominator of a and b, the integral model (a d^2, b d^4) has the points
-    (x, y) -> (d^2 x, d^3 y), and by Nagell-Lutz (Silverman-Tate, Rational
-    Points on Elliptic Curves, 2.4) its torsion points have integer
-    coordinates.  So the affine candidates are the integer roots x of
-    psi3 = 3x^4 + 4a x^3 + 6b x^2 - b^2 (the condition x(2q) = x(q)) on that
-    model, each with y = +-sqrt(f(x)) when f(x) is a square; every
-    candidate is confirmed by scalar_mul.  Those roots come from
-    :func:`_integer_roots`.  psi3 is squarefree on a smooth curve, as its
-    four roots are the x-coordinates of the four pairs +-q of order 3.
+    An affine q has 3q = O iff x(2q) = x(q), i.e. iff x is a root of
+    psi3 = 3x^4 + 4a x^3 + 6b x^2 - b^2 (squarefree on a smooth curve: its
+    four roots are the x-coordinates of the four pairs +-q of order 3).
+    Over F_p the roots come from :func:`_roots_mod`.  Over the rationals,
+    with d the common denominator of a and b, the torsion of the integral
+    model (a d^2, b d^4), whose points are (d^2 x, d^3 y), has integer
+    coordinates by Nagell-Lutz (Silverman-Tate, Rational Points on Elliptic
+    Curves, 2.4); so the roots are its integer roots of psi3
+    (:func:`_integer_roots`) over d^2.  Each root x gives (x, +-y) when
+    f(x) = x^3 + a x^2 + b x has a square root y in the field
+    (:func:`_sqrt`).  O and each such candidate are kept iff scalar_mul
+    confirms 3q = O: O first, then by increasing (x, y).
     """
     if p is not None:
-        return [
-            q for q in enumerate_points(params, p) if scalar_mul(3, q).is_infinity
-        ]
+        params = reduce_params(params, p)
+        d, a, b = 1, params.a.value, params.b.value
+    else:
+        d = lcm(params.a.denominator, params.b.denominator)
+        a, b = int(params.a * d ** 2), int(params.b * d ** 4)
+    psi3 = [-b * b, 0, 6 * b, 4 * a, 3]
+    roots = _integer_roots(psi3) if p is None else _roots_mod(psi3, p)
+    candidates = [CurvePoint.infinity(params)]
+    for x in (params.coerce(Fraction(r, d * d)) for r in roots):
+        s = _sqrt(params, x ** 3 + params.a * x * x + params.b * x)
+        for y in [] if s is None else sorted({-s, s}, key=_sort_key):
+            candidates.append(CurvePoint.affine(params, x, y))
+    return [q for q in candidates if scalar_mul(3, q).is_infinity]
 
-    d = lcm(params.a.denominator, params.b.denominator)
-    a, b = int(params.a * d ** 2), int(params.b * d ** 4)
-    found = []
-    for x in _integer_roots([-b * b, 0, 6 * b, 4 * a, 3]):
-        s = rational_sqrt(x ** 3 + a * x * x + b * x)
-        for y in [] if s is None else sorted({-s, s}):
-            q = CurvePoint.affine(params, Fraction(x, d ** 2), Fraction(y, d ** 3))
-            if scalar_mul(3, q).is_infinity:
-                found.append(q)
-    return [CurvePoint.infinity(params)] + found
+
+def _roots_mod(coeffs: list, q: int) -> list:
+    """The roots in 0..q-1 of the int polynomial sum(coeffs[i] x^i) mod q."""
+    return [r for r in range(q) if horner(coeffs, r) % q == 0]
 
 
 def _integer_roots(coeffs: list) -> list:
@@ -442,7 +444,7 @@ def _integer_roots(coeffs: list) -> list:
     q = 2
     while True:
         if lead % q:
-            roots = [r for r in range(q) if horner(coeffs, r) % q == 0]
+            roots = _roots_mod(coeffs, q)
             if all(horner(deriv, r) % q for r in roots):
                 break
         q = next(n for n in count(q + 1) if is_prime(n))

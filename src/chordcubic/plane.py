@@ -290,11 +290,6 @@ def _powers_mod_p(c: int, p: int, top: int) -> list:
     return powers
 
 
-def _rank_mod_p(rows, p: int, ncols: int) -> int:
-    """Rank mod p of int rows of length ncols; see _rank_and_kernel_mod_p."""
-    return _rank_and_kernel_mod_p(rows, p, ncols)[0]
-
-
 def _rank_and_kernel_mod_p(rows, p: int, ncols: int) -> tuple:
     """Rank mod p of int rows of length ncols, and the kernel at nullity 1.
 

@@ -525,10 +525,10 @@ def verify_cross_checks(
     with the int kernels: ``translate_mod_p`` against ``add_mod_p`` for
     q + beta, ``chord_mod_p``, ``line_through_mod_p`` and G on its int
     coefficient table.  Curve points and dual points are built only for a
-    witness.  The 3-torsion stays the exhaustive ``three_torsion_flexes``
-    scan on curve points (``torsion3`` when given, else run here), and the
-    scalar functions stay the oracles of the int kernels and the only path
-    over Q.
+    witness.  The 3-torsion is ``torsion3`` when given, else
+    ``three_torsion_flexes`` run here; the flexes it is compared with come
+    from the Hessian sweep, which never uses psi3.  The scalar functions
+    stay the oracles of the int kernels and the only path over Q.
     """
     started = time.monotonic()
     ctx = context or fp_context(params, p)
@@ -564,7 +564,7 @@ def run_full_suite(params: CurveParams, p: int) -> list:
     """All checks keyed on (params, p), in fixed claim order.
 
     E(F_p) is enumerated once on ints (:func:`fp_context`) for the
-    cross-checks and the fibers, and its 3-torsion is scanned once for the
+    cross-checks and the fibers, and its 3-torsion is found once for the
     cross-checks and the flex claim.
     """
     ctx = fp_context(params, p)

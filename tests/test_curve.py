@@ -260,6 +260,21 @@ def test_three_torsion_over_Fp():
         assert tor3[0].is_infinity
         assert len(tor3) in (1, 3, 9)
         assert all(scalar_mul(3, q).is_infinity for q in tor3)
+    # Differential check against the exhaustive scan of E(F_p), in order,
+    # on every smooth curve at every prime 5 <= p <= 31.
+    curves_checked = 0
+    for p in (5, 7, 11, 13, 17, 19, 23, 29, 31):
+        for a in range(p):
+            for b in range(1, p):
+                if (a * a - 4 * b) % p == 0:
+                    continue
+                pp = reduce_params(validate_curve(a, b), p)
+                scanned = [
+                    q for q in enumerate_points(pp, p) if scalar_mul(3, q).is_infinity
+                ]
+                assert three_torsion_flexes(pp, p) == scanned, (a, b, p)
+                curves_checked += 1
+    assert curves_checked == 3044
 
 
 def test_rational_three_torsion_found():

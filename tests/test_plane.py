@@ -15,7 +15,6 @@ from chordcubic.curve import CurvePoint, reduce_params, validate_curve
 from chordcubic.plane import (
     MinDegree,
     _rank_and_kernel_mod_p,
-    _rank_mod_p,
     _zero_points_over_Fp,
     _zero_points_scan,
     count_zero_points_over_Fp,
@@ -326,7 +325,7 @@ def test_image_count_at_the_largest_prime_matches_euler_criterion():
 
 
 def _gauss_jordan_rank(mat, p):
-    """Rank mod p by a full Gauss-Jordan pass: the oracle for _rank_mod_p."""
+    """Rank mod p by a full Gauss-Jordan pass: the oracle for _rank_and_kernel_mod_p."""
     mat = [list(row) for row in mat]
     rank = 0
     for col in range(len(mat[0]) if mat else 0):
@@ -409,7 +408,7 @@ def test_row_echelon_rank_matches_gauss_jordan():
     @given(matrices())
     def check(mat_p):
         mat, p, cols = mat_p
-        assert _rank_mod_p(iter(mat), p, cols) == _gauss_jordan_rank(mat, p)
+        assert _rank_and_kernel_mod_p(iter(mat), p, cols)[0] == _gauss_jordan_rank(mat, p)
 
     check()
 
@@ -419,7 +418,7 @@ def test_rank_mod_p_reads_no_row_after_full_rank():
         yield from ([1, 0, 0], [5, 6, 0], [0, 0, 3])
         raise AssertionError("row read after full column rank")
 
-    assert _rank_mod_p(rows(), 7, 3) == 3
+    assert _rank_and_kernel_mod_p(rows(), 7, 3)[0] == 3
 
 
 def test_kernel_path_matches_gauss_jordan_on_rows_past_nullity_one():
@@ -450,7 +449,6 @@ def test_kernel_path_matches_gauss_jordan_on_rows_past_nullity_one():
     def check(mat_p):
         mat, p, cols = mat_p
         rank = _gauss_jordan_rank(mat, p)
-        assert _rank_mod_p(iter(mat), p, cols) == rank
         found, kernel = _rank_and_kernel_mod_p(iter(mat), p, cols)
         assert found == rank
         assert (kernel is not None) == (rank == cols - 1)
@@ -471,4 +469,4 @@ def test_rank_mod_p_reads_no_row_after_a_row_off_the_kernel():
         yield from head + ([0, 0, 1],)
         raise AssertionError("row read after full column rank")
 
-    assert _rank_mod_p(rows(), 7, 3) == 3
+    assert _rank_and_kernel_mod_p(rows(), 7, 3)[0] == 3

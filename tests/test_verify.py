@@ -629,7 +629,7 @@ def test_fiber_witness_matches_the_scalar_path(fault, monkeypatch):
     assert (report.status, report.witness) == ("fail", expected)
 
 
-def test_suite_enumerates_once_for_the_context_and_scans_the_3_torsion_once(monkeypatch):
+def test_suite_enumerates_no_curve_points_and_finds_the_3_torsion_once(monkeypatch):
     from chordcubic import curve
 
     calls = {"enumerate_points": 0, "three_torsion_flexes": 0}
@@ -643,14 +643,15 @@ def test_suite_enumerates_once_for_the_context_and_scans_the_3_torsion_once(monk
 
         monkeypatch.setattr(module, name, wrapper)
 
-    # verify binds no enumerate_points: its points come from fp_context.
+    # verify binds no enumerate_points: its points come from fp_context, and
+    # three_torsion_flexes takes the roots of psi3, not a scan of E(F_p).
     counted(curve, "enumerate_points")
     for module in (curve, verify):
         counted(module, "three_torsion_flexes")
     reports = run_full_suite(validate_curve(-3, 2), 1019)
     assert all(r.status == "pass" for r in reports)
     assert reports[4].stats["flexes"] == 3  # three rational 3-torsion points
-    assert calls == {"enumerate_points": 1, "three_torsion_flexes": 1}
+    assert calls == {"enumerate_points": 0, "three_torsion_flexes": 1}
 
 
 SPLIT = (-3, 2, 1019)  # three rational 3-torsion points and full 2-torsion
