@@ -93,10 +93,7 @@ def _build_parser() -> _Parser:
         "degree",
         "translation chord of a given order",
         prime=True,
-        extra=(
-            ("--order", {"type": int, "required": True}),
-            ("--dmax", {"type": int, "default": 8}),
-        ),
+        extra=(("--order", {"type": int, "required": True}),),
     )
     add(
         "quotient",
@@ -208,7 +205,7 @@ def _suite(args):
 
 def _degree(args):
     params = _curve_from_args(args)
-    report = verify_degree_remark(params, args.prime, args.order, dmax=args.dmax)
+    report = verify_degree_remark(params, args.prime, args.order)
     return _claim_result(params, "prime", args.prime, [report])
 
 

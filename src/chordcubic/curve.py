@@ -162,7 +162,7 @@ class CurvePoint:
 
 
 def _off_curve(params: CurveParams, coords) -> ValueError:
-    return ValueError(f"point {tuple(coords)} is not on {params}")
+    return ValueError(f"point {_tuple_str(coords)} is not on {params}")
 
 
 def _normalized_mod_p(params: CurveParams, p: int, coords) -> tuple:
@@ -187,6 +187,10 @@ def _normalized_mod_p(params: CurveParams, p: int, coords) -> tuple:
 
 def _coord_str(c) -> str:
     return str(c.value) if isinstance(c, PrimeFieldScalar) else str(c)
+
+
+def _tuple_str(coords) -> str:
+    return "(" + ", ".join(_coord_str(c) for c in coords) + ")"
 
 
 def beta(params: CurveParams) -> CurvePoint:
@@ -390,7 +394,7 @@ def enumerate_points(params: CurveParams, p: int) -> list:
 
 
 def three_torsion_flexes(params: CurveParams, p: int | None = None) -> list:
-    """All points q with 3q = O in the working field (F_p when p is given).
+    """All points q with 3q = O over F_p (p given or that of params), else over Q.
 
     An affine q has 3q = O iff x(2q) = x(q), i.e. iff x is a root of
     psi3 = 3x^4 + 4a x^3 + 6b x^2 - b^2 (squarefree on a smooth curve: its
@@ -405,6 +409,7 @@ def three_torsion_flexes(params: CurveParams, p: int | None = None) -> list:
     (:func:`_sqrt`).  O and each such candidate are kept iff scalar_mul
     confirms 3q = O: O first, then by increasing (x, y).
     """
+    p = params.modulus if p is None else p
     if p is not None:
         params = reduce_params(params, p)
         d, a, b = 1, params.a.value, params.b.value

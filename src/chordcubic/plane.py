@@ -7,7 +7,8 @@ quadratic in some coordinate are found in O(p) by sweeping the pencil of
 lines through that coordinate's vertex and solving one quadratic per line;
 smoothness and flex searches over F_p test the gradient and the Hessian
 only at those zeros.  The working field is inferred from the scalars
-inside the forms and points.
+inside the forms and points, except in interpolation, which reads its
+points as int triples mod an explicit p.
 """
 
 from __future__ import annotations
@@ -17,14 +18,13 @@ from fractions import Fraction
 from itertools import chain
 from operator import mul
 
-from .chord import (
-    DualPoint,
-    TernaryForm,
-    as_triple,
-    coerce_triple,
-    normalize_mod_p,
-)
-from .scalars import PrimeField, PrimeFieldScalar, check_modulus, horner, squares_table
+from .chord import DualPoint, TernaryForm, as_triple, normalize_mod_p
+from .curve import _tuple_str
+from .scalars import PrimeField, PrimeFieldScalar, check_modulus, horner, residue, squares_table
+
+# Highest degree that min_interpolating_degree tries: the image of a
+# translation chord map lies on a cubic (order 2) or a sextic (order > 2).
+MAX_INTERPOLATION_DEGREE = 8
 
 
 @dataclass(frozen=True)
@@ -72,7 +72,7 @@ def hessian_cubic(form: TernaryForm) -> TernaryForm:
 def is_flex(form: TernaryForm, pt) -> bool:
     """Whether pt is a smooth point of the cubic with vanishing Hessian."""
     if evaluate_form(form, pt) != 0:
-        raise ValueError(f"point {tuple(as_triple(pt))} is not on the curve")
+        raise ValueError(f"point {_tuple_str(as_triple(pt))} is not on the curve")
     if all(g.evaluate(pt) == 0 for g in gradient(form)):
         return False
     return hessian_cubic(form).evaluate(pt) == 0
@@ -244,33 +244,23 @@ def monomials(degree: int) -> list:
     ]
 
 
-def min_interpolating_degree(points, dmax: int = 8) -> MinDegree | None:
+def min_interpolating_degree(points, p: int) -> MinDegree | None:
     """Smallest degree of a nonzero form vanishing at all given F_p points.
 
     Returns the degree together with the kernel dimension of the monomial
     evaluation matrix (and, at nullity 1, the kernel form), or None when
-    no degree up to ``dmax`` works; an empty point list gives
-    MinDegree(1, 3).  Points must be distinct and lie in one prime field:
-    rational triples raise ValueError.  The matrix entries are products of
-    per-coordinate powers mod p on plain ints, reduced mod p by the rank,
-    and each degree's rows, powers included, are generated only as the
-    rank consumes them.
+    no degree up to MAX_INTERPOLATION_DEGREE works; an empty point list
+    gives MinDegree(1, 3).  Each coordinate is read by
+    :func:`~chordcubic.scalars.residue`, so a value that F_p refuses raises
+    ValueError, and the points must be distinct.  The matrix entries are
+    products of per-coordinate powers mod p on plain ints, reduced mod p by
+    the rank, and each degree's rows, powers included, are generated only
+    as the rank consumes them.
     """
-    if dmax > 8:
-        raise ValueError("dmax is capped at 8")
-    triples = [coerce_triple(as_triple(pt)) for pt in points]
-    fields = {
-        t[0].modulus if isinstance(t[0], PrimeFieldScalar) else None for t in triples
-    }
-    if len(fields) > 1:
-        raise ValueError("interpolation points must lie in one field")
-    if None in fields:
-        raise ValueError("interpolation points must have F_p coordinates")
-    p = fields.pop() if fields else None  # no points: no row is ever reduced
-    normalized = [normalize_mod_p([c.value for c in t], p) for t in triples]
+    normalized = [normalize_mod_p([residue(c, p) for c in pt], p) for pt in points]
     if len(set(normalized)) != len(normalized):
         raise ValueError("interpolation points must be distinct")
-    for d in range(1, dmax + 1):
+    for d in range(1, MAX_INTERPOLATION_DEGREE + 1):
         mons = monomials(d)
         rows = (
             [pu[i] * pv[j] * pw[k] for (i, j, k) in mons]

@@ -375,9 +375,7 @@ def _translation_point(ctx: FpContext, order: int):
     return None
 
 
-def verify_degree_remark(
-    params: CurveParams, p: int, order: int, dmax: int = 8
-) -> Report:
+def verify_degree_remark(params: CurveParams, p: int, order: int) -> Report:
     """Fiber sizes and image degree of the order-n translation chord map.
 
     For a point T of the requested order, every q in E(F_p) is sent to
@@ -394,31 +392,21 @@ def verify_degree_remark(
     E(F_p) is the int enumeration of :func:`fp_context`, as in the suite,
     and the fibers group the points by ``line_through_mod_p`` of q and
     ``add_mod_p(q, T)``; curve and dual points are built only for the
-    order test and the witness.  The image lines go to
-    min_interpolating_degree as F_p scalar triples.  With order 2, T is
-    beta and the image lies on the image cubic G, so a one-dimensional
-    kernel at degree 3 must be proportional to G mod p; otherwise the
-    report is ``fail`` with both forms as witness.
+    order test and the witness.  With order 2, T is beta and the image
+    lies on the image cubic G, so a one-dimensional kernel at degree 3
+    must be proportional to G mod p; otherwise the report is ``fail``
+    with both forms as witness.
 
     T is the first point of that order in enumeration order.  The check is
     skipped when no point has that order, at once when the order does not
     divide #E (Lagrange).  Otherwise ``scalar_mul_mod_p`` on ints keeps the
     q with n q = O, and point_order, at most n - 1 additions each, runs
     only on those.  Raises ValueError, before any point is enumerated, for an
-    order below 2 or above the Hasse bound p + 1 + 2 sqrt(p), for
-    ``dmax`` outside 1..8, and for a ``dmax`` below the claimed degree
-    (3 for order 2, 6 above), which could only end in a ``fail``.
+    order below 2 or above the Hasse bound p + 1 + 2 sqrt(p).
     """
     started = time.monotonic()
     if order < 2:
         raise ValueError("translation order must be at least 2")
-    if not 1 <= dmax <= 8:
-        raise ValueError(f"dmax must lie in 1..8, got {dmax}")
-    expected_degree = 3 if order == 2 else 6
-    if dmax < expected_degree:
-        raise ValueError(
-            f"dmax {dmax} is below the claimed degree {expected_degree} of order {order}"
-        )
     pp = reduce_params(params, p)
     hasse = p + 1 + isqrt(4 * p)
     if order > hasse:
@@ -450,9 +438,9 @@ def verify_degree_remark(
         if ok and len(fibers) < 31:
             ok, witness = False, f"only {len(fibers)} image points"
 
-    lines = [tuple(PrimeFieldScalar(c, p) for c in line) for line in fibers]
-    found = min_interpolating_degree(lines, dmax=dmax)
+    found = min_interpolating_degree(fibers.keys(), p=p)
     degree = found.degree if found else None
+    expected_degree = 3 if order == 2 else 6
     if degree != expected_degree:
         ok = False
         witness = witness or (

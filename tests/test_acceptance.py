@@ -120,7 +120,7 @@ def test_criterion_4_embedding_at_desk_scale():
         if not smooth_over_Fp(cubic, 101):
             failures.append((params, "image cubic singular"))
             continue
-        found = min_interpolating_degree([line.coords for line in fibers])
+        found = min_interpolating_degree([line.coords for line in fibers], p=101)
         if found is None or (found.degree, found.nullity) != (3, 1):
             failures.append((params, f"interpolation gave {found}"))
     elapsed = time.monotonic() - started

@@ -81,7 +81,8 @@ def test_every_point_over_Fp_is_checked_on_the_curve():
 def _point_by_scalar_oracle(params, coords):
     """The stored coordinates by is_on_curve and division in the field."""
     if not is_on_curve(params, coords):
-        raise ValueError(f"point {tuple(coords)} is not on {params}")
+        shown = ", ".join(str(getattr(c, "value", c)) for c in coords)
+        raise ValueError(f"point ({shown}) is not on {params}")
     x, y, z = (params.coerce(c) for c in coords)
     if z != 0:
         return (x / z, y / z, params.scalar(1))
@@ -249,6 +250,15 @@ def test_cross_curve_operations_rejected():
     q = beta(validate_curve(-3, 2))
     with pytest.raises(ValueError):
         group_add(p, q)
+
+
+def test_three_torsion_of_Fp_parameters_needs_no_prime():
+    # (-3, 2) has only O in E[3] mod 31, and O and one pair +-q mod 1019.
+    for p, size in ((31, 1), (1019, 3)):
+        pp = reduce_params(validate_curve(-3, 2), p)
+        tor3 = three_torsion_flexes(pp)
+        assert len(tor3) == size
+        assert tor3 == three_torsion_flexes(pp, p)
 
 
 def test_three_torsion_over_Fp():

@@ -81,8 +81,11 @@ def test_is_flex_examples():
     cubic = chord_cubic(validate_curve(-3, 2))
     assert is_flex(cubic, (0, 1, 0))
     assert not is_flex(cubic, (1, 0, 0))
-    with pytest.raises(ValueError):
-        is_flex(cubic, (1, 1, 1))
+    off_curve = r"^point \(1, 1, 1\) is not on the curve$"
+    with pytest.raises(ValueError, match=off_curve):
+        is_flex(cubic, (Fraction(1), 1, 1))
+    with pytest.raises(ValueError, match=off_curve):
+        is_flex(form_mod_p(cubic, 101), _fp_triples([(1, 1, 1)], 101)[0])
 
 
 def test_singular_point_is_not_a_flex():
@@ -143,36 +146,43 @@ def _fp_triples(triples, p):
 
 def test_min_interpolating_degree_line():
     pts = _fp_triples([(0, 1, 0), (0, 0, 1), (0, 1, 1)], 7)
-    assert min_interpolating_degree(pts) == MinDegree(1, 1)
-    assert min_interpolating_degree([]) == MinDegree(1, 3)
+    assert min_interpolating_degree(pts, p=7) == MinDegree(1, 1)
+    assert min_interpolating_degree([], p=7) == MinDegree(1, 3)
 
 
 def test_min_interpolating_degree_exceeds_dmax():
-    with pytest.raises(ValueError):
-        min_interpolating_degree(_fp_triples([(1, 0, 0)], 7), dmax=9)
-    pts = _fp_triples([(1, 0, 0), (0, 1, 0), (0, 0, 1)], 7)
-    assert min_interpolating_degree(pts, dmax=1) is None
+    # The forms vanishing on all of P^2(F_q) are generated in degree q + 1,
+    # so at q = 11 no degree up to the cap of 8 interpolates its 133 points.
+    p = 11
+    plane = [(1, v, w) for v in range(p) for w in range(p)]
+    plane += [(0, 1, w) for w in range(p)] + [(0, 0, 1)]
+    assert len(plane) == 133
+    assert min_interpolating_degree(plane, p=p) is None
 
 
-def test_min_interpolating_degree_rejects_rational_points():
-    for pts in (
-        [(0, 1, 0), (0, 0, 1), (0, 1, 1)],
-        [(Fraction(1, 2), 1, 0), (1, Fraction(-3, 4), 2)],
-    ):
-        with pytest.raises(ValueError, match="F_p"):
-            min_interpolating_degree(pts)
+def test_min_interpolating_degree_reads_coordinates_mod_p():
+    # Five points on one conic and on no line: nullity 1 at degree 2.
+    p = 11
+    ints = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1), (1, 2, 7)]
+    twins = _fp_triples(ints, p)
+    multiples = [tuple(k * c - p for c in t) for k, t in enumerate(ints, start=2)]
+    found = [min_interpolating_degree(pts, p=p) for pts in (ints, twins, multiples)]
+    assert found[0] == MinDegree(2, 1) and found[0].kernel is not None
+    assert found[1:] == found[:1] * 2
+    assert [f.kernel for f in found[1:]] == [found[0].kernel] * 2
+    other = [(PrimeField(7)(1), 0, 0), (0, 1, 0)]
+    with pytest.raises(ValueError, match="scalar mod 7 is not in F_11"):
+        min_interpolating_degree(other, p=p)
 
 
 def test_min_interpolating_degree_requires_distinct_points():
     f5 = PrimeField(5)
     with pytest.raises(ValueError):
-        min_interpolating_degree([(f5(1), f5(0), f5(0)), (f5(2), f5(0), f5(0))])
+        min_interpolating_degree([(f5(1), f5(0), f5(0)), (f5(2), f5(0), f5(0))], p=5)
     with pytest.raises(ValueError, match="distinct"):
-        min_interpolating_degree([(f5(1), f5(2), f5(0)), (f5(3), f5(1), f5(0))])
-    with pytest.raises(ValueError, match="one field"):
-        min_interpolating_degree([(f5(1), f5(0), f5(0)), (0, 1, 0)])
+        min_interpolating_degree([(f5(1), f5(2), f5(0)), (f5(3), f5(1), f5(0))], p=5)
     with pytest.raises(ValueError, match="vanish"):
-        min_interpolating_degree([(f5(0), f5(0), f5(0))])
+        min_interpolating_degree([(f5(0), f5(0), f5(0))], p=5)
 
 
 def test_min_interpolating_degree_of_chord_image():
@@ -180,7 +190,7 @@ def test_min_interpolating_degree_of_chord_image():
 
     params = reduce_params(validate_curve(-3, 2), 101)
     image = {chord_map(q) for q in enumerate_points(params, 101)}
-    found = min_interpolating_degree([line.coords for line in image])
+    found = min_interpolating_degree([line.coords for line in image], p=101)
     assert found == MinDegree(3, 1)
 
 
@@ -195,7 +205,7 @@ def test_min_interpolating_degree_is_monotone():
             seen.append(line)
     results = []
     for size in (4, 8, 16, 32, len(seen)):
-        found = min_interpolating_degree([line.coords for line in seen[:size]])
+        found = min_interpolating_degree([line.coords for line in seen[:size]], p=101)
         results.append(found.degree if found else 9)
     assert results == sorted(results)
 
@@ -343,10 +353,10 @@ def _gauss_jordan_rank(mat, p):
     return rank
 
 
-def _min_degree_by_scalar_rows(points, p, dmax):
-    """Minimal degree from monomial rows of F_p scalars: the oracle."""
+def _min_degree_by_scalar_rows(points, p):
+    """Minimal degree up to 8 from monomial rows of F_p scalars: the oracle."""
     normalized = [normalize_triple(pt) for pt in points]
-    for d in range(1, dmax + 1):
+    for d in range(1, 9):
         mons = monomials(d)
         rows = [
             [(t[0] ** i * t[1] ** j * t[2] ** k).value for (i, j, k) in mons]
@@ -377,11 +387,11 @@ def test_interpolation_on_ints_matches_scalar_rows():
         return triples, p
 
     @settings
-    @given(point_sets(), st.integers(1, 8))
-    def check(points_p, dmax):
+    @given(point_sets())
+    def check(points_p):
         points, p = points_p
-        expected = _min_degree_by_scalar_rows(points, p, dmax)
-        assert min_interpolating_degree(points, dmax=dmax) == expected
+        expected = _min_degree_by_scalar_rows(points, p)
+        assert min_interpolating_degree(points, p=p) == expected
 
     check()
 

@@ -304,7 +304,7 @@ def _scalar_degree_remark(params, p, order) -> dict:
             break
     if not witness and order > 2 and len(fibers) < 31:
         witness = f"only {len(fibers)} image points"
-    found = min_interpolating_degree([line.coords for line in fibers])
+    found = min_interpolating_degree([line.coords for line in fibers], p=p)
     degree = found.degree if found else None
     if degree != expected_degree:
         witness = witness or (
@@ -361,7 +361,7 @@ def test_translation_chord_true_structure(a, b, order):
     for fiber in doubled:
         w = next(q for q in fiber if scalar_mul(3, q).is_infinity)
         assert set(fiber) == {w, group_add(w, neg_t)}
-    found = min_interpolating_degree([line.coords for line in fibers])
+    found = min_interpolating_degree([line.coords for line in fibers], p=101)
     assert found.degree == 6 and found.nullity == 1
 
 
