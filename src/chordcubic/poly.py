@@ -1,14 +1,15 @@
 """Sparse exact polynomial arithmetic in the fixed variables {x, y, a, b}.
 
 A polynomial is a dictionary mapping exponent quadruples
-(e_x, e_y, e_a, e_b) to nonzero Fraction coefficients.  This exact
-representation makes polynomial identity testing fully reliable: two
-polynomials are equal exactly when their term tables coincide, and the zero
-polynomial is the empty table.
+(e_x, e_y, e_a, e_b) to nonzero exact coefficients: ints and Fractions are
+stored as given, anything else as its Fraction.  This exact representation
+makes polynomial identity testing fully reliable: two polynomials are equal
+exactly when their term tables coincide, and the zero polynomial is the
+empty table.
 
 The one rewriting rule this module knows is reduction modulo the curve
 relation y^2 = x^3 + a x^2 + b x: every term is rewritten until its
-y-degree is at most 1.  Coefficients stay rational throughout;
+y-degree is at most 1.  Ints stay ints and other rationals stay Fractions;
 specialisation into a prime field happens only at evaluation time.
 
 Canonical term order is descending lexicographic on (e_y, e_x, e_a, e_b),
@@ -41,10 +42,10 @@ class MultiPoly:
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
-        clean: dict[tuple, Fraction] = {}
+        clean = {}
         for key, coeff in (terms or {}).items():
             _check_key(key)
-            c = Fraction(coeff)
+            c = coeff if type(coeff) in (int, Fraction) else Fraction(coeff)
             if c:
                 clean[key] = c
         self.terms = clean
@@ -55,7 +56,7 @@ class MultiPoly:
 
     @classmethod
     def const(cls, value) -> MultiPoly:
-        return cls({(0, 0, 0, 0): Fraction(value)})
+        return cls({(0, 0, 0, 0): value})
 
     @classmethod
     def variable(cls, name: str) -> MultiPoly:
@@ -63,7 +64,7 @@ class MultiPoly:
             raise ValueError(f"unknown variable {name!r}; expected one of {VARIABLES}")
         key = [0, 0, 0, 0]
         key[_VAR_INDEX[name]] = 1
-        return cls({tuple(key): Fraction(1)})
+        return cls({tuple(key): 1})
 
     @property
     def is_zero(self) -> bool:
@@ -85,7 +86,7 @@ class MultiPoly:
             return NotImplemented
         out = dict(self.terms)
         for key, coeff in rhs.terms.items():
-            out[key] = out.get(key, Fraction(0)) + coeff
+            out[key] = out.get(key, 0) + coeff
         return MultiPoly(out)
 
     __radd__ = __add__
@@ -109,11 +110,11 @@ class MultiPoly:
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        out: dict[tuple, Fraction] = {}
+        out = {}
         for k1, c1 in self.terms.items():
             for k2, c2 in rhs.terms.items():
                 key = (k1[0] + k2[0], k1[1] + k2[1], k1[2] + k2[2], k1[3] + k2[3])
-                out[key] = out.get(key, Fraction(0)) + c1 * c2
+                out[key] = out.get(key, 0) + c1 * c2
         return MultiPoly(out)
 
     __rmul__ = __mul__
@@ -202,15 +203,14 @@ def f_curve() -> MultiPoly:
 def reduce_mod_curve(q: MultiPoly) -> MultiPoly:
     """Rewrite y^2 -> x^3 + a x^2 + b x until every term has y-degree <= 1."""
     f = f_curve()
-    powers = {0: MultiPoly.const(1)}
-    out = MultiPoly.zero()
+    powers = [MultiPoly.const(1)]
+    out = {}
     for (ex, ey, ea, eb), coeff in q.terms.items():
         half, rem = divmod(ey, 2)
-        term = MultiPoly({(ex, rem, ea, eb): coeff})
-        if half:
-            while half not in powers:
-                k = max(powers)
-                powers[k + 1] = powers[k] * f
-            term = term * powers[half]
-        out = out + term
-    return out
+        while len(powers) <= half:
+            powers.append(powers[-1] * f)
+        # f has no y, so every term of f^half keeps the remainder y^rem.
+        for (fx, _, fa, fb), c in powers[half].terms.items():
+            key = (ex + fx, rem, ea + fa, eb + fb)
+            out[key] = out.get(key, 0) + coeff * c
+    return MultiPoly(out)

@@ -7,11 +7,11 @@ Two coefficient fields are supported:
 * prime fields F_p for odd primes 3 < p < 2**16, via
   :class:`PrimeFieldScalar`.
 
-Both kinds of scalar support ``+ - * / **`` against each other and against
-plain ``int``, so the curve, polynomial and plane-geometry code runs
-unchanged over either field.  Characteristic 2 and 3 are rejected outright:
-the y^2 = f(x) curve model and the Hessian flex criterion both degenerate
-there.  All values are immutable, all operations pure.
+Each kind of scalar supports ``+ - * / **`` against itself and plain
+``int`` (never the other kind), so the curve, polynomial and plane-geometry
+code runs unchanged over either field.  Characteristic 2 and 3 are rejected
+outright: the y^2 = f(x) curve model and the Hessian flex criterion both
+degenerate there.  All values are immutable, all operations pure.
 """
 
 from __future__ import annotations

@@ -121,9 +121,74 @@ def test_equal_polys_have_identical_tables():
     assert lhs.terms == rhs.terms
 
 
-def _random_poly(rng: random.Random) -> MultiPoly:
+def test_reduce_matches_the_term_by_term_oracle():
+    rng = random.Random(13)
+    for ints in (True, False):
+        for _ in range(40):
+            q = _random_poly(rng, max_y=6, ints=ints)
+            assert reduce_mod_curve(q).terms == _reduce_term_by_term(q).terms
+
+
+def test_int_polys_keep_int_coefficients():
+    rng = random.Random(21)
+    for _ in range(20):
+        q, r = _random_poly(rng, max_y=6, ints=True), _random_poly(rng, ints=True)
+        for result in (q + r, q - r, -q, 2 * q + 1, q * r, r ** 3, reduce_mod_curve(q * r)):
+            assert all(type(c) is int for c in result.terms.values())
+    assert all(type(c) is int for c in (X * Y - f_curve() ** 2 + A).terms.values())
+
+
+def test_int_and_fraction_coefficients_are_stored_as_given():
+    key = (1, 0, 0, 0)
+    for given in (3, Fraction(3), Fraction(-1, 2)):
+        (stored,) = MultiPoly({key: given}).terms.values()
+        assert stored is given
+
+
+def test_other_coefficients_convert_to_fractions():
+    key = (1, 0, 0, 0)
+    for raw, want in ((0.5, Fraction(1, 2)), ("1/3", Fraction(1, 3)), (True, Fraction(1))):
+        (coeff,) = MultiPoly({key: raw}).terms.values()
+        assert type(coeff) is Fraction and coeff == want
+        (coeff,) = MultiPoly.const(raw).terms.values()
+        assert type(coeff) is Fraction and coeff == want
+
+
+def test_zero_coefficients_are_dropped():
+    for zero in (0, Fraction(0), 0.0, "0", False):
+        assert MultiPoly({(1, 0, 0, 0): zero, (0, 1, 0, 0): 2}).terms == {(0, 1, 0, 0): 2}
+    assert (X + 1 - X - 1).terms == {}
+    assert (Fraction(1, 2) * X - Fraction(1, 2) * X).terms == {}
+    assert (X * (Y + 1) - X * Y - X).terms == {}
+    assert reduce_mod_curve(Y ** 2 - f_curve()).terms == {}
+
+
+def _reduce_term_by_term(q: MultiPoly) -> MultiPoly:
+    """The slow reducer: one MultiPoly per term, added to a growing sum."""
+    f = f_curve()
+    powers = {0: MultiPoly.const(1)}
+    out = MultiPoly.zero()
+    for (ex, ey, ea, eb), coeff in q.terms.items():
+        half, rem = divmod(ey, 2)
+        term = MultiPoly({(ex, rem, ea, eb): coeff})
+        if half:
+            while half not in powers:
+                k = max(powers)
+                powers[k + 1] = powers[k] * f
+            term = term * powers[half]
+        out = out + term
+    return out
+
+
+def _random_poly(rng: random.Random, max_y: int = 2, ints: bool = False) -> MultiPoly:
+    """Up to 5 terms, exponents below 3 and y-degree at most max_y.
+
+    Coefficients are ints in -9..9 when ``ints``, else Fractions with
+    denominators 1..4.
+    """
     terms = {}
     for _ in range(rng.randrange(1, 6)):
-        key = tuple(rng.randrange(3) for _ in range(4))
-        terms[key] = Fraction(rng.randrange(-9, 10), rng.randrange(1, 5))
+        key = tuple(rng.randrange(max_y + 1 if i == 1 else 3) for i in range(4))
+        num = rng.randrange(-9, 10)
+        terms[key] = num if ints else Fraction(num, rng.randrange(1, 5))
     return MultiPoly(terms)

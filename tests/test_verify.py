@@ -67,9 +67,11 @@ def test_incidence_numeric_shadow():
 
 
 def test_incidence_mutation_fails_with_witness():
+    # The golden corpus never fails a symbolic claim, so these pinned
+    # witnesses are the only check on the coefficients the polynomials print.
     report = verify_chord_incidence_symbolic(mutate="incidence_v_sign")
     assert report.status == "fail"
-    assert report.witness
+    assert report.witness == "nonzero incidence residual: 2·x^3·y"
 
 
 def test_identity_symbolic_passes():
@@ -102,7 +104,12 @@ def test_identity_specializes_to_zero():
 def test_identity_mutation_fails():
     report = verify_identity_symbolic(mutate="identity_e_sign")
     assert report.status == "fail"
-    assert report.witness
+    assert report.witness == (
+        "nonzero identity residual: 16·x^11·y·b^3 + 32·x^10·y·a·b^3"
+        " + 16·x^9·y·a^2·b^3 + -32·x^8·y·a·b^4 + -32·x^7·y·a^2·b^4"
+        " + -32·x^7·y·b^5 + -32·x^6·y·a·b^5 + 16·x^5·y·a^2·b^5"
+        " + 32·x^4·y·a·b^6 + 16·x^3·y·b^7"
+    )
 
 
 def test_unknown_mutation_rejected():
@@ -166,6 +173,9 @@ def test_quotient_mutation_fails():
     report = verify_quotient(validate_curve(0, -1), [5], mutate="quotient_b_coeff")
     assert report.status == "fail"
     assert "residual" in report.witness
+    report = verify_quotient(validate_curve(-3, 2), [101], mutate="quotient_b_coeff")
+    assert report.status == "fail"
+    assert report.witness == "isogeny residual: -1·x^7·b + -1·x^6·a·b + -1·x^5·b^2"
 
 
 def test_quotient_skips_bad_primes():
