@@ -6,21 +6,20 @@ of monomial evaluation matrices.  The F_p zeros of a form at most
 quadratic in some coordinate are found in O(p) by sweeping the pencil of
 lines through that coordinate's vertex and solving one quadratic per line;
 smoothness and flex searches over F_p test the gradient and the Hessian
-only at those zeros.  The working field is inferred from the scalars
-inside the forms and points, except in interpolation, which reads its
-points as int triples mod an explicit p.
+only at those zeros.  Every function over F_p takes p explicitly and
+reads the coefficients of a form, or the coordinates of a point, as ints
+mod p through :func:`~chordcubic.scalars.residue`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import chain
 from operator import mul
 
 from .chord import DualPoint, TernaryForm, as_triple, normalize_mod_p
 from .curve import _tuple_str
-from .scalars import PrimeField, PrimeFieldScalar, check_modulus, horner, residue, squares_table
+from .scalars import horner, residue, squares_table
 
 # Highest degree that min_interpolating_degree tries: the image of a
 # translation chord map lies on a cubic (order 2) or a sextic (order > 2).
@@ -78,31 +77,21 @@ def is_flex(form: TernaryForm, pt) -> bool:
     return hessian_cubic(form).evaluate(pt) == 0
 
 
-def _form_modulus(form: TernaryForm) -> int | None:
-    for coeff in form.coeffs.values():
-        if isinstance(coeff, PrimeFieldScalar):
-            return coeff.modulus
-        if not isinstance(coeff, (int, Fraction)):
-            raise ValueError("form has ring coefficients, not field scalars")
-    return None
-
-
-def form_mod_p(form: TernaryForm, p: int) -> TernaryForm:
-    """Coerce a form into F_p (a rational form is reduced coefficientwise)."""
-    check_modulus(p)
-    modulus = _form_modulus(form)
-    if modulus is not None:
-        if modulus != p:
-            raise ValueError(f"form lives in F_{modulus}, not F_{p}")
-        return form
-    field = PrimeField(p)
-    return TernaryForm(
-        form.degree, {k: field(Fraction(c)) for k, c in form.coeffs.items()}
-    )
-
-
 def _int_table(form: TernaryForm, p: int) -> dict:
-    return {k: c.value for k, c in form_mod_p(form, p).coeffs.items()}
+    """The form's nonzero coefficients mod p, as ints in 1..p-1.
+
+    Each coefficient is read by :func:`~chordcubic.scalars.residue`, so a
+    scalar mod another prime raises ValueError and a rational with p in
+    its denominator ZeroDivisionError.  A coefficient that vanishes only
+    mod p is dropped, so that the sweep sees the form's degree in each
+    coordinate mod p.
+    """
+    table = {}
+    for key, c in form.coeffs.items():
+        r = residue(c, p)
+        if r:
+            table[key] = r
+    return table
 
 
 def _chart_tables(table: dict, degree: int):
@@ -187,14 +176,6 @@ def _quadratic_zeros(c0: int, c1: int, c2: int, p: int, roots: dict):
     return range(p) if c0 == 0 else []
 
 
-def _scan_index(pt, p: int) -> int:
-    """Position of a normalized triple in the order of _zero_points_scan."""
-    u, v, w = pt
-    if u:
-        return v * p + w
-    return p * p + (w if v else p)
-
-
 def _vanishes(table: dict, pt, p: int) -> bool:
     u, v, w = pt
     return sum(c * u ** i * v ** j * w ** k for (i, j, k), c in table.items()) % p == 0
@@ -206,10 +187,13 @@ def count_zero_points_over_Fp(form: TernaryForm, p: int) -> int:
 
 
 def smooth_over_Fp(form: TernaryForm, p: int) -> bool:
-    """No F_p point kills the form and all three partials simultaneously."""
-    fp = form_mod_p(form, p)
-    grads = [_int_table(g, p) for g in gradient(fp)]
-    for pt in _zero_points_over_Fp(fp, p):
+    """No F_p point kills the form and all three partials simultaneously.
+
+    Only F_p-rational points are tested, so a singular point defined over
+    an extension of F_p goes unseen.
+    """
+    grads = [_int_table(g, p) for g in gradient(form)]
+    for pt in _zero_points_over_Fp(form, p):
         if all(_vanishes(g, pt, p) for g in grads):
             return False
     return True
@@ -219,20 +203,15 @@ def find_flexes_over_Fp(form: TernaryForm, p: int) -> list:
     """All smooth F_p points of the cubic where the Hessian vanishes.
 
     The Hessian and the gradient are tested only at the zeros of the form.
-    The flexes are returned as triples of F_p scalars, in the order of the
-    projective scan: [1:v:w] by (v, w), then [0:1:w] by w, then [0:0:1].
+    The flexes are returned as normalized int triples, in sorted order.
     """
-    fp = form_mod_p(form, p)
-    grads = [_int_table(g, p) for g in gradient(fp)]
-    hess = _int_table(hessian_cubic(fp), p)
-    flexes = [
+    grads = [_int_table(g, p) for g in gradient(form)]
+    hess = _int_table(hessian_cubic(form), p)
+    return sorted(
         pt
-        for pt in _zero_points_over_Fp(fp, p)
+        for pt in _zero_points_over_Fp(form, p)
         if _vanishes(hess, pt, p) and not all(_vanishes(g, pt, p) for g in grads)
-    ]
-    flexes.sort(key=lambda pt: _scan_index(pt, p))
-    field = PrimeField(p)
-    return [tuple(field(c) for c in pt) for pt in flexes]
+    )
 
 
 def monomials(degree: int) -> list:

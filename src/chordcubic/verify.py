@@ -280,10 +280,10 @@ def verify_flex_correspondence(
     expected = set()
     for q in torsion3:
         for gamma in gammas:
-            expected.add(chord_map(group_add(q, gamma)))
-    found = {DualPoint(t) for t in find_flexes_over_Fp(cubic, p)}
+            expected.add(tuple(c.value for c in chord_map(group_add(q, gamma)).coords))
+    found = set(find_flexes_over_Fp(cubic, p))
     ok = found == expected
-    witness = f"flex sets disagree on {sorted(str(t) for t in found ^ expected)}"
+    witness = f"flex sets disagree on {sorted(str(DualPoint(t)) for t in found ^ expected)}"
     return _report(
         CLAIM_FLEX,
         ok,
@@ -539,10 +539,10 @@ def verify_cross_checks(
     if ok and not smooth_over_Fp(cubic, p):
         ok, witness = False, "image cubic is singular"
     if ok:
-        flexes = {DualPoint(t) for t in find_flexes_over_Fp(weierstrass_form(pp), p)}
+        flexes = set(find_flexes_over_Fp(weierstrass_form(pp), p))
         if torsion3 is None:
             torsion3 = three_torsion_flexes(pp, p)
-        if flexes != {DualPoint(q.coords) for q in torsion3}:
+        if flexes != {normalize_mod_p([c.value for c in q.coords], p) for q in torsion3}:
             ok = False
             witness = "Weierstrass flexes differ from the 3-torsion"
     return _report(CLAIM_CROSS, ok, witness, started, count, curve_points=count)

@@ -385,12 +385,15 @@ def test_three_torsion_points_are_hessian_flexes():
     for q in three_torsion_flexes(params):
         assert is_flex(form, q.coords)
     # Finite-field case: flexes of the Weierstrass cubic = 3-torsion, exactly.
-    from chordcubic.chord import normalize_triple
+    from chordcubic.chord import normalize_mod_p
 
     for a, b, p in [(-3, 2, 7), (-6, -3, 101), (0, -1, 5)]:
         pp = reduce_params(validate_curve(a, b), p)
         flex_set = set(find_flexes_over_Fp(weierstrass_form(pp), p))
-        tor3 = {normalize_triple(q.coords) for q in three_torsion_flexes(pp, p)}
+        tor3 = {
+            normalize_mod_p([c.value for c in q.coords], p)
+            for q in three_torsion_flexes(pp, p)
+        }
         assert flex_set == tor3
 
 

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from chordcubic import plane
 from chordcubic.chord import (
     DualPoint,
     TernaryForm,
@@ -21,7 +22,6 @@ from chordcubic.plane import (
     dual_incidence,
     evaluate_form,
     find_flexes_over_Fp,
-    form_mod_p,
     hessian_cubic,
     is_flex,
     min_interpolating_degree,
@@ -84,8 +84,9 @@ def test_is_flex_examples():
     off_curve = r"^point \(1, 1, 1\) is not on the curve$"
     with pytest.raises(ValueError, match=off_curve):
         is_flex(cubic, (Fraction(1), 1, 1))
+    fp_cubic = chord_cubic(reduce_params(validate_curve(-3, 2), 101))
     with pytest.raises(ValueError, match=off_curve):
-        is_flex(form_mod_p(cubic, 101), _fp_triples([(1, 1, 1)], 101)[0])
+        is_flex(fp_cubic, _fp_triples([(1, 1, 1)], 101)[0])
 
 
 def test_singular_point_is_not_a_flex():
@@ -111,14 +112,15 @@ def test_flex_tangents_meet_only_at_the_flex():
     for pt in flexes:
         tangent = DualPoint(tuple(g.evaluate(pt) for g in grads))
         on_tangent = [z for z in zeros if dual_incidence(z, tangent)]
-        assert on_tangent == [tuple(c.value for c in pt)]
+        assert on_tangent == [pt]
 
 
 def test_find_flexes_over_Fp():
     cubic = chord_cubic(validate_curve(-3, 2))
-    field = PrimeField(7)
     flexes = find_flexes_over_Fp(cubic, 7)
-    assert (field(0), field(1), field(0)) in flexes
+    assert (0, 1, 0) in flexes
+    assert flexes == sorted(flexes)
+    assert all(type(c) is int for pt in flexes for c in pt)
     assert len(flexes) <= 9
     weier = weierstrass_form(reduce_params(validate_curve(-3, 2), 101))
     assert len(find_flexes_over_Fp(weier, 101)) <= 9
@@ -251,9 +253,13 @@ def _sweep_matches_scan(form, p):
 
 
 def _flexes_by_scan(form, p):
-    """The flexes found by testing every point of the plane: the oracle."""
-    form = form_mod_p(form, p)
+    """The flexes found by testing every point of the plane: the oracle.
+
+    The form is coerced into F_p here and tested on scalars; the flexes
+    are the scan's int triples, in scan order.
+    """
     field = PrimeField(p)
+    form = TernaryForm(form.degree, {k: field(c) for k, c in form.coeffs.items()})
     grads = [form.partial(i) for i in range(3)]
     hess = hessian_cubic(form)
     flexes = []
@@ -262,7 +268,7 @@ def _flexes_by_scan(form, p):
         if all(g.evaluate(coords) == 0 for g in grads):
             continue
         if hess.evaluate(coords) == 0:
-            flexes.append(coords)
+            flexes.append(pt)
     return flexes
 
 
@@ -306,7 +312,7 @@ def test_sweep_matches_scan_on_curves_with_lines_and_without_an_axis():
     check()
 
 
-def test_flexes_match_the_scan_in_scan_order():
+def test_flexes_match_the_sorted_scan():
     given, settings, st = hypothesis_api()
 
     @settings
@@ -318,9 +324,49 @@ def test_flexes_match_the_scan_in_scan_order():
         if form_p[0].degree == 3:
             cases.append(form_p)
         for cubic, q in cases:
-            assert find_flexes_over_Fp(cubic, q) == _flexes_by_scan(cubic, q)
+            assert find_flexes_over_Fp(cubic, q) == sorted(_flexes_by_scan(cubic, q))
 
     check()
+
+
+def test_sweeps_agree_on_a_rational_form_and_its_reduction():
+    given, settings, st = hypothesis_api()
+
+    @settings
+    @given(curves(st))
+    def check(curve):
+        a, b, p = curve
+        params = validate_curve(a, b)
+        rational, reduced = chord_cubic(params), chord_cubic(reduce_params(params, p))
+        for sweep in (count_zero_points_over_Fp, smooth_over_Fp, find_flexes_over_Fp):
+            assert sweep(rational, p) == sweep(reduced, p)
+
+    check()
+
+
+def test_a_coefficient_that_vanishes_mod_p_does_not_force_the_scan(monkeypatch):
+    # U^3 + V^3 + 7 W^3 + UVW is cubic in every coordinate over Q, but
+    # quadratic in W mod 7, so the sweep must run along W.
+    form = TernaryForm(3, {(3, 0, 0): 1, (0, 3, 0): 1, (0, 0, 3): 7, (1, 1, 1): 1})
+    expected = sum(1 for _ in _zero_points_scan(form, 7))
+
+    def refuse(form, p):
+        raise AssertionError("the sweep fell back to the O(p^2) scan")
+
+    monkeypatch.setattr(plane, "_zero_points_scan", refuse)
+    assert count_zero_points_over_Fp(form, 7) == expected
+
+
+@pytest.mark.parametrize(
+    "sweep", [count_zero_points_over_Fp, smooth_over_Fp, find_flexes_over_Fp]
+)
+def test_sweeps_refuse_a_form_that_F_p_cannot_read(sweep):
+    over_f7 = chord_cubic(reduce_params(validate_curve(-3, 2), 7))
+    with pytest.raises(ValueError, match="scalar mod 7 is not in F_11"):
+        sweep(over_f7, 11)
+    sevenths = TernaryForm(3, {(3, 0, 0): Fraction(1, 7), (0, 3, 0): 1, (0, 0, 3): 1})
+    with pytest.raises(ZeroDivisionError, match="not invertible mod 7"):
+        sweep(sevenths, 7)
 
 
 def test_image_count_at_the_largest_prime_matches_euler_criterion():
