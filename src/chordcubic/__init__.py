@@ -17,7 +17,6 @@ from .chord import (
     chord_cubic,
     chord_map,
     cubic_invariants,
-    invariants_form,
     line_through,
     weierstrass_form,
 )
@@ -38,7 +37,6 @@ from .curve import (
 )
 from .plane import (
     MinDegree,
-    dual_incidence,
     evaluate_form,
     find_flexes_over_Fp,
     hessian_cubic,

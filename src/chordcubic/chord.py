@@ -10,13 +10,17 @@ inputs O and beta form a single fiber of the map and go to [1 : 0 : 0],
 the line X = 0 through both.  Smoothness (b (a^2 - 4b) != 0) guarantees
 the formula never degenerates to [0 : 0 : 0].
 
-Every chord satisfies one cubic equation G(U, V, W) = 0 with
+Every chord satisfies one cubic equation G(U, V, W) = 0, stored expanded:
 
-    G = 4 b^2 T V^2 - (4b - a^2) W^3 + 2 a T W^2 + T^2 W,   T = 2 b U - a W.
+    G = 8 b^3 UV^2 + 4 b^2 U^2 W - 4 a b^2 V^2 W - 4 b W^3.
 
-This denominator-free form stays valid at a = 0 and over any field where
-the curve is smooth; expanded it is
-8 b^3 UV^2 + 4 b^2 U^2 W - 4 a b^2 V^2 W - 4 b W^3.
+It is derived in the form
+
+    G = 4 b^2 T V^2 - (4b - a^2) W^3 + 2 a T W^2 + T^2 W,   T = 2 b U - a W,
+
+which the symbolic identity check substitutes the chord into.  Both are
+denominator-free, so G stays valid at a = 0 and over any field where the
+curve is smooth.
 """
 
 from __future__ import annotations
@@ -114,11 +118,13 @@ class TernaryForm:
     """Homogeneous form in (U, V, W) as a sparse coefficient table.
 
     Keys are exponent triples (i, j, k) with i + j + k = degree; zero
-    coefficients are dropped.  Coefficients may be Fractions, prime-field
-    scalars, or any exact ring values supporting + - * and comparison
-    with 0 (polynomial coefficients are used for symbolic checks).
-    Forms defining curves always have at least one nonzero coefficient;
-    the empty table (zero form) may appear in intermediate arithmetic.
+    coefficients are dropped.  Coefficients may be ints, Fractions,
+    prime-field scalars, or any exact ring values supporting + - * and
+    comparison with 0 (polynomial coefficients are used for symbolic
+    checks).  A form is built from its table; there is no arithmetic on
+    whole forms, only on their coefficients.  Forms defining curves always
+    have at least one nonzero coefficient; a derivative may be the empty
+    table (the zero form).
     """
 
     __slots__ = ("degree", "coeffs")
@@ -141,54 +147,12 @@ class TernaryForm:
         self.degree = degree
         self.coeffs = clean
 
-    @classmethod
-    def monomial(cls, i: int, j: int, k: int, coeff) -> TernaryForm:
-        return cls(i + j + k, {(i, j, k): coeff})
-
     @property
     def is_zero(self) -> bool:
         return not self.coeffs
 
     def sorted_items(self):
         return sorted(self.coeffs.items(), reverse=True)
-
-    def __add__(self, other):
-        if not isinstance(other, TernaryForm):
-            return NotImplemented
-        if self.degree != other.degree and not (self.is_zero or other.is_zero):
-            raise ValueError("cannot add forms of different degrees")
-        degree = other.degree if self.is_zero else self.degree
-        out = dict(self.coeffs)
-        for key, coeff in other.coeffs.items():
-            out[key] = out[key] + coeff if key in out else coeff
-        return TernaryForm(degree, out)
-
-    def __sub__(self, other):
-        if not isinstance(other, TernaryForm):
-            return NotImplemented
-        return self + (-other)
-
-    def __neg__(self):
-        return TernaryForm(self.degree, {k: -c for k, c in self.coeffs.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, TernaryForm):
-            out = {}
-            for k1, c1 in self.coeffs.items():
-                for k2, c2 in other.coeffs.items():
-                    key = (k1[0] + k2[0], k1[1] + k2[1], k1[2] + k2[2])
-                    prod = c1 * c2
-                    out[key] = out[key] + prod if key in out else prod
-            return TernaryForm(self.degree + other.degree, out)
-        return self.scale(other)
-
-    def __rmul__(self, other):
-        return self.scale(other)
-
-    def scale(self, factor) -> TernaryForm:
-        return TernaryForm(
-            self.degree, {k: factor * c for k, c in self.coeffs.items()}
-        )
 
     def partial(self, axis: int) -> TernaryForm:
         """Exact partial derivative along U (0), V (1) or W (2)."""
@@ -221,19 +185,17 @@ class TernaryForm:
         """
         if self.is_zero:
             return self
-        lead_key = max(self.coeffs)
-        lead = self.coeffs[lead_key]
+        lead = self.coeffs[max(self.coeffs)]
         if isinstance(lead, PrimeFieldScalar):
-            return self.scale(lead.inverse())
-        if isinstance(lead, (int, Fraction)):
-            fracs = {k: Fraction(c) for k, c in self.coeffs.items()}
-            den = lcm(*(c.denominator for c in fracs.values()))
-            num = gcd(*(abs(c.numerator * den // c.denominator) for c in fracs.values()))
-            factor = Fraction(den, num)
-            if fracs[lead_key] < 0:
-                factor = -factor
-            return TernaryForm(self.degree, {k: c * factor for k, c in fracs.items()})
-        return self
+            factor = lead.inverse()
+        elif isinstance(lead, (int, Fraction)):
+            fracs = [Fraction(c) for c in self.coeffs.values()]
+            den = lcm(*(c.denominator for c in fracs))
+            num = gcd(*(c.numerator * den // c.denominator for c in fracs))
+            factor = Fraction(den if lead > 0 else -den, num)
+        else:
+            return self
+        return TernaryForm(self.degree, {k: c * factor for k, c in self.coeffs.items()})
 
     def as_json_table(self) -> dict:
         return {
@@ -309,23 +271,23 @@ def chord_mod_p(b: int, p: int, s) -> tuple:
     )
 
 
-def chord_cubic_generic(a, b, one) -> TernaryForm:
-    """The image cubic G over any commutative ring containing a, b, one."""
-    u = TernaryForm.monomial(1, 0, 0, one)
-    v = TernaryForm.monomial(0, 1, 0, one)
-    w = TernaryForm.monomial(0, 0, 1, one)
-    t = (2 * b) * u - a * w
-    return (
-        (4 * b * b) * (t * v * v)
-        - (4 * b - a * a) * (w * w * w)
-        + (2 * a) * (t * w * w)
-        + t * t * w
+def chord_cubic_generic(a, b) -> TernaryForm:
+    """The image cubic G, with coefficients in the ring of a and b."""
+    bb = b * b
+    return TernaryForm(
+        3,
+        {
+            (1, 2, 0): 8 * bb * b,
+            (2, 0, 1): 4 * bb,
+            (0, 2, 1): -4 * a * bb,
+            (0, 0, 3): -4 * b,
+        },
     )
 
 
 def chord_cubic(params: CurveParams) -> TernaryForm:
     """The content-normalized cubic vanishing on every chord of the curve."""
-    return chord_cubic_generic(params.a, params.b, params.scalar(1)).canonical()
+    return chord_cubic_generic(params.a, params.b).canonical()
 
 
 def weierstrass_form(params: CurveParams) -> TernaryForm:
@@ -375,19 +337,3 @@ def cubic_invariants(params: CurveParams) -> CubicInvariants:
         c2=4 * b * b / (4 * b - a * a),
         mu_inv=a / (2 * b),
     )
-
-
-def invariants_form(params: CurveParams) -> TernaryForm:
-    """The cubic defined by the closed-form invariants, content-normalized.
-
-    Projectively this is the same curve as :func:`chord_cubic`; the two
-    tables agree exactly after normalization.
-    """
-    inv = cubic_invariants(params)
-    one = params.scalar(1)
-    u = TernaryForm.monomial(1, 0, 0, one)
-    v = TernaryForm.monomial(0, 1, 0, one)
-    w = TernaryForm.monomial(0, 0, 1, one)
-    s = u - inv.mu_inv * w
-    h = inv.e * (s * v * v) - w * w * w + inv.c1 * (s * w * w) + inv.c2 * (s * s * w)
-    return h.canonical()

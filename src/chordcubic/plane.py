@@ -1,29 +1,40 @@
 """Generic projective plane-curve utilities over either supported field.
 
-Everything here is exact: Hessians are expanded symbolically, and the
-minimal interpolating degree of a set of F_p points comes from ranks mod p
-of monomial evaluation matrices.  The F_p zeros of a form at most
-quadratic in some coordinate are found in O(p) by sweeping the pencil of
-lines through that coordinate's vertex and solving one quadratic per line;
-smoothness and flex searches over F_p test the gradient and the Hessian
-only at those zeros.  Every function over F_p takes p explicitly and
-reads the coefficients of a form, or the coordinates of a point, as ints
-mod p through :func:`~chordcubic.scalars.residue`.
+Everything here is exact: Hessians are expanded term by term on the
+coefficient tables, and the minimal interpolating degree of a set of F_p
+points comes from ranks mod p of monomial evaluation matrices.  The F_p
+zeros of a form at most quadratic in some coordinate are found in O(p) by
+sweeping the pencil of lines through that coordinate's vertex and solving
+one quadratic per line; smoothness and flex searches over F_p test the
+gradient and the Hessian only at those zeros.  Every function over F_p
+takes p explicitly and reads the coefficients of a form, or the
+coordinates of a point, as ints mod p through
+:func:`~chordcubic.scalars.residue`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, product
 from operator import mul
 
-from .chord import DualPoint, TernaryForm, as_triple, normalize_mod_p
+from .chord import TernaryForm, as_triple, normalize_mod_p
 from .curve import _tuple_str
 from .scalars import horner, residue, squares_table
 
 # Highest degree that min_interpolating_degree tries: the image of a
 # translation chord map lies on a cubic (order 2) or a sextic (order > 2).
 MAX_INTERPOLATION_DEGREE = 8
+
+# The permutations of (0, 1, 2) with their signs, for 3x3 determinants.
+_SIGNED_PERMUTATIONS = (
+    (1, (0, 1, 2)),
+    (-1, (0, 2, 1)),
+    (-1, (1, 0, 2)),
+    (1, (1, 2, 0)),
+    (1, (2, 0, 1)),
+    (-1, (2, 1, 0)),
+)
 
 
 @dataclass(frozen=True)
@@ -45,27 +56,29 @@ def evaluate_form(form: TernaryForm, pt):
     return form.evaluate(pt)
 
 
-def dual_incidence(pt, line: DualPoint) -> bool:
-    """Whether the point [X:Y:Z] lies on the line U X + V Y + W Z = 0."""
-    x, y, z = as_triple(pt)
-    u, v, w = as_triple(line)
-    return u * x + v * y + w * z == 0
-
-
 def gradient(form: TernaryForm) -> tuple:
     return (form.partial(0), form.partial(1), form.partial(2))
 
 
 def hessian_cubic(form: TernaryForm) -> TernaryForm:
-    """Determinant of the matrix of second partials of a cubic form."""
+    """Determinant of the matrix of second partials of a cubic form.
+
+    The second partials are linear forms, so the determinant is the signed
+    sum, over the six permutations of the columns, of products of three
+    linear forms, expanded term by term on their coefficient tables.  The
+    coefficients only need + - * (ints, Fractions, F_p scalars, MultiPoly).
+    """
     if form.degree != 3:
         raise ValueError(f"Hessian flex test needs a cubic, got degree {form.degree}")
-    m = [[form.partial(i).partial(j) for j in range(3)] for i in range(3)]
-    return (
-        m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-        - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-        + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
-    )
+    m = [[form.partial(i).partial(j).coeffs for j in range(3)] for i in range(3)]
+    out = {}
+    for sign, cols in _SIGNED_PERMUTATIONS:
+        factors = (m[0][cols[0]], m[1][cols[1]], m[2][cols[2]])
+        for (k0, c0), (k1, c1), (k2, c2) in product(*(f.items() for f in factors)):
+            key = (k0[0] + k1[0] + k2[0], k0[1] + k1[1] + k2[1], k0[2] + k1[2] + k2[2])
+            term = sign * (c0 * c1 * c2)
+            out[key] = out[key] + term if key in out else term
+    return TernaryForm(3, out)
 
 
 def is_flex(form: TernaryForm, pt) -> bool:

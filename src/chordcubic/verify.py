@@ -51,7 +51,7 @@ from .plane import (
     monomials,
     smooth_over_Fp,
 )
-from .poly import MultiPoly, reduce_mod_curve
+from .poly import reduce_mod_curve
 from .scalars import PrimeField, PrimeFieldScalar, check_modulus
 
 CLAIM_INCIDENCE = "chord_line_incidence"
@@ -152,7 +152,7 @@ def verify_identity_symbolic(mutate: str | None = None) -> Report:
         raise ValueError(f"unknown mutation {mutate!r}")
     x, y, a, b = poly.X, poly.Y, poly.A, poly.B
     u, v, w = _chord_polys()
-    g = chord_cubic_generic(a, b, MultiPoly.const(1))
+    g = chord_cubic_generic(a, b)
     main_residual = reduce_mod_curve(g.evaluate((u, v, w)))
 
     f = poly.f_curve()

@@ -1,0 +1,36 @@
+"""Independent descriptions of what the package computes, used only as test oracles.
+
+Imported by bare name, like ``fp_strategies``: pytest puts this directory
+on ``sys.path`` for the test modules beside it.
+"""
+
+from chordcubic.chord import TernaryForm, as_triple, cubic_invariants
+
+
+def invariants_form(params) -> TernaryForm:
+    """The cubic defined by the closed-form invariants, content-normalized.
+
+    With S = U - mu_inv W the depressed equation of ``CubicInvariants`` is
+    e S V^2 - W^3 + c1 S W^2 + c2 S^2 W = 0; this is its expanded table.
+    Projectively it is the same curve as ``chord_cubic``, so the two tables
+    agree exactly after normalization.
+    """
+    inv = cubic_invariants(params)
+    e, c1, c2, m = inv.e, inv.c1, inv.c2, inv.mu_inv
+    return TernaryForm(
+        3,
+        {
+            (1, 2, 0): e,
+            (0, 2, 1): -e * m,
+            (2, 0, 1): c2,
+            (1, 0, 2): c1 - 2 * c2 * m,
+            (0, 0, 3): c2 * m * m - c1 * m - 1,
+        },
+    ).canonical()
+
+
+def dual_incidence(pt, line) -> bool:
+    """Whether the point [X:Y:Z] lies on the line U X + V Y + W Z = 0."""
+    x, y, z = as_triple(pt)
+    u, v, w = as_triple(line)
+    return u * x + v * y + w * z == 0

@@ -32,7 +32,7 @@ from chordcubic.plane import (
     min_interpolating_degree,
     smooth_over_Fp,
 )
-from chordcubic.poly import A, B, MultiPoly
+from chordcubic.poly import A, B
 from chordcubic.verify import (
     sample_params,
     verify_chord_incidence_symbolic,
@@ -132,7 +132,7 @@ def test_criterion_4_embedding_at_desk_scale():
 def test_criterion_5_flex_theorem():
     # Symbolic: the Hessian of the image cubic vanishes at [0:1:0]
     # identically in a and b.
-    generic = chord_cubic_generic(A, B, MultiPoly.const(1))
+    generic = chord_cubic_generic(A, B)
     symbolic_zero = hessian_cubic(generic).evaluate((0, 1, 0)) == 0
 
     ok = symbolic_zero

@@ -9,7 +9,6 @@ from chordcubic.chord import (
     chord_map,
     coerce_triple,
     cubic_invariants,
-    invariants_form,
     line_through,
     normalize_triple,
     weierstrass_form,
@@ -26,6 +25,7 @@ from chordcubic.plane import evaluate_form
 from chordcubic.poly import MultiPoly
 from chordcubic.scalars import PrimeFieldScalar
 from fp_strategies import PRIMES_BELOW_200, hypothesis_api, outcome, triples
+from oracles import invariants_form
 
 UV2, U2W, V2W, W3 = (1, 2, 0), (2, 0, 1), (0, 2, 1), (0, 0, 3)
 
@@ -156,12 +156,21 @@ def test_chord_cubic_symbolic_specialization():
     from chordcubic.chord import chord_cubic_generic
     from chordcubic.poly import A, B
 
-    generic = chord_cubic_generic(A, B, MultiPoly.const(1))
-    numeric = chord_cubic_generic(
-        Fraction(-3), Fraction(2), Fraction(1)
-    )
+    generic = chord_cubic_generic(A, B)
+    numeric = chord_cubic_generic(Fraction(-3), Fraction(2))
     for key, coeff in generic.coeffs.items():
         assert coeff.evaluate(a=-3, b=2) == numeric.coeffs.get(key, Fraction(0))
+
+
+def test_image_cubic_table_is_the_T_form():
+    # With W = 1 the monomials UV^2, U^2 W, V^2 W and W^3 stay distinct, so
+    # the equality pins every coefficient of the stored table.
+    from chordcubic.chord import chord_cubic_generic
+    from chordcubic.poly import A, B, X, Y
+
+    t = 2 * B * X - A
+    t_form = 4 * B ** 2 * t * Y ** 2 - (4 * B - A ** 2) + 2 * A * t + t ** 2
+    assert chord_cubic_generic(A, B).evaluate((X, Y, 1)) == t_form
 
 
 def test_dual_point_normalization():

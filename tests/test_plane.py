@@ -8,6 +8,7 @@ from chordcubic.chord import (
     DualPoint,
     TernaryForm,
     chord_cubic,
+    chord_cubic_generic,
     chord_map,
     normalize_triple,
     weierstrass_form,
@@ -19,7 +20,6 @@ from chordcubic.plane import (
     _zero_points_over_Fp,
     _zero_points_scan,
     count_zero_points_over_Fp,
-    dual_incidence,
     evaluate_form,
     find_flexes_over_Fp,
     hessian_cubic,
@@ -28,8 +28,10 @@ from chordcubic.plane import (
     monomials,
     smooth_over_Fp,
 )
+from chordcubic.poly import A, B
 from chordcubic.scalars import PrimeField
 from fp_strategies import PRIMES_BELOW_200, curves, hypothesis_api
+from oracles import dual_incidence
 
 
 def _fermat() -> TernaryForm:
@@ -41,7 +43,7 @@ def _triangle() -> TernaryForm:
 
 
 def test_evaluate_form_examples():
-    assert evaluate_form(TernaryForm.monomial(0, 0, 3, 1), (0, 1, 0)) == 0
+    assert evaluate_form(TernaryForm(3, {(0, 0, 3): 1}), (0, 1, 0)) == 0
     assert evaluate_form(_fermat(), (1, 1, 1)) == 3
     cubic = chord_cubic(validate_curve(-3, 2))
     image = chord_map(CurvePoint.affine(validate_curve(-3, 2), 2, 0))
@@ -53,7 +55,7 @@ def test_hessian_examples():
     assert hessian_cubic(_triangle()).coeffs == {(1, 1, 1): 2}
     assert hessian_cubic(_fermat()).coeffs == {(1, 1, 1): 216}
     with pytest.raises(ValueError):
-        hessian_cubic(TernaryForm.monomial(1, 1, 0, 1))
+        hessian_cubic(TernaryForm(2, {(1, 1, 0): 1}))
 
 
 def test_hessian_scales_cubically():
@@ -65,9 +67,67 @@ def test_hessian_scales_cubically():
             if rng.random() < 0.6
         }
         coeffs[(3, 0, 0)] = Fraction(rng.randrange(1, 5))
-        form = TernaryForm(3, coeffs)
         lam = Fraction(rng.randrange(2, 7))
-        assert hessian_cubic(lam * form) == (lam ** 3) * hessian_cubic(form)
+        scaled = TernaryForm(3, {key: lam * c for key, c in coeffs.items()})
+        hessian = hessian_cubic(TernaryForm(3, coeffs)).coeffs
+        assert hessian_cubic(scaled).coeffs == {key: lam ** 3 * c for key, c in hessian.items()}
+
+
+def _det3(m):
+    return (
+        m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
+        - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
+        + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
+    )
+
+
+def test_hessian_matches_the_pointwise_determinant():
+    # The oracle evaluates the second partials at the point first and takes
+    # the determinant of those values, so it does no arithmetic on forms.
+    given, settings, st = hypothesis_api(max_examples=100)
+
+    @st.composite
+    def cubic_and_point(draw):
+        a, b, p = draw(curves(st))
+        over_q = draw(st.booleans())
+        field = Fraction if over_q else PrimeField(p)
+        kind = draw(st.sampled_from(["random", "fermat", "image"]))
+        if kind == "image":
+            params = validate_curve(a, b)
+            form = chord_cubic(params if over_q else reduce_params(params, p))
+        else:
+            values = st.fractions(-9, 9, max_denominator=5) if over_q else st.integers(0, p - 1)
+            coeffs = (
+                _fermat().coeffs
+                if kind == "fermat"
+                else {key: draw(values) for key in monomials(3)}
+            )
+            form = TernaryForm(3, {key: field(c) for key, c in coeffs.items()})
+        pt = tuple(field(draw(st.integers(-50, 50))) for _ in range(3))
+        return form, pt
+
+    @settings
+    @given(cubic_and_point())
+    def check(case):
+        form, pt = case
+        second = [[form.partial(i).partial(j).evaluate(pt) for j in range(3)] for i in range(3)]
+        assert hessian_cubic(form).evaluate(pt) == _det3(second)
+
+    check()
+
+
+def test_hessian_of_the_generic_image_cubic():
+    # With MultiPoly coefficients in a and b: the Hessian that the flex
+    # identity of the image cubic starts from.
+    hessian = hessian_cubic(chord_cubic_generic(A, B))
+    assert hessian.coeffs == {
+        (3, 0, 0): -1024 * B ** 7,
+        (2, 0, 1): 512 * A * B ** 6,
+        (1, 2, 0): -2048 * A * B ** 7,
+        (1, 0, 2): -3072 * B ** 6,
+        (0, 2, 1): 6144 * B ** 7 - 512 * A ** 2 * B ** 6,
+        (0, 0, 3): 1536 * A * B ** 5,
+    }
 
 
 def test_hessian_of_chord_cubic_at_zero_flex():
