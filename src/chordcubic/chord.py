@@ -239,13 +239,18 @@ def line_through(p, q) -> DualPoint:
     return DualPoint(cross)
 
 
-def line_through_mod_p(s, t, p: int) -> tuple:
-    """line_through on two int triples mod p, as a normalized int triple."""
-    cross = (
+def cross_mod_p(s, t, p: int) -> tuple:
+    """The cross product of two int triples mod p, zero iff they are proportional."""
+    return (
         (s[1] * t[2] - s[2] * t[1]) % p,
         (s[2] * t[0] - s[0] * t[2]) % p,
         (s[0] * t[1] - s[1] * t[0]) % p,
     )
+
+
+def line_through_mod_p(s, t, p: int) -> tuple:
+    """line_through on two int triples mod p, as a normalized int triple."""
+    cross = cross_mod_p(s, t, p)
     if not any(cross):
         raise ValueError("no unique line: the points coincide")
     return normalize_mod_p(cross, p)
@@ -261,14 +266,36 @@ def chord_map(p: CurvePoint) -> DualPoint:
     return DualPoint((y * (x * x + b), b * x - x ** 3, -2 * b * x * y))
 
 
-def chord_mod_p(b: int, p: int, s) -> tuple:
-    """chord_map on an int residue pair (None for O), as a normalized int triple."""
+def _raw_chord(b: int, p: int, s) -> tuple:
+    """The chord triple of an int residue pair (None for O), not normalized."""
     if s is None or s == (0, 0):
         return (1, 0, 0)
     x, y = s
-    return normalize_mod_p(
-        ((x * x + b) * y % p, (b - x * x) * x % p, -2 * b * x * y % p), p
-    )
+    return (x * x + b) * y % p, (b - x * x) * x % p, -2 * b * x * y % p
+
+
+def chord_mod_p(b: int, p: int, s) -> tuple:
+    """chord_map on an int residue pair (None for O), as a normalized int triple."""
+    return normalize_mod_p(_raw_chord(b, p, s), p)
+
+
+def chords_mod_p(b: int, p: int, points) -> dict:
+    """chord_mod_p at each int pair of ``points``, keyed in their order.
+
+    The leading entries are inverted together from one inverse of their
+    product and its prefix products (Montgomery, Math. Comp. 48, 1987).
+    """
+    raw = [_raw_chord(b, p, s) for s in points]
+    prefix = [1]
+    for u, v, w in raw:
+        prefix.append(prefix[-1] * (u or v or w) % p)
+    inv = pow(prefix.pop(), -1, p)
+    for i in range(len(raw) - 1, -1, -1):  # in place: one list of triples at a time
+        u, v, w = raw[i]
+        scale = inv * prefix[i] % p
+        inv = inv * (u or v or w) % p
+        raw[i] = (u * scale % p, v * scale % p, w * scale % p)
+    return dict(zip(points, raw))
 
 
 def chord_cubic_generic(a, b) -> TernaryForm:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 from math import isqrt
 
 from . import poly
@@ -22,7 +23,8 @@ from .chord import (
     chord_cubic,
     chord_cubic_generic,
     chord_map,
-    chord_mod_p,
+    chords_mod_p,
+    cross_mod_p,
     line_through_mod_p,
     normalize_mod_p,
     weierstrass_form,
@@ -178,7 +180,9 @@ class FpContext:
 
     ``pp`` is the curve reduced mod ``p`` and ``a``, ``b`` its coefficients
     as residues.  ``points`` is E(F_p) in enumeration order: None for O,
-    then the affine points as int pairs (x, y).
+    then the affine points as int pairs (x, y).  ``translates`` and
+    ``chords`` map each point, in that order, to ``translate_mod_p`` and
+    ``chord_mod_p`` (one batch inversion); each is computed on first use.
     """
 
     pp: CurveParams
@@ -187,12 +191,28 @@ class FpContext:
     b: int
     points: list
 
+    @cached_property
+    def translates(self) -> dict:
+        return {q: translate_mod_p(self.b, self.p, q) for q in self.points}
+
+    @cached_property
+    def chords(self) -> dict:
+        return chords_mod_p(self.b, self.p, self.points)
+
 
 def fp_context(params: CurveParams, p: int) -> FpContext:
     """Reduce the curve mod p and enumerate E(F_p) once, on ints."""
     pp = reduce_params(params, p)
     a, b = pp.a.value, pp.b.value
     return FpContext(pp, p, a, b, [None] + affine_points_mod_p(a, b, p))
+
+
+def _checked_context(params: CurveParams, p: int, context) -> FpContext:
+    """``context`` (new when None), refused unless built for params mod p."""
+    ctx = context or fp_context(params, p)
+    if (ctx.p, ctx.pp) != (p, reduce_params(params, p)):
+        raise ValueError(f"context was built for {ctx.pp} mod {ctx.p}, not {params} mod {p}")
+    return ctx
 
 
 def _triple(s) -> tuple:
@@ -237,18 +257,18 @@ def verify_fibers(
 ) -> Report:
     """Every chord-map fiber over F_p is a pair {q, q + beta}.
 
-    Runs on the int points of ``context`` (built here when None).
+    Groups the int points of ``context`` (built here when None) by its
+    ``chords`` and pairs them by its ``translates``, as the cross-checks do.
     """
     started = time.monotonic()
-    ctx = context or fp_context(params, p)
-    b, points = ctx.b, ctx.points
-    fibers = _fibers(points, lambda q: chord_mod_p(b, p, q))
-    witness = ""
+    ctx = _checked_context(params, p, context)
+    points = ctx.points
+    fibers = _fibers(points, ctx.chords.__getitem__)
     ok = len(points) % 2 == 0 and len(fibers) == len(points) // 2
     if not ok:
         witness = f"image has {len(fibers)} lines for {len(points)} points"
     else:
-        witness = _first_unpaired_fiber(ctx, fibers, lambda q: translate_mod_p(b, p, q))
+        witness = _first_unpaired_fiber(ctx, fibers, ctx.translates.__getitem__)
         ok = not witness
     return _report(
         CLAIM_FIBERS, ok, witness, started, len(points), image_size=len(fibers)
@@ -474,17 +494,18 @@ def _point_fault(ctx: FpContext, g: dict, q) -> str:
 
     ``{q}`` in the template stands for the point; '' when every check holds.
     """
-    p, a, b = ctx.p, ctx.a, ctx.b
-    shifted = translate_mod_p(b, p, q)
-    if shifted != add_mod_p(a, b, p, q, (0, 0)):
+    p, translates, chords = ctx.p, ctx.translates, ctx.chords
+    shifted = translates[q]
+    if shifted != add_mod_p(ctx.a, ctx.b, p, q, (0, 0)):
         return "translation formula disagrees at {q}"
-    if translate_mod_p(b, p, shifted) != q:
+    if shifted not in translates or translates[shifted] != q:
         return "translation is not an involution at {q}"
-    line = chord_mod_p(b, p, q)
-    if line != chord_mod_p(b, p, shifted):
+    line = chords[q]
+    if line != chords[shifted]:
         return "chord map does not factor at {q}"
     q3, s3 = _triple(q), _triple(shifted)
-    if q != shifted and line != line_through_mod_p(q3, s3, p):
+    cross = cross_mod_p(q3, s3, p)  # the two-point line, compared by 2x2 minors
+    if q != shifted and (not any(cross) or any(cross_mod_p(cross, line, p))):
         return "chord of {q} is not the two-point line"
     if not (_incident(q3, line, p) and _incident(s3, line, p)):
         return "chord of {q} misses an endpoint"
@@ -510,16 +531,17 @@ def verify_cross_checks(
     of the curve's own Weierstrass cubic must be exactly the 3-torsion.
 
     The scan runs on the int points of ``context`` (built here when None)
-    with the int kernels: ``translate_mod_p`` against ``add_mod_p`` for
-    q + beta, ``chord_mod_p``, ``line_through_mod_p`` and G on its int
-    coefficient table.  Curve points and dual points are built only for a
-    witness.  The 3-torsion is ``torsion3`` when given, else
+    with its ``translates`` checked against ``add_mod_p``, its ``chords``
+    against ``cross_mod_p`` of q and q + beta, and G on its int table.
+    Curve points and dual points are built only for a witness.  A context
+    for another curve or prime raises ValueError in both per-point claims.
+    The 3-torsion is ``torsion3`` when given, else
     ``three_torsion_flexes`` run here; the flexes it is compared with come
     from the Hessian sweep, which never uses psi3.  The scalar functions
     stay the oracles of the int kernels and the only path over Q.
     """
     started = time.monotonic()
-    ctx = context or fp_context(params, p)
+    ctx = _checked_context(params, p, context)
     pp, points = ctx.pp, ctx.points
     count = len(points)
     ok, witness = True, ""
@@ -552,8 +574,9 @@ def run_full_suite(params: CurveParams, p: int) -> list:
     """All checks keyed on (params, p), in fixed claim order.
 
     E(F_p) is enumerated once on ints (:func:`fp_context`) for the
-    cross-checks and the fibers, and its 3-torsion is found once for the
-    cross-checks and the flex claim.
+    cross-checks and the fibers, which share each point's translate and
+    chord (normalized by one batch inversion); the 3-torsion is found once
+    for the cross-checks and the flex claim.
     """
     ctx = fp_context(params, p)
     torsion3 = three_torsion_flexes(ctx.pp, p)

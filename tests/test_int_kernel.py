@@ -6,7 +6,9 @@ its scalar counterpart on random curves with p < 200 (the multiples n q
 also on every smooth curve at p <= 11), and the invariants
 the suite relies on (associativity, the translation by beta as an
 involution, the chord map factoring through it, the Hasse window) are
-checked on both representations.
+checked on both representations.  The batch chords ``chords_mod_p`` and
+the cross product ``cross_mod_p`` are checked against their per-point
+oracles ``chord_mod_p`` and ``line_through_mod_p``.
 """
 
 from math import isqrt
@@ -18,8 +20,11 @@ from chordcubic.chord import (
     chord_cubic,
     chord_map,
     chord_mod_p,
+    chords_mod_p,
+    cross_mod_p,
     line_through,
     line_through_mod_p,
+    normalize_mod_p,
 )
 from chordcubic.curve import (
     CurvePoint,
@@ -174,25 +179,83 @@ def test_int_chord_matches_chord_map():
     check()
 
 
+def test_batch_chords_match_chord_mod_p():
+    given, settings, st = hypothesis_api()
+
+    @settings
+    @given(st.data())
+    def check(data):
+        pp, a, b, p, points = _setup(data, st)
+        assert points[0] is None and (0, 0) in points
+        assert chords_mod_p(b, p, points) == {s: chord_mod_p(b, p, s) for s in points}
+        shuffled = data.draw(st.permutations(points))
+        assert list(chords_mod_p(b, p, shuffled)) == shuffled
+
+    check()
+
+
+def test_batch_chords_scale_leads_other_than_1():
+    # y^2 = x^3 + x^2 + 3x mod 7: the raw chords of the affine points off
+    # beta lead with 5, 2 or 6, and at x = 2 and x = 5 with V, as U = 0.
+    points = [None] + affine_points_mod_p(1, 3, 7)
+    assert chords_mod_p(3, 7, points) == {
+        None: (1, 0, 0),
+        (0, 0): (1, 0, 0),
+        (2, 2): (0, 1, 5),
+        (2, 5): (0, 1, 2),
+        (4, 1): (1, 5, 5),
+        (4, 6): (1, 2, 5),
+        (5, 2): (0, 1, 5),
+        (5, 5): (0, 1, 2),
+        (6, 2): (1, 5, 5),
+        (6, 5): (1, 2, 5),
+    }
+    assert chords_mod_p(3, 7, points) == {s: chord_mod_p(3, 7, s) for s in points}
+
+
+def _triple_pair(data, st):
+    """A prime p, a nonzero int triple s and a multiple of s, zero or an unrelated t."""
+    p = data.draw(curves(st))[2]
+    residue = st.integers(0, p - 1)
+    s = data.draw(st.tuples(residue, residue, residue).filter(any))
+    unit = data.draw(st.integers(0, p - 1))
+    t = data.draw(
+        st.sampled_from([tuple(c * unit % p for c in s)])
+        | st.tuples(residue, residue, residue)
+    )
+    return p, s, t
+
+
 def test_int_cross_product_matches_line_through():
     given, settings, st = hypothesis_api(max_examples=150)
 
     @settings
     @given(st.data())
     def check(data):
-        p = data.draw(curves(st))[2]
-        residue = st.integers(0, p - 1)
-        s = data.draw(st.tuples(residue, residue, residue).filter(any))
-        # A multiple of s, the zero triple, or an unrelated triple.
-        unit = data.draw(st.integers(0, p - 1))
-        t = data.draw(
-            st.sampled_from([tuple(c * unit % p for c in s)])
-            | st.tuples(residue, residue, residue)
-        )
+        p, s, t = _triple_pair(data, st)
         scalars = [tuple(PrimeFieldScalar(c, p) for c in v) for v in (s, t)]
         assert outcome(lambda: line_through_mod_p(s, t, p)) == outcome(
             lambda: _ints(line_through(*scalars).coords)
         )
+
+    check()
+
+
+def test_normalized_cross_product_is_line_through_mod_p():
+    given, settings, st = hypothesis_api(max_examples=150)
+
+    @settings
+    @given(st.data())
+    def check(data):
+        p, s, t = _triple_pair(data, st)
+        cross = cross_mod_p(s, t, p)
+        if any(cross):
+            assert normalize_mod_p(cross, p) == line_through_mod_p(s, t, p)
+        else:  # coincident points
+            with pytest.raises(ValueError):
+                normalize_mod_p(cross, p)
+            with pytest.raises(ValueError, match="no unique line"):
+                line_through_mod_p(s, t, p)
 
     check()
 

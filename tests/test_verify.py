@@ -13,8 +13,9 @@ from chordcubic.chord import (
     chord_cubic,
     chord_map,
     chord_mod_p,
+    chords_mod_p,
+    cross_mod_p,
     line_through,
-    line_through_mod_p,
 )
 from chordcubic.curve import (
     add_mod_p,
@@ -487,6 +488,13 @@ def _wrong_at(right, hit, wrong):
     return lambda *args: wrong(*args) if hit(*args) else right(*args)
 
 
+def _wrong_chords(movers, line):
+    """chords_mod_p with the chord of each int pair in ``movers`` replaced by ``line``."""
+    return lambda b, p, points: {
+        s: line if s in movers else right for s, right in chords_mod_p(b, p, points).items()
+    }
+
+
 WITNESS_PRIME = 101
 
 
@@ -502,6 +510,7 @@ def _cross_faults(pp, T, t):
     unit_line = DualPoint((pp.scalar(1), pp.scalar(0), pp.scalar(0)))
     t_line = chord_mod_p(pp.b.value, WITNESS_PRIME, t)
     t_triple = (*t, 1)
+    shifted_triple = tuple(c.value for c in translate_by_beta(T).coords)
 
     def negated_sum(a, b, p, s, u):
         x, y = add_mod_p(a, b, p, s, u)
@@ -535,19 +544,15 @@ def _cross_faults(pp, T, t):
             "translation is not an involution at [0:1:0]",
         ),
         "factoring": (
-            {
-                "chord_mod_p": _wrong_at(
-                    chord_mod_p, lambda b, p, s: s == t, lambda b, p, s: (1, 0, 0)
-                )
-            },
+            {"chords_mod_p": _wrong_chords({t}, (1, 0, 0))},
             {"chord": _wrong_at(chord_map, lambda q: q == T, lambda q: unit_line)},
             "chord map does not factor at ",
         ),
         "two-point line": (
             {
-                "line_through_mod_p": _wrong_at(
-                    line_through_mod_p,
-                    lambda s, u, p: s == t_triple,
+                "cross_mod_p": _wrong_at(
+                    cross_mod_p,
+                    lambda s, u, p: (s, u) == (t_triple, shifted_triple),
                     lambda s, u, p: (1, 0, 0),
                 )
             },
@@ -625,12 +630,8 @@ def test_fiber_witness_matches_the_scalar_path(fault, monkeypatch):
     other_line = chord_map(other)
     monkeypatch.setattr(
         verify,
-        "chord_mod_p",
-        _wrong_at(
-            chord_mod_p,
-            lambda b, p, s: s in mover_pairs,
-            lambda b, p, s: tuple(c.value for c in other_line.coords),
-        ),
+        "chords_mod_p",
+        _wrong_chords(mover_pairs, tuple(c.value for c in other_line.coords)),
     )
     expected = _scalar_fiber_witness(
         pp, p, _wrong_at(chord_map, lambda q: q in movers, lambda q: other_line)
@@ -640,29 +641,58 @@ def test_fiber_witness_matches_the_scalar_path(fault, monkeypatch):
     assert (report.status, report.witness) == ("fail", expected)
 
 
+def _count_calls(monkeypatch, calls, source, name):
+    """Count in ``calls`` each call of ``source.name``, also through verify's binding."""
+    original = getattr(source, name)
+
+    def wrapper(*args, **kwargs):
+        calls[name] += 1
+        return original(*args, **kwargs)
+
+    calls[name] = 0
+    for module in (source, verify):
+        monkeypatch.setattr(module, name, wrapper, raising=False)
+
+
 def test_suite_enumerates_no_curve_points_and_finds_the_3_torsion_once(monkeypatch):
     from chordcubic import curve
 
-    calls = {"enumerate_points": 0, "three_torsion_flexes": 0}
-
-    def counted(module, name):
-        original = getattr(module, name)
-
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(module, name, wrapper)
-
+    calls = {}
     # verify binds no enumerate_points: its points come from fp_context, and
     # three_torsion_flexes takes the roots of psi3, not a scan of E(F_p).
-    counted(curve, "enumerate_points")
-    for module in (curve, verify):
-        counted(module, "three_torsion_flexes")
+    for name in ("enumerate_points", "three_torsion_flexes"):
+        _count_calls(monkeypatch, calls, curve, name)
     reports = run_full_suite(validate_curve(-3, 2), 1019)
     assert all(r.status == "pass" for r in reports)
     assert reports[4].stats["flexes"] == 3  # three rational 3-torsion points
     assert calls == {"enumerate_points": 0, "three_torsion_flexes": 1}
+
+
+def test_suite_translates_and_chords_each_point_once(monkeypatch):
+    from chordcubic import chord, curve
+
+    calls = {}
+    _count_calls(monkeypatch, calls, curve, "translate_mod_p")
+    for name in ("chord_mod_p", "chords_mod_p"):
+        _count_calls(monkeypatch, calls, chord, name)
+    params = validate_curve(-3, 2)
+    reports = run_full_suite(params, 1019)
+    assert all(r.status == "pass" for r in reports)
+    count = reports[2].stats["curve_points"]
+    assert calls == {"translate_mod_p": count, "chord_mod_p": 0, "chords_mod_p": 1}
+    # The degree remark builds its own context and never reads the tables.
+    for order in (2, 4):
+        verify_degree_remark(params, 1019, order)
+    assert calls == {"translate_mod_p": count, "chord_mod_p": 0, "chords_mod_p": 1}
+
+
+@pytest.mark.parametrize("check", [verify_cross_checks, verify_fibers])
+def test_a_context_for_another_prime_or_curve_is_refused(check):
+    params = validate_curve(-3, 2)
+    for other in (verify.fp_context(params, 103), verify.fp_context(validate_curve(1, 1), 101)):
+        with pytest.raises(ValueError, match="context was built for"):
+            check(params, 101, context=other)
+    assert check(params, 101, context=verify.fp_context(params, 101)).status == "pass"
 
 
 SPLIT = (-3, 2, 1019)  # three rational 3-torsion points and full 2-torsion
