@@ -279,23 +279,32 @@ def chord_mod_p(b: int, p: int, s) -> tuple:
     return normalize_mod_p(_raw_chord(b, p, s), p)
 
 
-def chords_mod_p(b: int, p: int, points) -> dict:
-    """chord_mod_p at each int pair of ``points``, keyed in their order.
+def normalize_all_mod_p(triples: list, p: int) -> list:
+    """normalize_mod_p on every int triple of the list, in place, by one inverse.
 
     The leading entries are inverted together from one inverse of their
     product and its prefix products (Montgomery, Math. Comp. 48, 1987).
+    The entries must be residues in 0..p-1; a zero triple makes the product
+    0, whose inverse raises ValueError.
     """
-    raw = [_raw_chord(b, p, s) for s in points]
     prefix = [1]
-    for u, v, w in raw:
+    for u, v, w in triples:
         prefix.append(prefix[-1] * (u or v or w) % p)
     inv = pow(prefix.pop(), -1, p)
-    for i in range(len(raw) - 1, -1, -1):  # in place: one list of triples at a time
-        u, v, w = raw[i]
+    for i in range(len(triples) - 1, -1, -1):
+        u, v, w = triples[i]
         scale = inv * prefix[i] % p
         inv = inv * (u or v or w) % p
-        raw[i] = (u * scale % p, v * scale % p, w * scale % p)
-    return dict(zip(points, raw))
+        triples[i] = (u * scale % p, v * scale % p, w * scale % p)
+    return triples
+
+
+def chords_mod_p(b: int, p: int, points) -> dict:
+    """chord_mod_p at each int pair of ``points``, keyed in their order.
+
+    The chords are normalized together by :func:`normalize_all_mod_p`.
+    """
+    return dict(zip(points, normalize_all_mod_p([_raw_chord(b, p, s) for s in points], p)))
 
 
 def chord_cubic_generic(a, b) -> TernaryForm:

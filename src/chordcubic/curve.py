@@ -427,8 +427,20 @@ def three_torsion_flexes(params: CurveParams, p: int | None = None) -> list:
 
 
 def _roots_mod(coeffs: list, q: int) -> list:
-    """The roots in 0..q-1 of the int polynomial sum(coeffs[i] x^i) mod q."""
-    return [r for r in range(q) if horner(coeffs, r) % q == 0]
+    """The roots in 0..q-1 of the int polynomial sum(coeffs[i] x^i) mod q.
+
+    One Horner evaluation per x, after the zero coefficients mod q at both
+    ends are dropped (zeros at the low end give the root 0).  Every x is a
+    root of the zero polynomial.
+    """
+    coeffs = [c % q for c in coeffs]
+    while coeffs and not coeffs[-1]:
+        coeffs.pop()
+    low = next((i for i, c in enumerate(coeffs) if c), None)
+    if low is None:
+        return list(range(q))
+    rest = coeffs[low:]
+    return [0] * (low > 0) + [r for r in range(q) if horner(rest, r) % q == 0]
 
 
 def _integer_roots(coeffs: list) -> list:

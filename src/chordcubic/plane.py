@@ -3,10 +3,16 @@
 Everything here is exact: Hessians are expanded term by term on the
 coefficient tables, and the minimal interpolating degree of a set of F_p
 points comes from ranks mod p of monomial evaluation matrices.  The F_p
-zeros of a form at most quadratic in some coordinate are found in O(p) by
-sweeping the pencil of lines through that coordinate's vertex and solving
-one quadratic per line; smoothness and flex searches over F_p test the
-gradient and the Hessian only at those zeros.  Every function over F_p
+zeros of a form at most quadratic in some coordinate are counted in O(p)
+by sweeping the pencil of lines through that coordinate's vertex and
+solving one quadratic per line.  Smoothness and flex searches solve only
+the lines of that pencil where the form meets a second form (its partial
+along the pencil axis, or its Hessian): the roots of one int eliminant of
+degree at most 11, found by one Horner evaluation per line, plus the
+pencil's line at infinity and its vertex.  They test the gradient and the
+Hessian at the zeros on those lines, and take the full sweep only when no
+coordinate has degree at most 2 or the eliminant vanishes mod p.  Only
+F_p-rational singular points count.  Every function over F_p
 takes p explicitly and reads the coefficients of a form, or the
 coordinates of a point, as ints mod p through
 :func:`~chordcubic.scalars.residue`.
@@ -19,7 +25,7 @@ from itertools import chain, product
 from operator import mul
 
 from .chord import TernaryForm, as_triple, normalize_mod_p
-from .curve import _tuple_str
+from .curve import _roots_mod, _tuple_str
 from .scalars import horner, residue, squares_table
 
 # Highest degree that min_interpolating_degree tries: the image of a
@@ -107,6 +113,11 @@ def _int_table(form: TernaryForm, p: int) -> dict:
     return table
 
 
+def _reduced(form: TernaryForm, p: int) -> TernaryForm:
+    """The form on its int table mod p, so that derivatives take int arithmetic."""
+    return TernaryForm(form.degree, _int_table(form, p))
+
+
 def _chart_tables(table: dict, degree: int):
     """Coefficient grids of the three affine charts U=1, (0,1,w), (0,0,1)."""
     grid = [[0] * (degree + 1) for _ in range(degree + 1)]
@@ -140,31 +151,44 @@ def _zero_points_scan(form: TernaryForm, p: int):
         yield (0, 0, 1)
 
 
-def _zero_points_over_Fp(form: TernaryForm, p: int):
-    """Yield all projective F_p zeros of the form, normalized, each once.
+def _pencil_axis(table: dict):
+    """The pencil axis of an int table: V, W or U, the first of degree <= 2, else None.
 
-    When the form has degree at most 2 in a coordinate z, every point but
-    the vertex where only z is nonzero lies on exactly one line of the
-    pencil through that vertex, on which the other two coordinates (r, s)
-    are (1, t) or (0, 1).  Restricted to such a line the form is a
-    quadratic in z, solved with the square-root table: O(p) in all.  The
-    order of the zeros is unspecified.
+    V and W come first, so that the lines (1, t) give points with U = 1.
     """
-    table = _int_table(form, p)
-    d = form.degree
-    # Prefer V or W as z, so that the lines (1, t) give points with U = 1.
-    axis = next((z for z in (1, 2, 0) if all(key[z] <= 2 for key in table)), None)
-    if axis is None:
-        yield from _zero_points_scan(form, p)
-        return
-    r, s = (m for m in range(3) if m != axis)
-    # polys[e][m] is the coefficient of z^e r^(d-e-m) s^m.
-    polys = [[0] * (max(d - e, 0) + 1) for e in range(3)]
+    return next((z for z in (1, 2, 0) if all(key[z] <= 2 for key in table)), None)
+
+
+def _along(table: dict, degree: int, axis: int, top: int) -> list:
+    """The table's coefficients along the axis z, for z^0 .. z^top.
+
+    With r and s the other two coordinates in order, ``polys[e][m]`` is the
+    coefficient of z^e r^(degree-e-m) s^m, so on the pencil line (r, s) =
+    (1, t) the form is the sum of polys[e](t) z^e, and on (0, 1) the sum of
+    polys[e][-1] z^e.
+    """
+    s = 1 if axis == 2 else 2
+    polys = [[0] * (max(degree - e, 0) + 1) for e in range(top + 1)]
     for key, c in table.items():
         polys[key[axis]][key[s]] += c
+    return polys
+
+
+def _pencil_zeros(table: dict, degree: int, axis: int, p: int, lines):
+    """The F_p zeros of an int table at most quadratic in z on some pencil lines.
+
+    Every point but the vertex, where only z is nonzero, lies on exactly one
+    line of the pencil through the vertex, on which the other two
+    coordinates (r, s) are (1, t) or (0, 1).  Restricted to such a line the
+    form is a quadratic in z, solved with the square-root table.  Yields
+    the normalized zeros on each of ``lines``, then the vertex if it is a
+    zero.
+    """
+    polys = _along(table, degree, axis, 2)
+    r, s = (m for m in range(3) if m != axis)
     roots = squares_table(p)
     pt = [0, 0, 0]
-    for xr, xs in chain(((1, t) for t in range(p)), [(0, 1)]):
+    for xr, xs in lines:
         if xr:
             coeffs = [horner(poly, xs) % p for poly in polys]
         else:
@@ -175,8 +199,24 @@ def _zero_points_over_Fp(form: TernaryForm, p: int):
             yield normalize_mod_p(pt, p)
     vertex = [0, 0, 0]
     vertex[axis] = 1
-    if table.get(tuple(d * x for x in vertex), 0) % p == 0:
+    if table.get(tuple(degree * x for x in vertex), 0) % p == 0:
         yield tuple(vertex)
+
+
+def _zero_points_over_Fp(form: TernaryForm, p: int):
+    """All projective F_p zeros of the form, normalized, each once.
+
+    When the form has degree at most 2 in a coordinate, every line of the
+    pencil through that coordinate's vertex is solved (:func:`_pencil_zeros`):
+    O(p) in all.  Otherwise every point is tested (:func:`_zero_points_scan`).
+    The order of the zeros is unspecified.
+    """
+    table = _int_table(form, p)
+    axis = _pencil_axis(table)
+    if axis is None:
+        return _zero_points_scan(form, p)
+    lines = chain(((1, t) for t in range(p)), [(0, 1)])
+    return _pencil_zeros(table, form.degree, axis, p, lines)
 
 
 def _quadratic_zeros(c0: int, c1: int, c2: int, p: int, roots: dict):
@@ -189,13 +229,72 @@ def _quadratic_zeros(c0: int, c1: int, c2: int, p: int, roots: dict):
     return range(p) if c0 == 0 else []
 
 
+def _dot(*pairs) -> list:
+    """The sum of the products f g over pairs of int polynomials, lowest term first."""
+    out = [0] * max(len(f) + len(g) - 1 for f, g in pairs)
+    for f, g in pairs:
+        for i, x in enumerate(f):
+            if x:
+                for j, y in enumerate(g):
+                    out[i + j] += x * y
+    return out
+
+
+def _eliminant(c: list, k: list) -> list:
+    """An int polynomial R(t) that vanishes on every line (1, t) where F and K meet.
+
+    On the line, F = c2 z^2 + c1 z + c0 and K = k3 z^3 + k2 z^2 + k1 z + k0,
+    where c[e] and k[e] are int polynomials in t.  Reduced by F,
+    c2^2 K = A z + B with A = k3 (c1^2 - c0 c2) - k2 c1 c2 + k1 c2^2 and
+    B = k3 c0 c1 - k2 c0 c2 + k0 c2^2.  Where c2(t) != 0, a common zero z
+    has A z + B = 0, so R = c2 B^2 - c1 A B + c0 A^2, the resultant of F
+    and A z + B, vanishes.  Where c2(t) = 0, A = k3 c1^2 and B = k3 c0 c1
+    make R vanish too, so the lines where F drops degree are roots.  R has
+    degree at most 11 for a cubic (Salmon, Higher Plane Curves, on
+    elimination).
+    """
+    c0, c1, c2 = c
+    k0, k1, k2, k3 = k
+    minus_c0, minus_c1, minus_k2 = ([-x for x in f] for f in (c0, c1, k2))
+    c2c2 = _dot((c2, c2))
+    a = _dot((k3, _dot((c1, c1), (minus_c0, c2))), (minus_k2, _dot((c1, c2))), (k1, c2c2))
+    b = _dot((k3, _dot((c0, c1))), (minus_k2, _dot((c0, c2))), (k0, c2c2))
+    return _dot((b, _dot((c2, b), (minus_c1, a))), (c0, _dot((a, a))))
+
+
+def _zeros_where_meeting(form: TernaryForm, p: int, seconds):
+    """The F_p zeros of the form on the pencil lines where it meets a second form K.
+
+    ``seconds[z]`` is K when the pencil axis of the form is z.  A line
+    (1, t) is solved only at a root t of :func:`_eliminant`, found by one
+    Horner evaluation per t (:func:`~chordcubic.curve._roots_mod`); the line
+    (0, 1) and the vertex are always solved.  So every common F_p zero of
+    the form and K is among the zeros.  The full sweep
+    :func:`_zero_points_over_Fp` is taken instead when no coordinate has
+    degree at most 2 or the eliminant vanishes mod p (the forms share a
+    component, or the form is at most linear along the axis).
+    """
+    table = _int_table(form, p)
+    axis = _pencil_axis(table)
+    if axis is not None:
+        second = seconds[axis]
+        eliminant = _eliminant(
+            _along(table, form.degree, axis, 2),
+            _along(_int_table(second, p), second.degree, axis, 3),
+        )
+        if any(x % p for x in eliminant):
+            lines = [(1, t) for t in _roots_mod(eliminant, p)] + [(0, 1)]
+            return _pencil_zeros(table, form.degree, axis, p, lines)
+    return _zero_points_over_Fp(form, p)
+
+
 def _vanishes(table: dict, pt, p: int) -> bool:
     u, v, w = pt
     return sum(c * u ** i * v ** j * w ** k for (i, j, k), c in table.items()) % p == 0
 
 
 def count_zero_points_over_Fp(form: TernaryForm, p: int) -> int:
-    """Number of F_p points of the projective zero set of the form."""
+    """Number of F_p points of the projective zero set of the form (full sweep)."""
     return sum(1 for _ in _zero_points_over_Fp(form, p))
 
 
@@ -203,11 +302,16 @@ def smooth_over_Fp(form: TernaryForm, p: int) -> bool:
     """No F_p point kills the form and all three partials simultaneously.
 
     Only F_p-rational points are tested, so a singular point defined over
-    an extension of F_p goes unseen.
+    an extension of F_p goes unseen.  The gradient is tested only at the
+    zeros on the pencil lines where the form meets its partial along the
+    pencil axis (:func:`_zeros_where_meeting`), which hold every singular
+    F_p point; the full sweep is the fallback.
     """
-    grads = [_int_table(g, p) for g in gradient(form)]
-    for pt in _zero_points_over_Fp(form, p):
-        if all(_vanishes(g, pt, p) for g in grads):
+    form = _reduced(form, p)
+    grads = gradient(form)
+    tables = [_int_table(g, p) for g in grads]
+    for pt in _zeros_where_meeting(form, p, grads):
+        if all(_vanishes(g, pt, p) for g in tables):
             return False
     return True
 
@@ -215,14 +319,18 @@ def smooth_over_Fp(form: TernaryForm, p: int) -> bool:
 def find_flexes_over_Fp(form: TernaryForm, p: int) -> list:
     """All smooth F_p points of the cubic where the Hessian vanishes.
 
-    The Hessian and the gradient are tested only at the zeros of the form.
-    The flexes are returned as normalized int triples, in sorted order.
+    The Hessian and the gradient are tested only at the zeros on the pencil
+    lines where the cubic meets its Hessian (:func:`_zeros_where_meeting`),
+    which hold every flex; the full sweep is the fallback.  The flexes are
+    returned as normalized int triples, in sorted order.
     """
+    form = _reduced(form, p)
+    hessian = hessian_cubic(form)
     grads = [_int_table(g, p) for g in gradient(form)]
-    hess = _int_table(hessian_cubic(form), p)
+    hess = _int_table(hessian, p)
     return sorted(
         pt
-        for pt in _zero_points_over_Fp(form, p)
+        for pt in _zeros_where_meeting(form, p, (hessian,) * 3)
         if _vanishes(hess, pt, p) and not all(_vanishes(g, pt, p) for g in grads)
     )
 

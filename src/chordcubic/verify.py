@@ -25,7 +25,7 @@ from .chord import (
     chord_map,
     chords_mod_p,
     cross_mod_p,
-    line_through_mod_p,
+    normalize_all_mod_p,
     normalize_mod_p,
     weierstrass_form,
 )
@@ -410,12 +410,13 @@ def verify_degree_remark(params: CurveParams, p: int, order: int) -> Report:
     q' = q - T, so the image has exactly #E - #E[3] points.
 
     E(F_p) is the int enumeration of :func:`fp_context`, as in the suite,
-    and the fibers group the points by ``line_through_mod_p`` of q and
-    ``add_mod_p(q, T)``; curve and dual points are built only for the
-    order test and the witness.  With order 2, T is beta and the image
-    lies on the image cubic G, so a one-dimensional kernel at degree 3
-    must be proportional to G mod p; otherwise the report is ``fail``
-    with both forms as witness.
+    and the fibers group the points by the line through q and
+    ``add_mod_p(q, T)``: their cross products (``cross_mod_p``), all
+    normalized by one inverse (``normalize_all_mod_p``).  Curve and dual
+    points are built only for the order test and the witness.  With
+    order 2, T is beta and the image lies on the image cubic G, so a
+    one-dimensional kernel at degree 3 must be proportional to G mod p;
+    otherwise the report is ``fail`` with both forms as witness.
 
     T is the first point of that order in enumeration order.  The check is
     skipped when no point has that order, at once when the order does not
@@ -442,9 +443,11 @@ def verify_degree_remark(params: CurveParams, p: int, order: int) -> Report:
     def shifted(s):
         return add_mod_p(a, b, p, s, t)
 
-    fibers = _fibers(
-        points, lambda s: line_through_mod_p(_triple(s), _triple(shifted(s)), p)
-    )
+    crosses = [cross_mod_p(_triple(s), _triple(shifted(s)), p) for s in points]
+    if not all(map(any, crosses)):
+        raise ValueError("no unique line: the points coincide")
+    lines = dict(zip(points, normalize_all_mod_p(crosses, p)))
+    fibers = _fibers(points, lines.__getitem__)
     ok, witness = True, ""
     if order == 2:
         witness = _first_unpaired_fiber(ctx, fibers, shifted)

@@ -5,6 +5,7 @@ on ``sys.path`` for the test modules beside it.
 """
 
 from chordcubic.chord import TernaryForm, as_triple, cubic_invariants
+from chordcubic.plane import _int_table, _vanishes, _zero_points_over_Fp, gradient, hessian_cubic
 
 
 def invariants_form(params) -> TernaryForm:
@@ -34,3 +35,23 @@ def dual_incidence(pt, line) -> bool:
     x, y, z = as_triple(pt)
     u, v, w = as_triple(line)
     return u * x + v * y + w * z == 0
+
+
+def smooth_by_sweep(form, p: int) -> bool:
+    """smooth_over_Fp by testing the gradient at every zero of the full pencil sweep."""
+    grads = [_int_table(g, p) for g in gradient(form)]
+    for pt in _zero_points_over_Fp(form, p):
+        if all(_vanishes(g, pt, p) for g in grads):
+            return False
+    return True
+
+
+def flexes_by_sweep(form, p: int) -> list:
+    """find_flexes_over_Fp by testing the Hessian at every zero of the full pencil sweep."""
+    grads = [_int_table(g, p) for g in gradient(form)]
+    hess = _int_table(hessian_cubic(form), p)
+    return sorted(
+        pt
+        for pt in _zero_points_over_Fp(form, p)
+        if _vanishes(hess, pt, p) and not all(_vanishes(g, pt, p) for g in grads)
+    )

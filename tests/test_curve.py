@@ -378,6 +378,22 @@ def test_integer_roots_skips_rational_non_integers():
     assert curve._integer_roots([-2, 0, 1]) == []
 
 
+def test_roots_mod_match_a_scan_of_the_full_polynomial():
+    # Zero coefficients mod q at either end are dropped before the scan.
+    given, settings, st = hypothesis_api(max_examples=150)
+
+    @settings
+    @given(st.sampled_from([5, 7, 11, 31]), st.data())
+    def check(q, data):
+        entry = st.integers(-2 * q, 2 * q)
+        zeros = st.lists(st.sampled_from([0, q, -q]), max_size=3)
+        coeffs = data.draw(zeros) + data.draw(st.lists(entry, max_size=6)) + data.draw(zeros)
+        expected = [r for r in range(q) if sum(c * r ** i for i, c in enumerate(coeffs)) % q == 0]
+        assert curve._roots_mod(coeffs, q) == expected
+
+    check()
+
+
 def test_three_torsion_points_are_hessian_flexes():
     # Rational case: the curve's own cubic must be inflected at 3-torsion.
     params = validate_curve(-2, 5)

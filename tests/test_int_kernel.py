@@ -6,9 +6,10 @@ its scalar counterpart on random curves with p < 200 (the multiples n q
 also on every smooth curve at p <= 11), and the invariants
 the suite relies on (associativity, the translation by beta as an
 involution, the chord map factoring through it, the Hasse window) are
-checked on both representations.  The batch chords ``chords_mod_p`` and
-the cross product ``cross_mod_p`` are checked against their per-point
-oracles ``chord_mod_p`` and ``line_through_mod_p``.
+checked on both representations.  The batch chords ``chords_mod_p``, the
+batch normalization ``normalize_all_mod_p`` and the cross product
+``cross_mod_p`` are checked against their per-point oracles
+``chord_mod_p``, ``normalize_mod_p`` and ``line_through_mod_p``.
 """
 
 from math import isqrt
@@ -24,6 +25,7 @@ from chordcubic.chord import (
     cross_mod_p,
     line_through,
     line_through_mod_p,
+    normalize_all_mod_p,
     normalize_mod_p,
 )
 from chordcubic.curve import (
@@ -211,6 +213,25 @@ def test_batch_chords_scale_leads_other_than_1():
         (6, 5): (1, 2, 5),
     }
     assert chords_mod_p(3, 7, points) == {s: chord_mod_p(3, 7, s) for s in points}
+
+
+def test_batch_normalization_matches_normalize_mod_p():
+    given, settings, st = hypothesis_api()
+
+    @settings
+    @given(st.data())
+    def check(data):
+        p = data.draw(curves(st))[2]
+        residue = st.integers(0, p - 1)
+        triples = data.draw(st.lists(st.tuples(residue, residue, residue).filter(any)))
+        expected = [normalize_mod_p(t, p) for t in triples]
+        assert normalize_all_mod_p(list(triples), p) == expected
+        if triples:  # one zero triple anywhere spoils the common inverse
+            spot = data.draw(st.integers(0, len(triples)))
+            with pytest.raises(ValueError):
+                normalize_all_mod_p(triples[:spot] + [(0, 0, 0)] + triples[spot:], p)
+
+    check()
 
 
 def _triple_pair(data, st):

@@ -29,9 +29,9 @@ from chordcubic.plane import (
     smooth_over_Fp,
 )
 from chordcubic.poly import A, B
-from chordcubic.scalars import PrimeField
+from chordcubic.scalars import PrimeField, horner
 from fp_strategies import PRIMES_BELOW_200, curves, hypothesis_api
-from oracles import dual_incidence
+from oracles import dual_incidence, flexes_by_sweep, smooth_by_sweep
 
 
 def _fermat() -> TernaryForm:
@@ -415,6 +415,187 @@ def test_a_coefficient_that_vanishes_mod_p_does_not_force_the_scan(monkeypatch):
 
     monkeypatch.setattr(plane, "_zero_points_scan", refuse)
     assert count_zero_points_over_Fp(form, 7) == expected
+
+
+def _times(f: dict, g: dict) -> dict:
+    """The product of two coefficient tables."""
+    out = {}
+    for a, x in f.items():
+        for b, y in g.items():
+            key = (a[0] + b[0], a[1] + b[1], a[2] + b[2])
+            out[key] = out.get(key, 0) + x * y
+    return out
+
+
+def _compose(table: dict, rows) -> dict:
+    """The table of the form at the linear forms ``rows`` (int triples) in place of U, V, W."""
+    linear = [dict(zip(monomials(1), row)) for row in rows]
+    out = {}
+    for key, c in table.items():
+        term = {(0, 0, 0): c}
+        for form, e in zip(linear, key):
+            for _ in range(e):
+                term = _times(term, form)
+        for mono, v in term.items():
+            out[mono] = out.get(mono, 0) + v
+    return out
+
+
+def _permuted(table: dict, order) -> dict:
+    return {tuple(key[i] for i in order): c for key, c in table.items()}
+
+
+def _singular_cubics(st):
+    """Random (cubic, p) with a node or a cusp at an affine F_p point, quadratic in an axis.
+
+    The cubic G is singular at (0, 0, 1) (no monomial has W^2) and has no
+    V^3.  Its quadratic part q(U, V) is random (a node, or an isolated
+    point) or a square (a cusp).  Substituting U -> m00 U + W,
+    V -> a V + m10 U + m12 W, W -> m20 U + m22 W keeps V quadratic and
+    moves the singular point to (1, z0, t0) on the pencil line (U, W) =
+    (1, t0).  When q has no V^2 term, the leading coefficient c2 of the
+    cubic along V vanishes on that line.  The coordinates are permuted last.
+    """
+
+    @st.composite
+    def draw(draw):
+        p = draw(st.sampled_from(PRIMES_BELOW_200))
+        unit, residue = st.integers(1, p - 1), st.integers(0, p - 1)
+        if draw(st.booleans()):  # node: q = alpha U^2 + beta UV + gamma V^2
+            alpha, beta, gamma = (draw(residue) for _ in range(3))
+        else:  # cusp: q = k (l1 U + l2 V)^2
+            k, l1, l2 = draw(unit), draw(residue), draw(residue)
+            alpha, beta, gamma = k * l1 * l1, 2 * k * l1 * l2, k * l2 * l2
+        if draw(st.booleans()):
+            gamma = 0
+        base = {(2, 0, 1): alpha, (1, 1, 1): beta, (0, 2, 1): gamma}
+        base.update({key: draw(residue) for key in [(3, 0, 0), (2, 1, 0), (1, 2, 0)]})
+        z0, t0, a, m12, m22 = draw(residue), draw(residue), draw(unit), draw(residue), draw(residue)
+        m20 = draw(residue.filter(lambda m: (m + m22 * t0) % p))
+        rows = [(-t0, 0, 1), (-a * z0 - m12 * t0, a, m12), (m20, 0, m22)]
+        order = draw(st.permutations(range(3)))
+        return TernaryForm(3, _permuted(_compose(base, rows), order)), p
+
+    return draw()
+
+
+def _reducible_cubics(st):
+    """Random (line * conic, p) of degree <= 2 in some axis, both factors nonzero."""
+
+    @st.composite
+    def draw(draw):
+        p = draw(st.sampled_from(PRIMES_BELOW_200))
+        residue = st.integers(0, p - 1)
+        line = dict(zip(monomials(1), draw(st.tuples(*[residue] * 3).filter(any))))
+        conic = dict(zip(monomials(2), draw(st.tuples(*[residue] * 6).filter(any))))
+        axis = draw(st.integers(0, 2))  # no cube of the axis in the product
+        unit = tuple(1 if i == axis else 0 for i in range(3))
+        if draw(st.booleans()):
+            line[unit] = 0
+        else:
+            conic[tuple(2 * e for e in unit)] = 0
+        return TernaryForm(3, _times(line, conic)), p
+
+    return draw()
+
+
+def _matches_the_sweep(form, p):
+    assert smooth_over_Fp(form, p) == smooth_by_sweep(form, p)
+    if form.degree == 3:
+        assert find_flexes_over_Fp(form, p) == flexes_by_sweep(form, p)
+
+
+def test_eliminant_search_matches_the_sweep_on_random_forms():
+    given, settings, st = hypothesis_api(max_examples=100)
+
+    @settings
+    @given(_forms_with_a_quadratic_axis(st))
+    def check(form_p):
+        _matches_the_sweep(*form_p)
+
+    check()
+
+
+def test_eliminant_search_finds_every_node_and_cusp():
+    given, settings, st = hypothesis_api(max_examples=100)
+
+    @settings
+    @given(_singular_cubics(st))
+    def check(form_p):
+        form, p = form_p
+        assert not smooth_over_Fp(form, p)
+        _matches_the_sweep(form, p)
+
+    check()
+
+
+def test_eliminant_search_matches_the_sweep_on_reducible_cubics():
+    given, settings, st = hypothesis_api(max_examples=100)
+
+    @settings
+    @given(_reducible_cubics(st))
+    def check(form_p):
+        _matches_the_sweep(*form_p)
+
+    check()
+
+
+def test_the_triangle_takes_the_full_sweep(monkeypatch):
+    # UVW is linear in V, so c2 = 0 and the eliminant vanishes identically.
+    calls = []
+    sweep = plane._zero_points_over_Fp
+    monkeypatch.setattr(plane, "_zero_points_over_Fp", lambda f, p: calls.append(p) or sweep(f, p))
+    assert smooth_over_Fp(_triangle(), 7) is False
+    assert find_flexes_over_Fp(_triangle(), 7) == flexes_by_sweep(_triangle(), 7)
+    assert len(find_flexes_over_Fp(_triangle(), 7)) == 18  # the Hessian 2UVW kills every smooth point
+    assert calls == [7, 7, 7]
+
+
+def test_the_eliminant_vanishes_where_the_forms_meet():
+    # On each line (1, t), F = c2 z^2 + c1 z + c0 and K = k3 z^3 + ... + k0
+    # with the t-degrees of a cubic; R(t) = 0 wherever they share an F_p
+    # zero z and wherever c2(t) = 0.
+    given, settings, st = hypothesis_api(max_examples=100)
+
+    @settings
+    @given(st.data())
+    def check(data):
+        p = data.draw(st.sampled_from([5, 7, 11, 13, 31]))
+        residue = st.integers(0, p - 1)
+        c = [data.draw(st.lists(residue, min_size=4 - e, max_size=4 - e)) for e in range(3)]
+        k = [data.draw(st.lists(residue, min_size=4 - e, max_size=4 - e)) for e in range(4)]
+        eliminant = plane._eliminant(c, k)
+        assert len(eliminant) <= 12
+        for t in range(p):
+            f, g = ([horner(poly, t) % p for poly in polys] for polys in (c, k))
+            meet = any(horner(f, z) % p == 0 == horner(g, z) % p for z in range(p))
+            if meet or f[2] == 0:
+                assert horner(eliminant, t) % p == 0
+
+    check()
+
+
+def test_smooth_curves_at_1009_never_take_the_full_sweep(monkeypatch):
+    # G and W of smooth curves share no component with their Hessians or
+    # partials, so the eliminant never vanishes mod p.
+    p = 1009
+    rng = random.Random(1009)
+    cases = []
+    while len(cases) < 10:
+        a, b = rng.randrange(p), rng.randrange(1, p)
+        if (a * a - 4 * b) % p:
+            pp = reduce_params(validate_curve(a, b), p)
+            for form in (chord_cubic(pp), weierstrass_form(pp)):
+                cases.append((form, flexes_by_sweep(form, p)))
+    assert all(smooth_by_sweep(form, p) for form, _ in cases)
+
+    def refuse(form, p):
+        raise AssertionError("the eliminant vanished: fell back to the full pencil sweep")
+
+    monkeypatch.setattr(plane, "_zero_points_over_Fp", refuse)
+    for form, flexes in cases:
+        assert smooth_over_Fp(form, p)
+        assert find_flexes_over_Fp(form, p) == flexes
 
 
 @pytest.mark.parametrize(

@@ -243,6 +243,22 @@ def test_degree_remark_records_the_forced_collision():
     assert report.stats["image_size"] == 103
 
 
+def test_degree_remark_normalizes_its_lines_together(monkeypatch):
+    # One batch normalization per run over all #E(F_101) = 104 lines, and
+    # coincident points (a zero cross product) are still refused.
+    calls = []
+    batch = verify.normalize_all_mod_p
+    monkeypatch.setattr(
+        verify, "normalize_all_mod_p", lambda lines, p: calls.append(len(lines)) or batch(lines, p)
+    )
+    for order in (2, 4):
+        verify_degree_remark(validate_curve(-3, 2), 101, order)
+    assert calls == [104, 104]
+    monkeypatch.setattr(verify, "cross_mod_p", lambda s, t, p: (0, 0, 0))
+    with pytest.raises(ValueError, match="no unique line: the points coincide"):
+        verify_degree_remark(validate_curve(-3, 2), 101, 2)
+
+
 def test_degree_remark_rejects_tiny_order():
     with pytest.raises(ValueError):
         verify_degree_remark(validate_curve(-3, 2), 101, 1)
