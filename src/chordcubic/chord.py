@@ -30,49 +30,34 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .curve import CurveParams, CurvePoint, _coord_str, beta
-from .scalars import PrimeField, PrimeFieldScalar, residue
-
-
-def _triple_modulus(coords) -> tuple:
-    """The triple as a tuple, and the prime its field scalars share (or None)."""
-    coords = tuple(coords)
-    if len(coords) != 3:
-        raise ValueError(f"expected a projective triple, got {coords!r}")
-    modulus = None
-    for c in coords:
-        if isinstance(c, PrimeFieldScalar):
-            if modulus is not None and c.modulus != modulus:
-                raise ValueError("triple mixes different prime fields")
-            modulus = c.modulus
-    return coords, modulus
+from .scalars import PrimeField, PrimeFieldScalar
 
 
 def coerce_triple(coords) -> tuple:
-    """Lift a 3-tuple of ints/Fractions/prime-field scalars into one field."""
-    coords, modulus = _triple_modulus(coords)
-    if modulus is not None:
-        field = PrimeField(modulus)
+    """Lift a 3-tuple of ints/Fractions/prime-field scalars into one field.
+
+    The field is F_p when some entry is a scalar mod p (all such entries
+    must share p), else the rationals.
+    """
+    coords = tuple(coords)
+    if len(coords) != 3:
+        raise ValueError(f"expected a projective triple, got {coords!r}")
+    moduli = {c.modulus for c in coords if isinstance(c, PrimeFieldScalar)}
+    if len(moduli) > 1:
+        raise ValueError("triple mixes different prime fields")
+    if moduli:
+        field = PrimeField(moduli.pop())
         return tuple(field(c) for c in coords)
     return tuple(Fraction(c) for c in coords)
 
 
 def normalize_triple(coords) -> tuple:
-    """Scale a projective triple so its first nonzero entry is 1.
-
-    Over F_p each entry is reduced once to an int residue (coercion errors
-    as in :func:`coerce_triple`), the zero triple is rejected, and the
-    entries are scaled by one modular inverse of the first nonzero one when
-    that is not already 1; the three scalars are built last.
-    """
-    coords, modulus = _triple_modulus(coords)
-    if modulus is None:
-        coords = tuple(Fraction(c) for c in coords)
-        for c in coords:
-            if c != 0:
-                return tuple(v / c for v in coords)
-        raise ValueError("projective coordinates must not all vanish")
-    values = normalize_mod_p([residue(c, modulus) for c in coords], modulus)
-    return tuple(PrimeFieldScalar(v, modulus) for v in values)
+    """Scale a projective triple so its first nonzero entry is 1 (see :func:`coerce_triple`)."""
+    coords = coerce_triple(coords)
+    for c in coords:
+        if c != 0:
+            return tuple(v / c for v in coords)
+    raise ValueError("projective coordinates must not all vanish")
 
 
 def normalize_mod_p(values, p: int) -> tuple:
@@ -248,14 +233,6 @@ def cross_mod_p(s, t, p: int) -> tuple:
     )
 
 
-def line_through_mod_p(s, t, p: int) -> tuple:
-    """line_through on two int triples mod p, as a normalized int triple."""
-    cross = cross_mod_p(s, t, p)
-    if not any(cross):
-        raise ValueError("no unique line: the points coincide")
-    return normalize_mod_p(cross, p)
-
-
 def chord_map(p: CurvePoint) -> DualPoint:
     """The line through p and p + beta, as a dual-plane point."""
     params = p.params
@@ -272,11 +249,6 @@ def _raw_chord(b: int, p: int, s) -> tuple:
         return (1, 0, 0)
     x, y = s
     return (x * x + b) * y % p, (b - x * x) * x % p, -2 * b * x * y % p
-
-
-def chord_mod_p(b: int, p: int, s) -> tuple:
-    """chord_map on an int residue pair (None for O), as a normalized int triple."""
-    return normalize_mod_p(_raw_chord(b, p, s), p)
 
 
 def normalize_all_mod_p(triples: list, p: int) -> list:
@@ -300,7 +272,7 @@ def normalize_all_mod_p(triples: list, p: int) -> list:
 
 
 def chords_mod_p(b: int, p: int, points) -> dict:
-    """chord_mod_p at each int pair of ``points``, keyed in their order.
+    """chord_map at each int pair of ``points`` (None for O), keyed in their order.
 
     The chords are normalized together by :func:`normalize_all_mod_p`.
     """

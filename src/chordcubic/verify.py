@@ -18,7 +18,6 @@ from math import isqrt
 
 from . import poly
 from .chord import (
-    DualPoint,
     TernaryForm,
     chord_cubic,
     chord_cubic_generic,
@@ -54,7 +53,7 @@ from .plane import (
     smooth_over_Fp,
 )
 from .poly import reduce_mod_curve
-from .scalars import PrimeField, PrimeFieldScalar, check_modulus
+from .scalars import PrimeField, check_modulus
 
 CLAIM_INCIDENCE = "chord_line_incidence"
 CLAIM_IDENTITY = "image_cubic_identity"
@@ -92,16 +91,19 @@ class Report:
         }
 
 
+def _stats(started, checked, extra: dict) -> dict:
+    """Points checked and the wall-clock millis since ``started``, then ``extra``."""
+    millis = round((time.monotonic() - started) * 1000, 3)
+    return {"points_checked": checked, "millis": millis, **extra}
+
+
 def _report(claim, ok, witness, started, checked, **extra) -> Report:
-    stats = {"points_checked": checked, "millis": round((time.monotonic() - started) * 1000, 3)}
-    stats.update(extra)
+    stats = _stats(started, checked, extra)
     return Report(claim, PASS if ok else FAIL, "" if ok else witness, stats)
 
 
-def _skip(claim, reason, started, **extra) -> Report:
-    stats = {"points_checked": 0, "millis": round((time.monotonic() - started) * 1000, 3)}
-    stats.update(extra)
-    return Report(claim, SKIPPED, reason, stats)
+def _skip(claim, reason, started) -> Report:
+    return Report(claim, SKIPPED, reason, _stats(started, 0, {}))
 
 
 def _chord_polys(mutate=None):
@@ -181,8 +183,8 @@ class FpContext:
     ``pp`` is the curve reduced mod ``p`` and ``a``, ``b`` its coefficients
     as residues.  ``points`` is E(F_p) in enumeration order: None for O,
     then the affine points as int pairs (x, y).  ``translates`` and
-    ``chords`` map each point, in that order, to ``translate_mod_p`` and
-    ``chord_mod_p`` (one batch inversion); each is computed on first use.
+    ``chords`` map each point, in that order, to its ``translate_mod_p``
+    and its ``chords_mod_p`` chord (one batch inversion), on first use.
     """
 
     pp: CurveParams
@@ -220,9 +222,9 @@ def _triple(s) -> tuple:
     return (0, 1, 0) if s is None else (s[0], s[1], 1)
 
 
-def _point_str(ctx: FpContext, s) -> str:
-    """What ``str`` of the curve point with int pair s prints, for a witness."""
-    return str(CurvePoint(ctx.pp, _triple(s)))
+def _bracket(triple) -> str:
+    """``[x:y:z]``, as ``str`` prints the curve or dual point over F_p of that int triple."""
+    return "[" + ":".join(map(str, triple)) + "]"
 
 
 def _incident(pt, line, p: int) -> bool:
@@ -238,17 +240,17 @@ def _fibers(points: list, line_of) -> dict:
     return fibers
 
 
-def _fiber_str(ctx: FpContext, line, fiber) -> str:
+def _fiber_str(line, fiber) -> str:
     """The text of a fiber witness: the int line and its int points."""
-    return f"fiber of {DualPoint(line)} is {[_point_str(ctx, v) for v in fiber]}"
+    return f"fiber of {_bracket(line)} is {[_bracket(_triple(v)) for v in fiber]}"
 
 
-def _first_unpaired_fiber(ctx: FpContext, fibers: dict, partner) -> str:
+def _first_unpaired_fiber(fibers: dict, partner) -> str:
     """A witness for the first fiber other than {q, partner(q)}, else ''."""
     for line, fiber in fibers.items():
         q = fiber[0]
         if set(fiber) != {q, partner(q)}:
-            return _fiber_str(ctx, line, fiber)
+            return _fiber_str(line, fiber)
     return ""
 
 
@@ -268,7 +270,7 @@ def verify_fibers(
     if not ok:
         witness = f"image has {len(fibers)} lines for {len(points)} points"
     else:
-        witness = _first_unpaired_fiber(ctx, fibers, ctx.translates.__getitem__)
+        witness = _first_unpaired_fiber(fibers, ctx.translates.__getitem__)
         ok = not witness
     return _report(
         CLAIM_FIBERS, ok, witness, started, len(points), image_size=len(fibers)
@@ -303,7 +305,7 @@ def verify_flex_correspondence(
             expected.add(tuple(c.value for c in chord_map(group_add(q, gamma)).coords))
     found = set(find_flexes_over_Fp(cubic, p))
     ok = found == expected
-    witness = f"flex sets disagree on {sorted(str(DualPoint(t)) for t in found ^ expected)}"
+    witness = f"flex sets disagree on {sorted(_bracket(t) for t in found ^ expected)}"
     return _report(
         CLAIM_FLEX,
         ok,
@@ -370,11 +372,9 @@ def verify_quotient(params: CurveParams, primes, mutate: str | None = None) -> R
     return _report(CLAIM_QUOTIENT, ok, witness, started, checked, counts=counts)
 
 
-def _cubic_str(coeffs, p: int) -> str:
-    """The cubic form with int coefficients mod p in monomials(3) order."""
-    return str(
-        TernaryForm(3, {m: PrimeFieldScalar(c, p) for m, c in zip(monomials(3), coeffs)})
-    )
+def _cubic_str(coeffs) -> str:
+    """The cubic form with residues mod p as coefficients, in monomials(3) order."""
+    return str(TernaryForm(3, dict(zip(monomials(3), coeffs))))
 
 
 def _translation_point(ctx: FpContext, order: int):
@@ -412,8 +412,8 @@ def verify_degree_remark(params: CurveParams, p: int, order: int) -> Report:
     E(F_p) is the int enumeration of :func:`fp_context`, as in the suite,
     and the fibers group the points by the line through q and
     ``add_mod_p(q, T)``: their cross products (``cross_mod_p``), all
-    normalized by one inverse (``normalize_all_mod_p``).  Curve and dual
-    points are built only for the order test and the witness.  With
+    normalized by one inverse (``normalize_all_mod_p``).  A curve point is
+    built only for the order test; witnesses print the int triples.  With
     order 2, T is beta and the image lies on the image cubic G, so a
     one-dimensional kernel at degree 3 must be proportional to G mod p;
     otherwise the report is ``fail`` with both forms as witness.
@@ -450,13 +450,13 @@ def verify_degree_remark(params: CurveParams, p: int, order: int) -> Report:
     fibers = _fibers(points, lines.__getitem__)
     ok, witness = True, ""
     if order == 2:
-        witness = _first_unpaired_fiber(ctx, fibers, shifted)
+        witness = _first_unpaired_fiber(fibers, shifted)
         ok = not witness
     else:
         for line, fiber in fibers.items():
             if len(fiber) != 1:
                 ok = False
-                witness = f"{_fiber_str(ctx, line, fiber)}, not a singleton"
+                witness = f"{_fiber_str(line, fiber)}, not a singleton"
                 break
         if ok and len(fibers) < 31:
             ok, witness = False, f"only {len(fibers)} image points"
@@ -476,8 +476,8 @@ def verify_degree_remark(params: CurveParams, p: int, order: int) -> Report:
         if kernel != cubic:
             ok = False
             witness = witness or (
-                f"image interpolates at {_cubic_str(kernel, p)}, "
-                f"not at the image cubic {_cubic_str(cubic, p)}"
+                f"image interpolates at {_cubic_str(kernel)}, "
+                f"not at the image cubic {_cubic_str(cubic)}"
             )
     return _report(
         CLAIM_DEGREE,
@@ -486,7 +486,7 @@ def verify_degree_remark(params: CurveParams, p: int, order: int) -> Report:
         started,
         len(points),
         order=order,
-        translation=_point_str(ctx, t),
+        translation=_bracket(_triple(t)),
         image_size=len(fibers),
         image_degree=degree,
     )
@@ -513,7 +513,7 @@ def _point_fault(ctx: FpContext, g: dict, q) -> str:
     if not (_incident(q3, line, p) and _incident(s3, line, p)):
         return "chord of {q} misses an endpoint"
     if not _vanishes(g, line, p):
-        return f"chord {DualPoint(line)} of {{q}} is off the image cubic"
+        return f"chord {_bracket(line)} of {{q}} is off the image cubic"
     return ""
 
 
@@ -536,7 +536,7 @@ def verify_cross_checks(
     The scan runs on the int points of ``context`` (built here when None)
     with its ``translates`` checked against ``add_mod_p``, its ``chords``
     against ``cross_mod_p`` of q and q + beta, and G on its int table.
-    Curve points and dual points are built only for a witness.  A context
+    Witnesses print the int triples.  A context
     for another curve or prime raises ValueError in both per-point claims.
     The 3-torsion is ``torsion3`` when given, else
     ``three_torsion_flexes`` run here; the flexes it is compared with come
@@ -559,7 +559,7 @@ def verify_cross_checks(
         for q in points:
             fault = _point_fault(ctx, g, q)
             if fault:
-                ok, witness = False, fault.format(q=_point_str(ctx, q))
+                ok, witness = False, fault.format(q=_bracket(_triple(q)))
                 break
     if ok and not smooth_over_Fp(cubic, p):
         ok, witness = False, "image cubic is singular"

@@ -4,7 +4,7 @@ Imported by bare name, like ``fp_strategies``: pytest puts this directory
 on ``sys.path`` for the test modules beside it.
 """
 
-from chordcubic.chord import TernaryForm, as_triple, cubic_invariants
+from chordcubic.chord import TernaryForm, as_triple, cross_mod_p, cubic_invariants, normalize_mod_p
 from chordcubic.plane import _int_table, _vanishes, _zero_points_over_Fp, gradient, hessian_cubic
 
 
@@ -35,6 +35,25 @@ def dual_incidence(pt, line) -> bool:
     x, y, z = as_triple(pt)
     u, v, w = as_triple(line)
     return u * x + v * y + w * z == 0
+
+
+def chord_mod_p(b: int, p: int, s) -> tuple:
+    """chord_map on an int residue pair (None for O), as a normalized int triple.
+
+    The chord [y (x^2 + b) : b x - x^3 : -2 b x y], and [1:0:0] for O and beta.
+    """
+    if s is None or s == (0, 0):
+        return (1, 0, 0)
+    x, y = s
+    return normalize_mod_p(((x * x + b) * y % p, (b * x - x ** 3) % p, -2 * b * x * y % p), p)
+
+
+def line_through_mod_p(s, t, p: int) -> tuple:
+    """line_through on two int triples mod p, as a normalized int triple."""
+    cross = cross_mod_p(s, t, p)
+    if not any(cross):
+        raise ValueError("no unique line: the points coincide")
+    return normalize_mod_p(cross, p)
 
 
 def smooth_by_sweep(form, p: int) -> bool:

@@ -6,25 +6,26 @@ its scalar counterpart on random curves with p < 200 (the multiples n q
 also on every smooth curve at p <= 11), and the invariants
 the suite relies on (associativity, the translation by beta as an
 involution, the chord map factoring through it, the Hasse window) are
-checked on both representations.  The batch chords ``chords_mod_p``, the
-batch normalization ``normalize_all_mod_p`` and the cross product
-``cross_mod_p`` are checked against their per-point oracles
-``chord_mod_p``, ``normalize_mod_p`` and ``line_through_mod_p``.
+checked on both representations.  The scalar group law is an independent
+oracle: it still runs, and agrees, with the int kernel patched to raise.
+The batch chords ``chords_mod_p``, the batch normalization
+``normalize_all_mod_p`` and the cross product ``cross_mod_p`` are checked
+against their per-point oracles ``chord_mod_p`` and ``line_through_mod_p``
+(in ``oracles``) and ``normalize_mod_p``.
 """
 
 from math import isqrt
 
 import pytest
 
+from chordcubic import curve
 from chordcubic.chord import (
     DualPoint,
     chord_cubic,
     chord_map,
-    chord_mod_p,
     chords_mod_p,
     cross_mod_p,
     line_through,
-    line_through_mod_p,
     normalize_all_mod_p,
     normalize_mod_p,
 )
@@ -34,6 +35,7 @@ from chordcubic.curve import (
     affine_points_mod_p,
     enumerate_points,
     group_add,
+    point_order,
     reduce_params,
     scalar_mul,
     scalar_mul_mod_p,
@@ -44,6 +46,7 @@ from chordcubic.curve import (
 from chordcubic.plane import _int_table, _vanishes, evaluate_form
 from chordcubic.scalars import PrimeField, PrimeFieldScalar
 from fp_strategies import curve_residues, curves, hypothesis_api, outcome
+from oracles import chord_mod_p, line_through_mod_p
 
 
 def _setup(data, st):
@@ -115,6 +118,35 @@ def test_int_add_matches_group_add_and_the_chord_tangent_geometry():
         assert total is None or total in points
         if s is not None and t is not None:
             assert _meets_curve_again(a, b, p, s, t, total)
+
+    check()
+
+
+def test_scalar_group_law_runs_and_agrees_with_the_int_kernel_patched_to_raise():
+    given, settings, st = hypothesis_api(max_examples=60)
+
+    def refuse(*args):
+        raise AssertionError("the scalar group law reached the int kernel")
+
+    @settings
+    @given(st.data())
+    def check(data):
+        pp, a, b, p, points = _setup(data, st)
+        s, t = data.draw(st.sampled_from(points)), data.draw(st.sampled_from(points))
+        n = data.draw(st.integers(0, p + 1 + isqrt(4 * p)))
+        total, multiple = add_mod_p(a, b, p, s, t), scalar_mul_mod_p(a, b, p, n, s)
+        shifted = translate_mod_p(b, p, s)
+        order, r = 1, s
+        while r is not None:
+            order, r = order + 1, add_mod_p(a, b, p, r, s)
+        q = _point(pp, s)
+        with pytest.MonkeyPatch.context() as patch:
+            for name in ("add_mod_p", "scalar_mul_mod_p", "translate_mod_p"):
+                patch.setattr(curve, name, refuse)
+            assert _pair(group_add(q, _point(pp, t))) == total
+            assert _pair(scalar_mul(n, q)) == multiple
+            assert point_order(q) == order
+            assert _pair(translate_by_beta(q)) == shifted
 
     check()
 

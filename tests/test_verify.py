@@ -12,13 +12,14 @@ from chordcubic.chord import (
     TernaryForm,
     chord_cubic,
     chord_map,
-    chord_mod_p,
     chords_mod_p,
     cross_mod_p,
     line_through,
 )
 from chordcubic.curve import (
+    CurvePoint,
     add_mod_p,
+    affine_points_mod_p,
     beta,
     enumerate_points,
     group_add,
@@ -33,11 +34,13 @@ from chordcubic.curve import (
     validate_curve,
 )
 from chordcubic.plane import (
+    _int_table,
     evaluate_form,
     find_flexes_over_Fp,
     min_interpolating_degree,
+    monomials,
 )
-from chordcubic.scalars import PrimeField
+from chordcubic.scalars import PrimeField, PrimeFieldScalar
 from chordcubic.cli import main
 from chordcubic.verify import (
     Report,
@@ -53,7 +56,7 @@ from chordcubic.verify import (
     verify_identity_symbolic,
     verify_quotient,
 )
-from oracles import dual_incidence
+from oracles import chord_mod_p, dual_incidence
 
 
 def test_incidence_symbolic_passes():
@@ -657,6 +660,25 @@ def test_fiber_witness_matches_the_scalar_path(fault, monkeypatch):
     assert (report.status, report.witness) == ("fail", expected)
 
 
+@pytest.mark.parametrize("a,b,p", [(-3, 2, 31), (1, 3, 7), (2, 5, 13)])
+def test_int_witness_text_matches_the_scalar_printers(a, b, p):
+    # The witnesses print int triples; curve points, dual points and forms
+    # with prime-field coefficients stay the oracle of that text.
+    pp = reduce_params(validate_curve(a, b), p)
+    points = [None] + affine_points_mod_p(pp.a.value, pp.b.value, p)
+    for s in points:
+        triple = verify._triple(s)
+        assert verify._bracket(triple) == str(CurvePoint(pp, triple))
+    for line in chords_mod_p(pp.b.value, p, points).values():
+        assert verify._bracket(line) == str(DualPoint(line))
+    table = _int_table(chord_cubic(pp), p)
+    g = [table.get(m, 0) for m in monomials(3)]
+    for coeffs in (g, verify.normalize_mod_p(g, p)):
+        scalars = {m: PrimeFieldScalar(c, p) for m, c in zip(monomials(3), coeffs)}
+        assert verify._cubic_str(coeffs) == str(TernaryForm(3, scalars))
+    assert verify._cubic_str(g) == str(chord_cubic(pp))
+
+
 def _count_calls(monkeypatch, calls, source, name):
     """Count in ``calls`` each call of ``source.name``, also through verify's binding."""
     original = getattr(source, name)
@@ -687,19 +709,20 @@ def test_suite_enumerates_no_curve_points_and_finds_the_3_torsion_once(monkeypat
 def test_suite_translates_and_chords_each_point_once(monkeypatch):
     from chordcubic import chord, curve
 
+    # The per-point chord is a test oracle only; the suite has the batch.
+    assert not hasattr(chord, "chord_mod_p")
     calls = {}
     _count_calls(monkeypatch, calls, curve, "translate_mod_p")
-    for name in ("chord_mod_p", "chords_mod_p"):
-        _count_calls(monkeypatch, calls, chord, name)
+    _count_calls(monkeypatch, calls, chord, "chords_mod_p")
     params = validate_curve(-3, 2)
     reports = run_full_suite(params, 1019)
     assert all(r.status == "pass" for r in reports)
     count = reports[2].stats["curve_points"]
-    assert calls == {"translate_mod_p": count, "chord_mod_p": 0, "chords_mod_p": 1}
+    assert calls == {"translate_mod_p": count, "chords_mod_p": 1}
     # The degree remark builds its own context and never reads the tables.
     for order in (2, 4):
         verify_degree_remark(params, 1019, order)
-    assert calls == {"translate_mod_p": count, "chord_mod_p": 0, "chords_mod_p": 1}
+    assert calls == {"translate_mod_p": count, "chords_mod_p": 1}
 
 
 @pytest.mark.parametrize("check", [verify_cross_checks, verify_fibers])
