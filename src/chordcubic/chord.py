@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-from .curve import CurveParams, CurvePoint, _coord_str, beta
+from .curve import CurveParams, CurvePoint, _bracket, _coord_str, beta
 from .scalars import PrimeField, PrimeFieldScalar
 
 
@@ -93,7 +93,7 @@ class DualPoint:
         return hash(self.coords)
 
     def __str__(self):
-        return "[" + ":".join(_coord_str(c) for c in self.coords) + "]"
+        return _bracket(self.coords)
 
     def __repr__(self):
         return f"DualPoint({self})"

@@ -164,7 +164,7 @@ class CurvePoint:
         return hash((self.params, self.coords))
 
     def __str__(self):
-        return "[" + ":".join(_coord_str(c) for c in self.coords) + "]"
+        return _bracket(self.coords)
 
     def __repr__(self):
         return f"CurvePoint({self})"
@@ -196,6 +196,11 @@ def _normalized_mod_p(params: CurveParams, p: int, coords) -> tuple:
 
 def _coord_str(c) -> str:
     return str(c.value) if isinstance(c, PrimeFieldScalar) else str(c)
+
+
+def _bracket(values) -> str:
+    """``[x:y:z]``: the printed form of curve points, dual points and int triples."""
+    return "[" + ":".join(_coord_str(c) for c in values) + "]"
 
 
 def _tuple_str(coords) -> str:

@@ -2,20 +2,17 @@
 
 Everything here is exact: Hessians are expanded term by term on the
 coefficient tables, and the minimal interpolating degree of a set of F_p
-points comes from ranks mod p of monomial evaluation matrices.  The F_p
-zeros of a form at most quadratic in some coordinate are counted in O(p)
-by sweeping the pencil of lines through that coordinate's vertex and
-solving one quadratic per line.  Smoothness and flex searches solve only
-the lines of that pencil where the form meets a second form (its partial
-along the pencil axis, or its Hessian): the roots of one int eliminant of
-degree at most 11, found by one Horner evaluation per line, plus the
-pencil's line at infinity and its vertex.  They test the gradient and the
-Hessian at the zeros on those lines, and take the full sweep only when no
-coordinate has degree at most 2 or the eliminant vanishes mod p.  Only
-F_p-rational singular points count.  Every function over F_p
-takes p explicitly and reads the coefficients of a form, or the
-coordinates of a point, as ints mod p through
-:func:`~chordcubic.scalars.residue`.
+points comes from ranks mod p of monomial evaluation matrices.  One
+zero-finder gives the F_p zeros of a form: it solves the form on each line
+of the pencil through the vertex of a coordinate of degree at most 2, O(p)
+in all, or else of least degree.  Smoothness and flex searches solve
+only the lines of that pencil where the form meets a second form (its
+partial along the pencil axis, or its Hessian): the roots of one int
+eliminant of degree at most 11, plus the pencil's line at infinity and its
+vertex; they solve every line only when no coordinate has degree at most
+2 or the eliminant vanishes mod p.  Only F_p-rational singular points
+count.  Every function over F_p takes p explicitly and reads coefficients
+and coordinates as ints mod p through :func:`~chordcubic.scalars.residue`.
 """
 
 from __future__ import annotations
@@ -118,45 +115,18 @@ def _reduced(form: TernaryForm, p: int) -> TernaryForm:
     return TernaryForm(form.degree, _int_table(form, p))
 
 
-def _chart_tables(table: dict, degree: int):
-    """Coefficient grids of the three affine charts U=1, (0,1,w), (0,0,1)."""
-    grid = [[0] * (degree + 1) for _ in range(degree + 1)]
-    for (i, j, k), c in table.items():
-        grid[j][k] += c
-    edge = [0] * (degree + 1)
-    for (i, j, k), c in table.items():
-        if i == 0:
-            edge[k] += c
-    corner = table.get((0, 0, degree), 0)
-    return grid, edge, corner
+def _degree_along(table: dict, z: int) -> int:
+    """The degree of an int table in the coordinate z (0 for the zero table)."""
+    return max((key[z] for key in table), default=0)
 
 
-def _zero_points_scan(form: TernaryForm, p: int):
-    """Yield all projective F_p zeros of the form by testing every point.
-
-    O(p^2): the sweep below falls back to it for a form of degree at least
-    3 in every coordinate, and the tests use it as the oracle for the sweep.
-    """
-    grid, edge, corner = _chart_tables(_int_table(form, p), form.degree)
-    columns = list(zip(*grid))  # columns[k][j] is the coefficient of v^j w^k
-    for v in range(p):
-        wcoef = [horner(column, v) % p for column in columns]
-        for w in range(p):
-            if horner(wcoef, w) % p == 0:
-                yield (1, v, w)
-    for w in range(p):
-        if horner(edge, w) % p == 0:
-            yield (0, 1, w)
-    if corner % p == 0:
-        yield (0, 0, 1)
-
-
-def _pencil_axis(table: dict):
-    """The pencil axis of an int table: V, W or U, the first of degree <= 2, else None.
+def _pencil_axis(table: dict) -> int:
+    """The pencil axis of an int table: V, W or U, the first of degree <= 2.
 
     V and W come first, so that the lines (1, t) give points with U = 1.
+    When every coordinate has degree 3 or more, the first of least degree.
     """
-    return next((z for z in (1, 2, 0) if all(key[z] <= 2 for key in table)), None)
+    return min((1, 2, 0), key=lambda z: max(_degree_along(table, z), 2))
 
 
 def _along(table: dict, degree: int, axis: int, top: int) -> list:
@@ -175,18 +145,20 @@ def _along(table: dict, degree: int, axis: int, top: int) -> list:
 
 
 def _pencil_zeros(table: dict, degree: int, axis: int, p: int, lines):
-    """The F_p zeros of an int table at most quadratic in z on some pencil lines.
+    """The F_p zeros of an int table on some lines of the pencil along the axis z.
 
     Every point but the vertex, where only z is nonzero, lies on exactly one
     line of the pencil through the vertex, on which the other two
     coordinates (r, s) are (1, t) or (0, 1).  Restricted to such a line the
-    form is a quadratic in z, solved with the square-root table.  Yields
-    the normalized zeros on each of ``lines``, then the vertex if it is a
-    zero.
+    form is a polynomial in z: a quadratic, solved with the square-root
+    table, when the form has degree at most 2 in z, else solved by
+    :func:`~chordcubic.curve._roots_mod`.  Yields the normalized zeros on
+    each of ``lines``, then the vertex if it is a zero.
     """
-    polys = _along(table, degree, axis, 2)
+    top = max(2, _degree_along(table, axis))
+    polys = _along(table, degree, axis, top)
     r, s = (m for m in range(3) if m != axis)
-    roots = squares_table(p)
+    roots = squares_table(p) if top == 2 else None
     pt = [0, 0, 0]
     for xr, xs in lines:
         if xr:
@@ -194,7 +166,8 @@ def _pencil_zeros(table: dict, degree: int, axis: int, p: int, lines):
         else:
             coeffs = [poly[-1] % p for poly in polys]
         pt[r], pt[s] = xr, xs
-        for z in _quadratic_zeros(*coeffs, p, roots):
+        zeros = _quadratic_zeros(*coeffs, p, roots) if top == 2 else _roots_mod(coeffs, p)
+        for z in zeros:
             pt[axis] = z
             yield normalize_mod_p(pt, p)
     vertex = [0, 0, 0]
@@ -206,17 +179,14 @@ def _pencil_zeros(table: dict, degree: int, axis: int, p: int, lines):
 def _zero_points_over_Fp(form: TernaryForm, p: int):
     """All projective F_p zeros of the form, normalized, each once.
 
-    When the form has degree at most 2 in a coordinate, every line of the
-    pencil through that coordinate's vertex is solved (:func:`_pencil_zeros`):
-    O(p) in all.  Otherwise every point is tested (:func:`_zero_points_scan`).
-    The order of the zeros is unspecified.
+    Every line of the pencil through the vertex of :func:`_pencil_axis` is
+    solved (:func:`_pencil_zeros`): O(p) in all when the form has degree at
+    most 2 in that coordinate, O(p^2) otherwise.  The order of the zeros is
+    unspecified.
     """
     table = _int_table(form, p)
-    axis = _pencil_axis(table)
-    if axis is None:
-        return _zero_points_scan(form, p)
     lines = chain(((1, t) for t in range(p)), [(0, 1)])
-    return _pencil_zeros(table, form.degree, axis, p, lines)
+    return _pencil_zeros(table, form.degree, _pencil_axis(table), p, lines)
 
 
 def _quadratic_zeros(c0: int, c1: int, c2: int, p: int, roots: dict):
@@ -269,14 +239,14 @@ def _zeros_where_meeting(form: TernaryForm, p: int, seconds):
     (1, t) is solved only at a root t of :func:`_eliminant`, found by one
     Horner evaluation per t (:func:`~chordcubic.curve._roots_mod`); the line
     (0, 1) and the vertex are always solved.  So every common F_p zero of
-    the form and K is among the zeros.  The full sweep
-    :func:`_zero_points_over_Fp` is taken instead when no coordinate has
-    degree at most 2 or the eliminant vanishes mod p (the forms share a
-    component, or the form is at most linear along the axis).
+    the form and K is among the zeros.  Every line is solved instead
+    (:func:`_zero_points_over_Fp`) when no coordinate has degree at most 2
+    or the eliminant vanishes mod p (the forms share a component, or the
+    form is at most linear along the axis).
     """
     table = _int_table(form, p)
     axis = _pencil_axis(table)
-    if axis is not None:
+    if _degree_along(table, axis) <= 2:
         second = seconds[axis]
         eliminant = _eliminant(
             _along(table, form.degree, axis, 2),
@@ -294,7 +264,10 @@ def _vanishes(table: dict, pt, p: int) -> bool:
 
 
 def count_zero_points_over_Fp(form: TernaryForm, p: int) -> int:
-    """Number of F_p points of the projective zero set of the form (full sweep)."""
+    """Number of F_p points of the projective zero set of the form.
+
+    Every line of the pencil is solved (:func:`_zero_points_over_Fp`).
+    """
     return sum(1 for _ in _zero_points_over_Fp(form, p))
 
 

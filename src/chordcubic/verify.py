@@ -31,6 +31,7 @@ from .chord import (
 from .curve import (
     CurveParams,
     CurvePoint,
+    _bracket,
     add_mod_p,
     affine_points_mod_p,
     beta,
@@ -220,11 +221,6 @@ def _checked_context(params: CurveParams, p: int, context) -> FpContext:
 def _triple(s) -> tuple:
     """The normalized projective int triple of a pair (None for O)."""
     return (0, 1, 0) if s is None else (s[0], s[1], 1)
-
-
-def _bracket(triple) -> str:
-    """``[x:y:z]``, as ``str`` prints the curve or dual point over F_p of that int triple."""
-    return "[" + ":".join(map(str, triple)) + "]"
 
 
 def _incident(pt, line, p: int) -> bool:

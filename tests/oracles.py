@@ -6,6 +6,7 @@ on ``sys.path`` for the test modules beside it.
 
 from chordcubic.chord import TernaryForm, as_triple, cross_mod_p, cubic_invariants, normalize_mod_p
 from chordcubic.plane import _int_table, _vanishes, _zero_points_over_Fp, gradient, hessian_cubic
+from chordcubic.scalars import horner
 
 
 def invariants_form(params) -> TernaryForm:
@@ -74,3 +75,37 @@ def flexes_by_sweep(form, p: int) -> list:
         for pt in _zero_points_over_Fp(form, p)
         if _vanishes(hess, pt, p) and not all(_vanishes(g, pt, p) for g in grads)
     )
+
+
+def _chart_tables(table: dict, degree: int):
+    """Coefficient grids of the three affine charts U=1, (0,1,w), (0,0,1)."""
+    grid = [[0] * (degree + 1) for _ in range(degree + 1)]
+    for (i, j, k), c in table.items():
+        grid[j][k] += c
+    edge = [0] * (degree + 1)
+    for (i, j, k), c in table.items():
+        if i == 0:
+            edge[k] += c
+    corner = table.get((0, 0, degree), 0)
+    return grid, edge, corner
+
+
+def zero_points_by_scan(form: TernaryForm, p: int):
+    """Yield all projective F_p zeros of the form by testing every point.
+
+    O(p^2), in the order v, then w, of the charts U = 1, (0, 1, w) and
+    (0, 0, 1): the oracle of the pencil sweep, which shares with it only
+    the reading of the form mod p (``_int_table``).
+    """
+    grid, edge, corner = _chart_tables(_int_table(form, p), form.degree)
+    columns = list(zip(*grid))  # columns[k][j] is the coefficient of v^j w^k
+    for v in range(p):
+        wcoef = [horner(column, v) % p for column in columns]
+        for w in range(p):
+            if horner(wcoef, w) % p == 0:
+                yield (1, v, w)
+    for w in range(p):
+        if horner(edge, w) % p == 0:
+            yield (0, 1, w)
+    if corner % p == 0:
+        yield (0, 0, 1)

@@ -8,6 +8,7 @@ from chordcubic import curve
 from chordcubic.chord import weierstrass_form
 from chordcubic.curve import (
     CurvePoint,
+    affine_points_mod_p,
     beta,
     enumerate_points,
     group_add,
@@ -16,6 +17,7 @@ from chordcubic.curve import (
     point_order,
     reduce_params,
     scalar_mul,
+    scalar_mul_mod_p,
     three_torsion_flexes,
     translate_by_beta,
     two_torsion_points,
@@ -271,7 +273,8 @@ def test_three_torsion_over_Fp():
         assert len(tor3) in (1, 3, 9)
         assert all(scalar_mul(3, q).is_infinity for q in tor3)
     # Differential check against the exhaustive scan of E(F_p), in order,
-    # on every smooth curve at every prime 5 <= p <= 31.
+    # on every smooth curve at every prime 5 <= p <= 31, by the int group
+    # law; every 20th curve is also scanned by the scalar group law.
     curves_checked = 0
     for p in (5, 7, 11, 13, 17, 19, 23, 29, 31):
         for a in range(p):
@@ -279,10 +282,18 @@ def test_three_torsion_over_Fp():
                 if (a * a - 4 * b) % p == 0:
                     continue
                 pp = reduce_params(validate_curve(a, b), p)
+                found = three_torsion_flexes(pp, p)
+                pairs = [None if q.is_infinity else (q.x.value, q.y.value) for q in found]
                 scanned = [
-                    q for q in enumerate_points(pp, p) if scalar_mul(3, q).is_infinity
+                    s
+                    for s in [None] + affine_points_mod_p(a, b, p)
+                    if scalar_mul_mod_p(a, b, p, 3, s) is None
                 ]
-                assert three_torsion_flexes(pp, p) == scanned, (a, b, p)
+                assert pairs == scanned, (a, b, p)
+                if curves_checked % 20 == 0:
+                    assert found == [
+                        q for q in enumerate_points(pp, p) if scalar_mul(3, q).is_infinity
+                    ]
                 curves_checked += 1
     assert curves_checked == 3044
 

@@ -18,7 +18,6 @@ from chordcubic.plane import (
     MinDegree,
     _rank_and_kernel_mod_p,
     _zero_points_over_Fp,
-    _zero_points_scan,
     count_zero_points_over_Fp,
     evaluate_form,
     find_flexes_over_Fp,
@@ -31,7 +30,7 @@ from chordcubic.plane import (
 from chordcubic.poly import A, B
 from chordcubic.scalars import PrimeField, horner
 from fp_strategies import PRIMES_BELOW_200, curves, hypothesis_api
-from oracles import dual_incidence, flexes_by_sweep, smooth_by_sweep
+from oracles import dual_incidence, flexes_by_sweep, smooth_by_sweep, zero_points_by_scan
 
 
 def _fermat() -> TernaryForm:
@@ -166,7 +165,7 @@ def test_line_cubic_intersection_triple_contact():
 def test_flex_tangents_meet_only_at_the_flex():
     cubic = chord_cubic(reduce_params(validate_curve(-3, 2), 7))
     grads = [cubic.partial(i) for i in range(3)]
-    zeros = list(_zero_points_scan(cubic, 7))
+    zeros = list(zero_points_by_scan(cubic, 7))
     flexes = find_flexes_over_Fp(cubic, 7)
     assert flexes
     for pt in flexes:
@@ -309,27 +308,28 @@ def _forms_with_a_quadratic_axis(st):
 
 def _sweep_matches_scan(form, p):
     swept = sorted(_zero_points_over_Fp(form, p))
-    assert swept == sorted(_zero_points_scan(form, p))
+    assert swept == sorted(zero_points_by_scan(form, p))
 
 
-def _flexes_by_scan(form, p):
-    """The flexes found by testing every point of the plane: the oracle.
+def _scan_oracle(form, p):
+    """The zeros, singular zeros and flexes found by testing every point of the plane.
 
-    The form is coerced into F_p here and tested on scalars; the flexes
-    are the scan's int triples, in scan order.
+    The form is coerced into F_p here and tested on scalars; each list holds
+    the scan's int triples, in scan order.  Flexes are sought on cubics only.
     """
     field = PrimeField(p)
     form = TernaryForm(form.degree, {k: field(c) for k, c in form.coeffs.items()})
     grads = [form.partial(i) for i in range(3)]
-    hess = hessian_cubic(form)
-    flexes = []
-    for pt in _zero_points_scan(form, p):
+    hess = hessian_cubic(form) if form.degree == 3 else None
+    zeros, singular, flexes = [], [], []
+    for pt in zero_points_by_scan(form, p):
         coords = tuple(field(c) for c in pt)
+        zeros.append(pt)
         if all(g.evaluate(coords) == 0 for g in grads):
-            continue
-        if hess.evaluate(coords) == 0:
+            singular.append(pt)
+        elif hess is not None and hess.evaluate(coords) == 0:
             flexes.append(pt)
-    return flexes
+    return zeros, singular, flexes
 
 
 def test_sweep_matches_scan_on_the_curve_and_its_image():
@@ -357,19 +357,60 @@ def test_sweep_matches_scan_on_random_forms():
     check()
 
 
+def _forms_cubic_in_every_axis(st):
+    """Random (form, p) of degree at least 3 in every coordinate mod p.
+
+    Half are cubics with a nonzero cube of every coordinate.  The other half
+    are a line of the pencil through the vertex (0, 1, 0) times such a
+    cubic: a quartic of degree 3 in V (a pencil line has no V, so a pencil
+    line times a conic would have no V^3) that contains the pencil line, on
+    which its restriction is the zero polynomial, and the vertex.
+    """
+
+    @st.composite
+    def draw(draw):
+        p = draw(st.sampled_from(PRIMES_BELOW_200))
+        residue, unit = st.integers(0, p - 1), st.integers(1, p - 1)
+        cubic = {key: draw(residue) for key in monomials(3)}
+        for cube in [(3, 0, 0), (0, 3, 0), (0, 0, 3)]:
+            cubic[cube] = draw(unit)
+        if draw(st.booleans()):
+            return TernaryForm(3, cubic), p
+        u, w = draw(st.tuples(residue, residue).filter(any))
+        return TernaryForm(4, _times({(1, 0, 0): u, (0, 0, 1): w}, cubic)), p
+
+    return draw()
+
+
 def test_sweep_matches_scan_on_curves_with_lines_and_without_an_axis():
     # UVW contains the three coordinate lines, so whole pencil lines vanish;
-    # the Fermat cubic is cubic in every coordinate and takes the fallback.
+    # the Fermat cubic and the random forms are cubic in every coordinate,
+    # so each pencil line is solved by a root scan of a cubic in z.
     given, settings, st = hypothesis_api()
 
     @settings
-    @given(st.sampled_from(PRIMES_BELOW_200))
-    def check(p):
+    @given(st.sampled_from(PRIMES_BELOW_200), _forms_cubic_in_every_axis(st))
+    def check(p, form_q):
         assert count_zero_points_over_Fp(_triangle(), p) == 3 * p
         _sweep_matches_scan(_triangle(), p)
         _sweep_matches_scan(_fermat(), p)
+        form, q = form_q
+        table = plane._int_table(form, q)
+        assert min(plane._degree_along(table, z) for z in range(3)) >= 3
+        assert plane._pencil_axis(table) == 1
+        zeros, singular, flexes = _scan_oracle(form, q)
+        assert sorted(_zero_points_over_Fp(form, q)) == sorted(zeros)
+        assert count_zero_points_over_Fp(form, q) == len(zeros)
+        assert smooth_by_sweep(form, q) == (not singular)
+        if form.degree == 3:
+            assert find_flexes_over_Fp(form, q) == sorted(flexes)
 
     check()
+
+
+def test_the_scan_is_an_oracle_only():
+    assert not hasattr(plane, "_zero_points_scan")
+    assert not hasattr(plane, "_chart_tables")
 
 
 def test_flexes_match_the_sorted_scan():
@@ -384,7 +425,7 @@ def test_flexes_match_the_sorted_scan():
         if form_p[0].degree == 3:
             cases.append(form_p)
         for cubic, q in cases:
-            assert find_flexes_over_Fp(cubic, q) == sorted(_flexes_by_scan(cubic, q))
+            assert find_flexes_over_Fp(cubic, q) == sorted(_scan_oracle(cubic, q)[2])
 
     check()
 
@@ -406,14 +447,16 @@ def test_sweeps_agree_on_a_rational_form_and_its_reduction():
 
 def test_a_coefficient_that_vanishes_mod_p_does_not_force_the_scan(monkeypatch):
     # U^3 + V^3 + 7 W^3 + UVW is cubic in every coordinate over Q, but
-    # quadratic in W mod 7, so the sweep must run along W.
+    # linear in W mod 7, so the sweep must run along W and solve each
+    # pencil line as a quadratic, never by a root scan.
     form = TernaryForm(3, {(3, 0, 0): 1, (0, 3, 0): 1, (0, 0, 3): 7, (1, 1, 1): 1})
-    expected = sum(1 for _ in _zero_points_scan(form, 7))
+    expected = sum(1 for _ in zero_points_by_scan(form, 7))
+    assert plane._pencil_axis(plane._int_table(form, 7)) == 2
 
-    def refuse(form, p):
-        raise AssertionError("the sweep fell back to the O(p^2) scan")
+    def refuse(coeffs, q):
+        raise AssertionError("a pencil line was solved by a root scan")
 
-    monkeypatch.setattr(plane, "_zero_points_scan", refuse)
+    monkeypatch.setattr(plane, "_roots_mod", refuse)
     assert count_zero_points_over_Fp(form, 7) == expected
 
 
