@@ -192,8 +192,9 @@ def _zero_points_over_Fp(form: TernaryForm, p: int):
 def _quadratic_zeros(c0: int, c1: int, c2: int, p: int, roots: dict):
     """All z in F_p with c2 z^2 + c1 z + c0 = 0; every z for the zero polynomial."""
     if c2:
-        inv = pow(2 * c2, -1, p)
-        return [(y - c1) * inv % p for y in roots.get((c1 * c1 - 4 * c2 * c0) % p, ())]
+        ys = roots.get((c1 * c1 - 4 * c2 * c0) % p, ())
+        inv = pow(2 * c2, -1, p) if ys else 0
+        return [(y - c1) * inv % p for y in ys]
     if c1:
         return [-c0 * pow(c1, -1, p) % p]
     return range(p) if c0 == 0 else []

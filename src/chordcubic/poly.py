@@ -2,7 +2,10 @@
 
 A polynomial is a dictionary mapping exponent quadruples
 (e_x, e_y, e_a, e_b) to nonzero exact coefficients: ints and Fractions are
-stored as given, anything else as its Fraction.  This exact representation
+stored as given, anything else as its Fraction.  Only the public constructor
+checks keys and converts coefficients; arithmetic builds its results through
+a private one that only drops zeros, since sums of valid keys are valid and
+ints and Fractions stay so under + and *.  This exact representation
 makes polynomial identity testing fully reliable: two polynomials are equal
 exactly when their term tables coincide, and the zero polynomial is the
 empty table.
@@ -26,16 +29,6 @@ VARIABLES = ("x", "y", "a", "b")
 _VAR_INDEX = {name: i for i, name in enumerate(VARIABLES)}
 
 
-def _check_key(key):
-    if (
-        not isinstance(key, tuple)
-        or len(key) != 4
-        or any(not isinstance(e, int) or e < 0 for e in key)
-    ):
-        raise ValueError(f"exponent key must be 4 nonnegative ints, got {key!r}")
-    return key
-
-
 class MultiPoly:
     """Immutable sparse polynomial over the rationals in x, y, a, b."""
 
@@ -44,11 +37,21 @@ class MultiPoly:
     def __init__(self, terms=None):
         clean = {}
         for key, coeff in (terms or {}).items():
-            _check_key(key)
+            if not isinstance(key, tuple) or len(key) != 4 or any(
+                not isinstance(e, int) or e < 0 for e in key
+            ):
+                raise ValueError(f"exponent key must be 4 nonnegative ints, got {key!r}")
             c = coeff if type(coeff) in (int, Fraction) else Fraction(coeff)
             if c:
                 clean[key] = c
         self.terms = clean
+
+    @classmethod
+    def _of(cls, table: dict) -> MultiPoly:
+        """Trusts keys and int/Fraction coefficients; drops zero coefficients."""
+        q = object.__new__(cls)
+        q.terms = {key: c for key, c in table.items() if c}
+        return q
 
     @classmethod
     def zero(cls) -> MultiPoly:
@@ -87,7 +90,7 @@ class MultiPoly:
         out = dict(self.terms)
         for key, coeff in rhs.terms.items():
             out[key] = out.get(key, 0) + coeff
-        return MultiPoly(out)
+        return MultiPoly._of(out)
 
     __radd__ = __add__
 
@@ -95,16 +98,19 @@ class MultiPoly:
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        return self + (-rhs)
+        out = dict(self.terms)
+        for key, coeff in rhs.terms.items():
+            out[key] = out.get(key, 0) - coeff
+        return MultiPoly._of(out)
 
     def __rsub__(self, other):
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        return rhs + (-self)
+        return rhs - self
 
     def __neg__(self):
-        return MultiPoly({key: -coeff for key, coeff in self.terms.items()})
+        return MultiPoly._of({key: -coeff for key, coeff in self.terms.items()})
 
     def __mul__(self, other):
         rhs = self._coerce(other)
@@ -115,22 +121,21 @@ class MultiPoly:
             for k2, c2 in rhs.terms.items():
                 key = (k1[0] + k2[0], k1[1] + k2[1], k1[2] + k2[2], k1[3] + k2[3])
                 out[key] = out.get(key, 0) + c1 * c2
-        return MultiPoly(out)
+        return MultiPoly._of(out)
 
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int) or exponent < 0:
             return NotImplemented
-        result = MultiPoly.const(1)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        result, base = None, self
+        while exponent:
+            if exponent & 1:
+                result = base if result is None else result * base
+            exponent >>= 1
+            if exponent:
+                base = base * base
+        return MultiPoly.const(1) if result is None else result
 
     def __eq__(self, other):
         rhs = self._coerce(other)
@@ -213,4 +218,4 @@ def reduce_mod_curve(q: MultiPoly) -> MultiPoly:
         for (fx, _, fa, fb), c in powers[half].terms.items():
             key = (ex + fx, rem, ea + fa, eb + fb)
             out[key] = out.get(key, 0) + coeff * c
-    return MultiPoly(out)
+    return MultiPoly._of(out)

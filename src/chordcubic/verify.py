@@ -400,10 +400,13 @@ def verify_degree_remark(params: CurveParams, p: int, order: int) -> Report:
     minimal interpolating degree 3.  With order > 2 the check asserts
     singleton fibers and minimal degree 6 over at least 31 image points.
     The singleton clause is refuted on every curve: O, T and -T lie on
-    the line x = x(T), so the fiber over [1:0:-x(T)] is {O, -T} and the
-    report is ``fail`` with that fiber as witness.  In general
-    line(q, q + T) = line(q', q' + T) with q != q' forces 3q = O and
-    q' = q - T, so the image has exactly #E - #E[3] points.
+    the line x = x(T), so the fiber over [1:0:-x(T)] is {O, -T} (with T
+    for order 3) and the report is ``fail`` with that fiber as witness.
+    In general the fibers of more than one point are the lines through
+    w - T, w and w + T with 3w = O: for order > 3 the pairs {w - T, w},
+    so the image has exactly #E - #E[3] points; for order 3, T is in
+    E[3], the fibers are the cosets w + <T> of size 3 and the image has
+    #E - 2 #E[3]/3 points.
 
     E(F_p) is the int enumeration of :func:`fp_context`, as in the suite,
     and the fibers group the points by the line through q and

@@ -180,10 +180,13 @@ def _forced_fiber_witness(translation, p):
 
 def test_criterion_7_degree_six_remark():
     # The remark: translating by T of order n > 2 instead of beta gives an
-    # image of degree 6, not 3.  The order-n map is not injective:
-    # line(q, q + T) = line(q', q' + T) with q != q' forces 3q = O and
-    # q' = q - T, so the image has exactly #E - #E[3] points (over the
-    # algebraic closure these are the 9 nodes of a genus-1 plane sextic).
+    # image of degree 6, not 3.  The order-n map is not injective: its
+    # fibers of more than one point are the lines through w - T, w and
+    # w + T with 3w = O.  For the orders 4, 5 and 6 checked here they are
+    # the pairs {w - T, w}, so the image has exactly #E - #E[3] points
+    # (over the algebraic closure these are the 9 nodes of a genus-1 plane
+    # sextic).  For order 3 they are the cosets w + <T> of size 3 and the
+    # image has #E - 2 #E[3]/3 points (tests/test_verify.py pins both).
     # The checker's singleton-fiber clause must therefore be refuted by
     # the forced fiber {O, -T}, while the degree-6 claim holds.  With at
     # least 31 image points the degree is pinned: a quintic meets an

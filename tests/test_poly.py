@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -161,6 +162,37 @@ def test_zero_coefficients_are_dropped():
     assert (Fraction(1, 2) * X - Fraction(1, 2) * X).terms == {}
     assert (X * (Y + 1) - X * Y - X).terms == {}
     assert reduce_mod_curve(Y ** 2 - f_curve()).terms == {}
+
+
+def test_arithmetic_results_are_what_the_public_constructor_builds():
+    # Arithmetic skips the key check and the coefficient conversion of
+    # MultiPoly(terms); its tables must still pass both unchanged.
+    rng = random.Random(31)
+    for ints in (True, False):
+        for _ in range(25):
+            q, r = _random_poly(rng, max_y=4, ints=ints), _random_poly(rng, ints=ints)
+            results = [q + r, q - r, r - q, -q, q * r, q - q, 1 - q, 2 * q + 1]
+            results += [reduce_mod_curve(q), reduce_mod_curve(q * r)]
+            product = MultiPoly.const(1)
+            for e in range(7):
+                assert q ** e == product
+                results.append(q ** e)
+                product = product * q
+            for result in results:
+                assert MultiPoly(result.terms).terms == result.terms
+                for key, coeff in result.terms.items():
+                    assert type(key) is tuple and len(key) == 4
+                    assert all(type(e) is int and e >= 0 for e in key)
+                    assert type(coeff) in (int, Fraction) and coeff != 0
+    assert MultiPoly.zero() ** 0 == 1
+
+
+@pytest.mark.parametrize("key", [(1, 0, 0), (1, -1, 0, 0), (1.0, 0, 0, 0), [1, 0, 0, 0]])
+def test_public_constructor_rejects_malformed_keys(key):
+    # A stand-in mapping, since a list key cannot sit in a dict.
+    terms = SimpleNamespace(items=lambda: [(key, 1)])
+    with pytest.raises(ValueError, match="exponent key must be 4 nonnegative ints"):
+        MultiPoly(terms)
 
 
 def _reduce_term_by_term(q: MultiPoly) -> MultiPoly:

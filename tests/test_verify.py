@@ -371,12 +371,29 @@ def test_degree_remark_matches_the_scalar_path(p):
     assert ((True, "pass") in verdicts) == (p > 5)
 
 
-@pytest.mark.parametrize("a,b,order", [(-6, -3, 6), (-2, -3, 5), (-3, 2, 4)])
-def test_translation_chord_true_structure(a, b, order):
-    # What actually holds: fibers have size at most 2, the doubled fibers
-    # are exactly {w - T, w} for 3-torsion w, and the image is a sextic.
-    params = reduce_params(validate_curve(a, b), 101)
-    points = enumerate_points(params, 101)
+_TRUE_STRUCTURE_CASES = [
+    (-6, -3, 101, 6, 3),
+    (-2, -3, 101, 5, 3),
+    (-3, 2, 101, 4, 1),
+    (-6, -6, 101, 3, 3),
+    (-6, 4, 103, 3, 9),
+]
+
+
+@pytest.mark.parametrize(
+    "a,b,p,order,n3",
+    _TRUE_STRUCTURE_CASES,
+    ids=[f"{a}-{b}-{order}" for a, b, _, order, _ in _TRUE_STRUCTURE_CASES],
+)
+def test_translation_chord_true_structure(a, b, p, order, n3):
+    # What actually holds: the non-singleton fibers are the lines through
+    # w - T, w and w + T for the n3 points w of E[3](F_p), and the image is
+    # a sextic.  For order > 3 they are the pairs {w - T, w} and the image
+    # has #E - #E[3] points; for order 3, T is in E[3], they are the cosets
+    # w + <T> of size 3 and the image has #E - 2 #E[3]/3 points.  All of
+    # E[3] is rational only when p = 1 mod 3, so n3 = 9 is at p = 103.
+    params = reduce_params(validate_curve(a, b), p)
+    points = enumerate_points(params, p)
     t_pt = next(q for q in points if point_order(q) == order)
     fibers = {}
     for q in points:
@@ -384,15 +401,17 @@ def test_translation_chord_true_structure(a, b, order):
             line_through(q.coords, group_add(q, t_pt).coords), []
         ).append(q)
     torsion3 = [q for q in points if scalar_mul(3, q).is_infinity]
-    doubled = [f for f in fibers.values() if len(f) == 2]
-    assert max(len(f) for f in fibers.values()) == 2
-    assert len(doubled) == len(torsion3)
-    assert len(fibers) == len(points) - len(torsion3)
+    assert len(torsion3) == n3
     neg_t = scalar_mul(-1, t_pt)
-    for fiber in doubled:
-        w = next(q for q in fiber if scalar_mul(3, q).is_infinity)
-        assert set(fiber) == {w, group_add(w, neg_t)}
-    found = min_interpolating_degree([line.coords for line in fibers], p=101)
+    shifts = (neg_t, t_pt) if order == 3 else (neg_t,)
+    forced = {frozenset([w, *(group_add(w, s) for s in shifts)]) for w in torsion3}
+    assert {frozenset(f) for f in fibers.values() if len(f) > 1} == forced
+    image_size = len(points) - (2 * n3 // 3 if order == 3 else n3)
+    assert len(fibers) == image_size
+    report = verify_degree_remark(validate_curve(a, b), p, order)
+    assert report.stats["image_size"] == image_size
+    assert (report.status, report.stats["image_degree"]) == ("fail", 6)
+    found = min_interpolating_degree([line.coords for line in fibers], p=p)
     assert found.degree == 6 and found.nullity == 1
 
 
