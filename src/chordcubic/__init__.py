@@ -47,6 +47,7 @@ from .plane import (
 from .poly import MultiPoly, reduce_mod_curve
 from .scalars import PrimeField, PrimeFieldScalar, squares_table
 from .verify import (
+    FpContext,
     Report,
     run_full_suite,
     sample_params,

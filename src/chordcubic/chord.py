@@ -239,8 +239,12 @@ def chord_map(p: CurvePoint) -> DualPoint:
     if p.is_infinity or p == beta(params):
         one, zero = params.scalar(1), params.scalar(0)
         return DualPoint((one, zero, zero))
-    x, y, b = p.x, p.y, params.b
-    return DualPoint((y * (x * x + b), b * x - x ** 3, -2 * b * x * y))
+    return DualPoint(chord_triple(p.x, p.y, params.b))
+
+
+def chord_triple(x, y, b) -> tuple:
+    """The chord of the affine point (x, y), not normalized, over any ring."""
+    return y * (x * x + b), b * x - x ** 3, -2 * b * x * y
 
 
 def _raw_chord(b: int, p: int, s) -> tuple:

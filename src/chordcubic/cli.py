@@ -28,6 +28,7 @@ from .chord import chord_cubic, chord_map, cubic_invariants
 from .curve import CurvePoint, reduce_params, validate_curve
 from .scalars import check_modulus
 from .verify import (
+    FpContext,
     run_full_suite,
     sample_params,
     verify_chord_incidence_symbolic,
@@ -217,7 +218,7 @@ def _quotient(args):
 
 def _flexes(args):
     params = _curve_from_args(args)
-    report = verify_flex_correspondence(params, args.prime)
+    report = verify_flex_correspondence(FpContext(params, args.prime))
     return _claim_result(params, "prime", args.prime, [report])
 
 

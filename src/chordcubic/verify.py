@@ -22,6 +22,7 @@ from .chord import (
     chord_cubic,
     chord_cubic_generic,
     chord_map,
+    chord_triple,
     chords_mod_p,
     cross_mod_p,
     normalize_all_mod_p,
@@ -107,16 +108,16 @@ def _skip(claim, reason, started) -> Report:
     return Report(claim, SKIPPED, reason, _stats(started, 0, {}))
 
 
-def _chord_polys(mutate=None):
-    x, y, b = poly.X, poly.Y, poly.B
-    u = y * (x ** 2 + b)
-    v = b * x - x ** 3
-    w = -2 * b * x * y
-    if mutate == "incidence_v_sign":
-        v = b * x + x ** 3
-    elif mutate is not None:
+def _check_mutation(mutate, known: str) -> None:
+    """Refuse a ``mutate`` hook other than None and the claim's ``known`` one."""
+    if mutate not in (None, known):
         raise ValueError(f"unknown mutation {mutate!r}")
-    return u, v, w
+
+
+def _residual_witness(label: str, residuals) -> str:
+    """'' when every residual is zero, else ``label`` and the first nonzero one."""
+    bad = next((r for r in residuals if not r.is_zero), None)
+    return "" if bad is None else f"{label}: {bad}"
 
 
 def verify_chord_incidence_symbolic(mutate: str | None = None) -> Report:
@@ -128,20 +129,17 @@ def verify_chord_incidence_symbolic(mutate: str | None = None) -> Report:
     flips the sign of the x^3 term of V, which must break both.
     """
     started = time.monotonic()
+    _check_mutation(mutate, "incidence_v_sign")
     x, y, b = poly.X, poly.Y, poly.B
-    u, v, w = _chord_polys(mutate)
+    u, v, w = chord_triple(x, y, b)
+    if mutate == "incidence_v_sign":
+        v = b * x + x ** 3
     residuals = [
         u * x + v * y + w,
         b * x * u - b * y * v + x ** 2 * w,
     ]
-    bad = next((r for r in residuals if not r.is_zero), None)
-    return _report(
-        CLAIM_INCIDENCE,
-        bad is None,
-        f"nonzero incidence residual: {bad}",
-        started,
-        len(residuals),
-    )
+    witness = _residual_witness("nonzero incidence residual", residuals)
+    return _report(CLAIM_INCIDENCE, not witness, witness, started, len(residuals))
 
 
 def verify_identity_symbolic(mutate: str | None = None) -> Report:
@@ -153,10 +151,9 @@ def verify_identity_symbolic(mutate: str | None = None) -> Report:
     ``mutate="identity_e_sign"`` flips the sign of e in the ratio check.
     """
     started = time.monotonic()
-    if mutate not in (None, "identity_e_sign"):
-        raise ValueError(f"unknown mutation {mutate!r}")
+    _check_mutation(mutate, "identity_e_sign")
     x, y, a, b = poly.X, poly.Y, poly.A, poly.B
-    u, v, w = _chord_polys()
+    u, v, w = chord_triple(x, y, b)
     g = chord_cubic_generic(a, b)
     main_residual = reduce_mod_curve(g.evaluate((u, v, w)))
 
@@ -167,32 +164,32 @@ def verify_identity_symbolic(mutate: str | None = None) -> Report:
     sign = -1 if mutate == "identity_e_sign" else 1
     ratio_residual = reduce_mod_curve(lhs - sign * rhs)
 
-    bad = next((r for r in (main_residual, ratio_residual) if not r.is_zero), None)
-    return _report(
-        CLAIM_IDENTITY,
-        bad is None,
-        f"nonzero identity residual: {bad}",
-        started,
-        2,
+    witness = _residual_witness(
+        "nonzero identity residual", (main_residual, ratio_residual)
     )
+    return _report(CLAIM_IDENTITY, not witness, witness, started, 2)
 
 
-@dataclass(frozen=True)
 class FpContext:
-    """E(F_p) on plain ints, shared by the per-point claims of one suite.
+    """E(F_p) on plain ints, shared by the F_p claims of one suite.
 
-    ``pp`` is the curve reduced mod ``p`` and ``a``, ``b`` its coefficients
-    as residues.  ``points`` is E(F_p) in enumeration order: None for O,
-    then the affine points as int pairs (x, y).  ``translates`` and
-    ``chords`` map each point, in that order, to its ``translate_mod_p``
-    and its ``chords_mod_p`` chord (one batch inversion), on first use.
+    ``FpContext(params, p)`` reduces the curve mod ``p``: ``pp`` is the
+    reduced curve and ``a``, ``b`` its coefficients as residues.  The rest
+    is built on first use: ``points`` is E(F_p) in enumeration order (None
+    for O, then the affine points as int pairs (x, y)); ``translates`` and
+    ``chords`` map each point, in that order, to its ``translate_mod_p`` and
+    its ``chords_mod_p`` chord (one batch inversion); ``torsion3`` is
+    ``three_torsion_flexes(pp, p)``.
     """
 
-    pp: CurveParams
-    p: int
-    a: int
-    b: int
-    points: list
+    def __init__(self, params: CurveParams, p: int):
+        self.pp = reduce_params(params, p)
+        self.p = p
+        self.a, self.b = self.pp.a.value, self.pp.b.value
+
+    @cached_property
+    def points(self) -> list:
+        return [None] + affine_points_mod_p(self.a, self.b, self.p)
 
     @cached_property
     def translates(self) -> dict:
@@ -202,20 +199,9 @@ class FpContext:
     def chords(self) -> dict:
         return chords_mod_p(self.b, self.p, self.points)
 
-
-def fp_context(params: CurveParams, p: int) -> FpContext:
-    """Reduce the curve mod p and enumerate E(F_p) once, on ints."""
-    pp = reduce_params(params, p)
-    a, b = pp.a.value, pp.b.value
-    return FpContext(pp, p, a, b, [None] + affine_points_mod_p(a, b, p))
-
-
-def _checked_context(params: CurveParams, p: int, context) -> FpContext:
-    """``context`` (new when None), refused unless built for params mod p."""
-    ctx = context or fp_context(params, p)
-    if (ctx.p, ctx.pp) != (p, reduce_params(params, p)):
-        raise ValueError(f"context was built for {ctx.pp} mod {ctx.p}, not {params} mod {p}")
-    return ctx
+    @cached_property
+    def torsion3(self) -> list:
+        return three_torsion_flexes(self.pp, self.p)
 
 
 def _triple(s) -> tuple:
@@ -250,16 +236,13 @@ def _first_unpaired_fiber(fibers: dict, partner) -> str:
     return ""
 
 
-def verify_fibers(
-    params: CurveParams, p: int, *, context: FpContext | None = None
-) -> Report:
+def verify_fibers(ctx: FpContext) -> Report:
     """Every chord-map fiber over F_p is a pair {q, q + beta}.
 
-    Groups the int points of ``context`` (built here when None) by its
-    ``chords`` and pairs them by its ``translates``, as the cross-checks do.
+    Groups the int points of ``ctx`` by its ``chords`` and pairs them by
+    its ``translates``, as the cross-checks do.
     """
     started = time.monotonic()
-    ctx = _checked_context(params, p, context)
     points = ctx.points
     fibers = _fibers(points, ctx.chords.__getitem__)
     ok = len(points) % 2 == 0 and len(fibers) == len(points) // 2
@@ -273,27 +256,23 @@ def verify_fibers(
     )
 
 
-def verify_flex_correspondence(
-    params: CurveParams, p: int, *, torsion3: list | None = None
-) -> Report:
+def verify_flex_correspondence(ctx: FpContext) -> Report:
     """Flexes of the image cubic are the chords of 3-torsion translates.
 
     Needs full rational 2-torsion mod p so that a translation gamma with
     gamma != beta exists; otherwise the check is skipped.  Each translate
     q + gamma of a 3-torsion point q must map to a flex of the image
     cubic, and every F_p-rational flex of the image cubic must arise that
-    way.  ``torsion3``, when given, is ``three_torsion_flexes(params, p)``
-    already computed.
+    way.  The 3-torsion is ``ctx.torsion3``; E(F_p) is never enumerated.
     """
     started = time.monotonic()
-    pp = reduce_params(params, p)
+    pp, p = ctx.pp, ctx.p
     torsion2 = two_torsion_points(pp)
     if len(torsion2) < 4:
         return _skip(CLAIM_FLEX, f"x^2 + a x + b has no root mod {p}", started)
     b_pt = beta(pp)
     gammas = [t for t in torsion2 if not t.is_infinity and t != b_pt]
-    if torsion3 is None:
-        torsion3 = three_torsion_flexes(pp, p)
+    torsion3 = ctx.torsion3
     cubic = chord_cubic(pp)
     expected = set()
     for q in torsion3:
@@ -329,8 +308,7 @@ def verify_quotient(params: CurveParams, primes, mutate: str | None = None) -> R
     ``mutate="quotient_b_coeff"`` replaces a^2 - 4b by a^2 - 3b.
     """
     started = time.monotonic()
-    if mutate not in (None, "quotient_b_coeff"):
-        raise ValueError(f"unknown mutation {mutate!r}")
+    _check_mutation(mutate, "quotient_b_coeff")
     x, y, a, b = poly.X, poly.Y, poly.A, poly.B
     shift = 3 if mutate == "quotient_b_coeff" else 4
     b_image = a ** 2 - shift * b
@@ -340,8 +318,8 @@ def verify_quotient(params: CurveParams, primes, mutate: str | None = None) -> R
         + 2 * a * y ** 4 * x ** 2
         - b_image * y ** 2 * x ** 4
     )
-    ok = residual.is_zero
-    witness = "" if ok else f"isogeny residual: {residual}"
+    witness = _residual_witness("isogeny residual", [residual])
+    ok = not witness
 
     checked = 0
     counts = {}
@@ -408,8 +386,8 @@ def verify_degree_remark(params: CurveParams, p: int, order: int) -> Report:
     E[3], the fibers are the cosets w + <T> of size 3 and the image has
     #E - 2 #E[3]/3 points.
 
-    E(F_p) is the int enumeration of :func:`fp_context`, as in the suite,
-    and the fibers group the points by the line through q and
+    E(F_p) is the int enumeration of an :class:`FpContext`, as in the
+    suite, and the fibers group the points by the line through q and
     ``add_mod_p(q, T)``: their cross products (``cross_mod_p``), all
     normalized by one inverse (``normalize_all_mod_p``).  A curve point is
     built only for the order test; witnesses print the int triples.  With
@@ -427,13 +405,12 @@ def verify_degree_remark(params: CurveParams, p: int, order: int) -> Report:
     started = time.monotonic()
     if order < 2:
         raise ValueError("translation order must be at least 2")
-    pp = reduce_params(params, p)
+    ctx = FpContext(params, p)
     hasse = p + 1 + isqrt(4 * p)
     if order > hasse:
         raise ValueError(
             f"no point has order {order} mod {p}: #E <= {hasse} by the Hasse bound"
         )
-    ctx = fp_context(pp, p)
     a, b, points = ctx.a, ctx.b, ctx.points
     t = _translation_point(ctx, order)
     if t is None:
@@ -469,7 +446,7 @@ def verify_degree_remark(params: CurveParams, p: int, order: int) -> Report:
             f"image interpolates at degree {degree}, expected {expected_degree}"
         )
     elif order == 2 and found.kernel is not None:
-        table = _int_table(chord_cubic(pp), p)
+        table = _int_table(chord_cubic(ctx.pp), p)
         g = [table.get(m, 0) for m in monomials(3)]
         kernel, cubic = normalize_mod_p(found.kernel, p), normalize_mod_p(g, p)
         if kernel != cubic:
@@ -516,13 +493,7 @@ def _point_fault(ctx: FpContext, g: dict, q) -> str:
     return ""
 
 
-def verify_cross_checks(
-    params: CurveParams,
-    p: int,
-    *,
-    context: FpContext | None = None,
-    torsion3: list | None = None,
-) -> Report:
+def verify_cross_checks(ctx: FpContext) -> Report:
     """Point-by-point consistency scan tying the modules together.
 
     Over all of E(F_p): the closed-form translation agrees with the group
@@ -532,19 +503,15 @@ def verify_cross_checks(
     Hasse window and be even; the image cubic must be smooth; the flexes
     of the curve's own Weierstrass cubic must be exactly the 3-torsion.
 
-    The scan runs on the int points of ``context`` (built here when None)
-    with its ``translates`` checked against ``add_mod_p``, its ``chords``
-    against ``cross_mod_p`` of q and q + beta, and G on its int table.
-    Witnesses print the int triples.  A context
-    for another curve or prime raises ValueError in both per-point claims.
-    The 3-torsion is ``torsion3`` when given, else
-    ``three_torsion_flexes`` run here; the flexes it is compared with come
-    from the Hessian sweep, which never uses psi3.  The scalar functions
-    stay the oracles of the int kernels and the only path over Q.
+    The scan runs on the int points of ``ctx`` with its ``translates``
+    checked against ``add_mod_p``, its ``chords`` against ``cross_mod_p`` of
+    q and q + beta, and G on its int table.  Witnesses print the int
+    triples.  The 3-torsion is ``ctx.torsion3``; the flexes it is compared
+    with come from the Hessian sweep, which never uses psi3.  The scalar
+    functions stay the oracles of the int kernels and the only path over Q.
     """
     started = time.monotonic()
-    ctx = _checked_context(params, p, context)
-    pp, points = ctx.pp, ctx.points
+    pp, p, points = ctx.pp, ctx.p, ctx.points
     count = len(points)
     ok, witness = True, ""
 
@@ -564,9 +531,7 @@ def verify_cross_checks(
         ok, witness = False, "image cubic is singular"
     if ok:
         flexes = set(find_flexes_over_Fp(weierstrass_form(pp), p))
-        if torsion3 is None:
-            torsion3 = three_torsion_flexes(pp, p)
-        if flexes != {normalize_mod_p([c.value for c in q.coords], p) for q in torsion3}:
+        if flexes != {normalize_mod_p([c.value for c in q.coords], p) for q in ctx.torsion3}:
             ok = False
             witness = "Weierstrass flexes differ from the 3-torsion"
     return _report(CLAIM_CROSS, ok, witness, started, count, curve_points=count)
@@ -575,19 +540,19 @@ def verify_cross_checks(
 def run_full_suite(params: CurveParams, p: int) -> list:
     """All checks keyed on (params, p), in fixed claim order.
 
-    E(F_p) is enumerated once on ints (:func:`fp_context`) for the
-    cross-checks and the fibers, which share each point's translate and
-    chord (normalized by one batch inversion); the 3-torsion is found once
-    for the cross-checks and the flex claim.
+    The three F_p claims share one :class:`FpContext`: E(F_p) is
+    enumerated once on ints for the cross-checks and the fibers, which
+    share each point's translate and chord (normalized by one batch
+    inversion), and the 3-torsion is found once for the cross-checks and
+    the flex claim.
     """
-    ctx = fp_context(params, p)
-    torsion3 = three_torsion_flexes(ctx.pp, p)
+    ctx = FpContext(params, p)
     return [
         verify_chord_incidence_symbolic(),
         verify_identity_symbolic(),
-        verify_cross_checks(params, p, context=ctx, torsion3=torsion3),
-        verify_fibers(params, p, context=ctx),
-        verify_flex_correspondence(params, p, torsion3=torsion3),
+        verify_cross_checks(ctx),
+        verify_fibers(ctx),
+        verify_flex_correspondence(ctx),
         verify_quotient(params, [p]),
     ]
 

@@ -1,4 +1,3 @@
-import dataclasses
 import io
 import json
 from contextlib import redirect_stdout
@@ -43,6 +42,7 @@ from chordcubic.plane import (
 from chordcubic.scalars import PrimeField, PrimeFieldScalar
 from chordcubic.cli import main
 from chordcubic.verify import (
+    FpContext,
     Report,
     lcg_stream,
     quotient_params,
@@ -116,18 +116,18 @@ def test_identity_mutation_fails():
 
 
 def test_unknown_mutation_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unknown mutation 'nope'"):
         verify_chord_incidence_symbolic(mutate="nope")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unknown mutation 'nope'"):
         verify_identity_symbolic(mutate="nope")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unknown mutation 'nope'"):
         verify_quotient(validate_curve(0, -1), [5], mutate="nope")
 
 
 def test_fibers_examples():
-    report = verify_fibers(validate_curve(0, -1), 5)
+    report = verify_fibers(FpContext(validate_curve(0, -1), 5))
     assert report.status == "pass" and report.stats["image_size"] == 4
-    report = verify_fibers(validate_curve(-3, 2), 7)
+    report = verify_fibers(FpContext(validate_curve(-3, 2), 7))
     assert report.status == "pass" and report.stats["image_size"] == 4
 
 
@@ -141,17 +141,17 @@ def test_fiber_of_the_degenerate_line():
 
 def test_fibers_rejects_singular_reduction():
     with pytest.raises(ValueError):
-        verify_fibers(validate_curve(3, 1), 5)
+        verify_fibers(FpContext(validate_curve(3, 1), 5))
 
 
 def test_flex_correspondence_passes():
-    assert verify_flex_correspondence(validate_curve(-3, 2), 7).status == "pass"
-    assert verify_flex_correspondence(validate_curve(-3, 2), 101).status == "pass"
-    assert verify_flex_correspondence(validate_curve(0, 4), 5).status == "pass"
+    assert verify_flex_correspondence(FpContext(validate_curve(-3, 2), 7)).status == "pass"
+    assert verify_flex_correspondence(FpContext(validate_curve(-3, 2), 101)).status == "pass"
+    assert verify_flex_correspondence(FpContext(validate_curve(0, 4), 5)).status == "pass"
 
 
 def test_flex_correspondence_skipped_without_rational_gamma():
-    report = verify_flex_correspondence(validate_curve(0, 4), 7)
+    report = verify_flex_correspondence(FpContext(validate_curve(0, 4), 7))
     assert report.status == "skipped"
     assert "no root" in report.witness
 
@@ -416,8 +416,8 @@ def test_translation_chord_true_structure(a, b, p, order, n3):
 
 
 def test_cross_checks_pass():
-    assert verify_cross_checks(validate_curve(-3, 2), 101).status == "pass"
-    assert verify_cross_checks(validate_curve(0, 4), 7).status == "pass"
+    assert verify_cross_checks(FpContext(validate_curve(-3, 2), 101)).status == "pass"
+    assert verify_cross_checks(FpContext(validate_curve(0, 4), 7)).status == "pass"
 
 
 def test_run_full_suite_passes_and_is_deterministic():
@@ -644,14 +644,14 @@ def test_cross_check_witness_matches_the_scalar_path(fault, monkeypatch):
     assert expected.startswith(prefix)
     for name, fn in int_patches.items():
         monkeypatch.setattr(verify, name, fn)
-    report = verify_cross_checks(pp, WITNESS_PRIME)
+    report = verify_cross_checks(FpContext(pp, WITNESS_PRIME))
     assert (report.status, report.witness) == ("fail", expected)
 
 
 def test_cross_check_passes_where_the_scalar_path_passes():
     pp, _, _ = _fault_target()
     assert _scalar_cross_witness(pp, WITNESS_PRIME) == ""
-    assert verify_cross_checks(pp, WITNESS_PRIME).witness == ""
+    assert verify_cross_checks(FpContext(pp, WITNESS_PRIME)).witness == ""
 
 
 @pytest.mark.parametrize("fault", ["unpaired fiber", "too few lines"])
@@ -675,7 +675,7 @@ def test_fiber_witness_matches_the_scalar_path(fault, monkeypatch):
         pp, p, _wrong_at(chord_map, lambda q: q in movers, lambda q: other_line)
     )
     assert expected.startswith("fiber of " if fault == "unpaired fiber" else "image has ")
-    report = verify_fibers(pp, p)
+    report = verify_fibers(FpContext(pp, p))
     assert (report.status, report.witness) == ("fail", expected)
 
 
@@ -715,7 +715,7 @@ def test_suite_enumerates_no_curve_points_and_finds_the_3_torsion_once(monkeypat
     from chordcubic import curve
 
     calls = {}
-    # verify binds no enumerate_points: its points come from fp_context, and
+    # verify binds no enumerate_points: its points come from FpContext, and
     # three_torsion_flexes takes the roots of psi3, not a scan of E(F_p).
     for name in ("enumerate_points", "three_torsion_flexes"):
         _count_calls(monkeypatch, calls, curve, name)
@@ -731,26 +731,56 @@ def test_suite_translates_and_chords_each_point_once(monkeypatch):
     # The per-point chord is a test oracle only; the suite has the batch.
     assert not hasattr(chord, "chord_mod_p")
     calls = {}
-    _count_calls(monkeypatch, calls, curve, "translate_mod_p")
-    _count_calls(monkeypatch, calls, chord, "chords_mod_p")
+    for source, name in [
+        (curve, "affine_points_mod_p"),
+        (curve, "translate_mod_p"),
+        (chord, "chords_mod_p"),
+        (curve, "three_torsion_flexes"),
+    ]:
+        _count_calls(monkeypatch, calls, source, name)
     params = validate_curve(-3, 2)
     reports = run_full_suite(params, 1019)
     assert all(r.status == "pass" for r in reports)
     count = reports[2].stats["curve_points"]
-    assert calls == {"translate_mod_p": count, "chords_mod_p": 1}
-    # The degree remark builds its own context and never reads the tables.
+    # One enumeration of E(F_p) for the context, one of E'(F_p) for the quotient.
+    suite = {
+        "affine_points_mod_p": 2,
+        "translate_mod_p": count,
+        "chords_mod_p": 1,
+        "three_torsion_flexes": 1,
+    }
+    assert calls == suite
+    # The flex claim reads only the context's 3-torsion: it enumerates nothing.
+    assert verify_flex_correspondence(FpContext(params, 1019)).status == "pass"
+    assert calls == {**suite, "three_torsion_flexes": 2}
+    # The degree remark builds its own context, enumerates it once per call
+    # and never builds its translates, chords or 3-torsion.
     for order in (2, 4):
         verify_degree_remark(params, 1019, order)
-    assert calls == {"translate_mod_p": count, "chords_mod_p": 1}
+    assert calls == {**suite, "affine_points_mod_p": 4, "three_torsion_flexes": 2}
 
 
-@pytest.mark.parametrize("check", [verify_cross_checks, verify_fibers])
-def test_a_context_for_another_prime_or_curve_is_refused(check):
-    params = validate_curve(-3, 2)
-    for other in (verify.fp_context(params, 103), verify.fp_context(validate_curve(1, 1), 101)):
-        with pytest.raises(ValueError, match="context was built for"):
-            check(params, 101, context=other)
-    assert check(params, 101, context=verify.fp_context(params, 101)).status == "pass"
+def test_the_symbolic_claims_prove_the_chord_formula_that_chord_map_runs(monkeypatch):
+    from chordcubic import chord
+
+    pp = reduce_params(validate_curve(-3, 2), 101)
+    q = next(q for q in enumerate_points(pp, 101)[1:] if q.x.value and q.y.value)
+    line = chord_map(q)
+    formula = chord.chord_triple
+
+    def wrong_v(x, y, b):
+        u, _, w = formula(x, y, b)
+        return u, b * x + x ** 3, w
+
+    for module in (chord, verify):
+        monkeypatch.setattr(module, "chord_triple", wrong_v)
+    assert chord_map(q) != line
+    report = verify_chord_incidence_symbolic()
+    assert verify_identity_symbolic().status == "fail"
+    monkeypatch.undo()
+    # The wrong V is the incidence_v_sign mutation, so its witness is the same.
+    mutated = verify_chord_incidence_symbolic(mutate="incidence_v_sign")
+    assert (report.status, report.witness) == ("fail", mutated.witness)
 
 
 SPLIT = (-3, 2, 1019)  # three rational 3-torsion points and full 2-torsion
@@ -766,21 +796,23 @@ def _split_curve():
 
 def _hasse_fault(monkeypatch):
     pp, p, _ = _split_curve()
-    ctx = verify.fp_context(pp, p)
-    short = dataclasses.replace(ctx, points=ctx.points[:-1])
-    report = verify_cross_checks(pp, p, context=short)
-    return report, f"point count {len(short.points)} violates the Hasse window"
+    ctx = FpContext(pp, p)
+    ctx.points = ctx.points[:-1]
+    report = verify_cross_checks(ctx)
+    return report, f"point count {len(ctx.points)} violates the Hasse window"
 
 
 def _singular_fault(monkeypatch):
     pp, p, _ = _split_curve()
     monkeypatch.setattr(verify, "smooth_over_Fp", lambda form, p: False)
-    return verify_cross_checks(pp, p), "image cubic is singular"
+    return verify_cross_checks(FpContext(pp, p)), "image cubic is singular"
 
 
 def _weierstrass_fault(monkeypatch):
     pp, p, torsion3 = _split_curve()
-    report = verify_cross_checks(pp, p, torsion3=torsion3[:-1])
+    ctx = FpContext(pp, p)
+    ctx.torsion3 = torsion3[:-1]
+    report = verify_cross_checks(ctx)
     return report, "Weierstrass flexes differ from the 3-torsion"
 
 
@@ -796,7 +828,9 @@ def _flex_set_fault(monkeypatch):
     pp, p, torsion3 = _split_curve()
     gamma = two_torsion_points(pp)[2]
     lost = chord_map(group_add(torsion3[-1], gamma))
-    report = verify_flex_correspondence(pp, p, torsion3=torsion3[:-1])
+    ctx = FpContext(pp, p)
+    ctx.torsion3 = torsion3[:-1]
+    report = verify_flex_correspondence(ctx)
     return report, f"flex sets disagree on {[str(lost)]}"
 
 
