@@ -25,7 +25,7 @@ curve is smooth.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -316,8 +316,7 @@ def weierstrass_form(params: CurveParams) -> TernaryForm:
     )
 
 
-@dataclass(frozen=True)
-class CubicInvariants:
+class CubicInvariants(namedtuple("CubicInvariants", "e c1 c2 mu_inv")):
     """Closed-form parameters of the image cubic.
 
     e and mu_inv pin the flex-tangent normalization, c1 and c2 the two
@@ -325,10 +324,7 @@ class CubicInvariants:
     e (U - mu_inv W) V^2 = W^3 - c1 (U - mu_inv W) W^2 - c2 (U - mu_inv W)^2 W.
     """
 
-    e: object
-    c1: object
-    c2: object
-    mu_inv: object
+    __slots__ = ()
 
     def as_dict(self) -> dict:
         return {

@@ -57,54 +57,6 @@ def _parse_rational(text: str) -> Fraction:
         raise CliError(f"malformed rational {text!r}: {exc}") from exc
 
 
-def _build_parser() -> _Parser:
-    parser = _Parser(prog="chordcubic", description=__doc__.splitlines()[0])
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, help_text, *, curve=True, curve_required=True, prime=False, point=False, extra=()):
-        cmd = sub.add_parser(name, help=help_text)
-        if curve:
-            cmd.add_argument("--a", required=curve_required, help="rational coefficient a")
-            cmd.add_argument("--b", required=curve_required, help="rational coefficient b")
-        if prime:
-            cmd.add_argument("--prime", type=int, required=True)
-        if point:
-            cmd.add_argument("--x", help="affine x (omit for the zero point O)")
-            cmd.add_argument("--y", help="affine y")
-            cmd.add_argument("--prime", type=int)
-        for name_, kwargs in extra:
-            cmd.add_argument(name_, **kwargs)
-        cmd.add_argument("--format", choices=("json", "text"), default="json")
-        return cmd
-
-    add("identity", "symbolic incidence and image-cubic identities", curve=False)
-    add("cubic", "image cubic coefficients and invariants")
-    add("map", "chord of one curve point", point=True)
-    add(
-        "suite",
-        "full verification run over F_p",
-        curve_required=False,
-        prime=True,
-        extra=(
-            ("--random", {"type": int, "metavar": "N", "help": "sample N curves"}),
-            ("--seed", {"type": int, "help": "sampling seed (default 1)"}),
-        ),
-    )
-    add(
-        "degree",
-        "translation chord of a given order",
-        prime=True,
-        extra=(("--order", {"type": int, "required": True}),),
-    )
-    add(
-        "quotient",
-        "2-isogeny identification and point counts",
-        extra=(("--prime", {"type": int, "help": "single prime (default batch)"}),),
-    )
-    add("flexes", "flex correspondence over F_p", prime=True)
-    return parser
-
-
 def _curve_json(params) -> dict:
     return {"a": str(params.a), "b": str(params.b)}
 
@@ -222,15 +174,62 @@ def _flexes(args):
     return _claim_result(params, "prime", args.prime, [report])
 
 
-_COMMANDS = {
-    "identity": _identity,
-    "cubic": _cubic,
-    "map": _map,
-    "suite": _suite,
-    "degree": _degree,
-    "quotient": _quotient,
-    "flexes": _flexes,
+_CURVE = {
+    "--a": {"required": True, "help": "rational coefficient a"},
+    "--b": {"required": True, "help": "rational coefficient b"},
 }
+_PRIME = {"--prime": {"type": int, "required": True}}
+
+# Each subcommand in --help order: its handler, its help text and its
+# arguments, flag to add_argument keywords; every subcommand also takes --format.
+_SUBCOMMANDS = {
+    "identity": (_identity, "symbolic incidence and image-cubic identities", {}),
+    "cubic": (_cubic, "image cubic coefficients and invariants", _CURVE),
+    "map": (
+        _map,
+        "chord of one curve point",
+        {
+            **_CURVE,
+            "--x": {"help": "affine x (omit for the zero point O)"},
+            "--y": {"help": "affine y"},
+            "--prime": {"type": int},
+        },
+    ),
+    "suite": (
+        _suite,
+        "full verification run over F_p",
+        {
+            "--a": {"help": "rational coefficient a"},
+            "--b": {"help": "rational coefficient b"},
+            **_PRIME,
+            "--random": {"type": int, "metavar": "N", "help": "sample N curves"},
+            "--seed": {"type": int, "help": "sampling seed (default 1)"},
+        },
+    ),
+    "degree": (
+        _degree,
+        "translation chord of a given order",
+        {**_CURVE, **_PRIME, "--order": {"type": int, "required": True}},
+    ),
+    "quotient": (
+        _quotient,
+        "2-isogeny identification and point counts",
+        {**_CURVE, "--prime": {"type": int, "help": "single prime (default batch)"}},
+    ),
+    "flexes": (_flexes, "flex correspondence over F_p", {**_CURVE, **_PRIME}),
+}
+
+
+def _build_parser() -> _Parser:
+    parser = _Parser(prog="chordcubic", description=__doc__.splitlines()[0])
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (run, help_text, arguments) in _SUBCOMMANDS.items():
+        cmd = sub.add_parser(name, help=help_text)
+        for flag, kwargs in arguments.items():
+            cmd.add_argument(flag, **kwargs)
+        cmd.add_argument("--format", choices=("json", "text"), default="json")
+        cmd.set_defaults(run=run)
+    return parser
 
 
 _parser = None  # built by the first main call, then reused
@@ -242,7 +241,7 @@ def main(argv=None) -> int:
         _parser = _build_parser()
     try:
         args = _parser.parse_args(argv)
-        payload, reports = _COMMANDS[args.command](args)
+        payload, reports = args.run(args)
         code = _emit(payload, reports, args.format)
         sys.stdout.flush()
         return code
@@ -251,10 +250,7 @@ def main(argv=None) -> int:
         # devnull so that the flush at interpreter exit does not fail again.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
-    except CliError as exc:
-        print(json.dumps({"error": str(exc)}), file=sys.stderr)
-        return 2
-    except (ValueError, ZeroDivisionError) as exc:
+    except (CliError, ValueError, ZeroDivisionError) as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return 2
 

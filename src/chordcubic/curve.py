@@ -15,7 +15,7 @@ the int kernel on residue pairs that the per-point claims run on
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from itertools import count
 from math import lcm
@@ -35,15 +35,15 @@ from .scalars import (
 _MAZUR_BOUND = 12
 
 
-@dataclass(frozen=True)
-class CurveParams:
-    """Validated coefficient pair (a, b) with b (a^2 - 4b) != 0."""
+class CurveParams(namedtuple("CurveParams", "a b")):
+    """Validated coefficient pair (a, b) with b (a^2 - 4b) != 0.
 
-    a: object
-    b: object
+    Every construction is checked, ``_make`` and ``_replace`` included.
+    """
 
-    def __post_init__(self):
-        a, b = self.a, self.b
+    __slots__ = ()
+
+    def __new__(cls, a, b):
         if type(a) is not type(b):
             raise ValueError("curve coefficients must live in one field")
         if isinstance(a, PrimeFieldScalar) and a.modulus != b.modulus:
@@ -54,6 +54,11 @@ class CurveParams:
             raise ValueError("beta degenerate: b = 0 puts (0,0) at a double root")
         if a * a - 4 * b == 0:
             raise ValueError("double root: a^2 = 4b makes the curve singular")
+        return super().__new__(cls, a, b)
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
     @property
     def modulus(self):
@@ -109,9 +114,10 @@ class CurvePoint:
     :func:`is_on_curve` stays the oracle of both paths.
 
     The int path stays because F_p points are built several times per
-    request (about 13 per suite at p near 1000, 3 to 6 otherwise) and the
-    generic body costs about seven times as much (42 against 6 us per point
-    on a 2-vCPU VM, Python 3.11).
+    request (7 per suite or flexes at p = 101 and at p = 1009, 2 per map,
+    3 per degree --order 2, 11 per degree --order 4) and the generic body
+    costs about seven times as much (42 against 6 us per point on a 2-vCPU
+    VM, Python 3.11).
     """
 
     __slots__ = ("params", "coords")

@@ -17,7 +17,7 @@ and coordinates as ints mod p through :func:`~chordcubic.scalars.residue`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from itertools import chain, product
 from operator import mul
 
@@ -40,18 +40,24 @@ _SIGNED_PERMUTATIONS = (
 )
 
 
-@dataclass(frozen=True)
-class MinDegree:
+class MinDegree(namedtuple("MinDegree", "degree nullity kernel", defaults=(None,))):
     """Result of implicitization: smallest interpolating degree and nullity.
 
     At nullity 1, ``kernel`` holds the interpolating form's coefficients
     mod p in ``monomials(degree)`` order, scaled to 1 at its last nonzero
-    entry; otherwise it is None.  It takes no part in equality.
+    entry; otherwise it is None.  It takes no part in equality or hash.
     """
 
-    degree: int
-    nullity: int
-    kernel: tuple | None = field(default=None, compare=False)
+    __slots__ = ()
+
+    def __eq__(self, other):
+        return isinstance(other, MinDegree) and self[:2] == other[:2]
+
+    def __ne__(self, other):
+        return not self == other
+
+    def __hash__(self):
+        return hash(self[:2])
 
 
 def evaluate_form(form: TernaryForm, pt):

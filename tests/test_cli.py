@@ -171,6 +171,22 @@ def test_closed_stdout_exits_1_without_traceback():
     assert "BrokenPipeError" not in err
 
 
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    # Every CLI process pays its imports before its first request.
+    src = str(Path(chordcubic.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys, chordcubic.cli; print(*sys.modules)"],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=60,
+        check=True,
+    )
+    loaded = done.stdout.split()
+    assert "chordcubic.cli" in loaded
+    assert "dataclasses" not in loaded and "inspect" not in loaded
+
+
 def test_quotient_command(capsys):
     code, out, _ = _run(capsys, "quotient", "--a", "0", "--b", "-1", "--prime", "101")
     assert code == 0

@@ -1,6 +1,7 @@
 import io
 import json
 from contextlib import redirect_stdout
+from fractions import Fraction
 from math import isqrt
 
 import pytest
@@ -13,6 +14,7 @@ from chordcubic.chord import (
     chord_map,
     chords_mod_p,
     cross_mod_p,
+    cubic_invariants,
     line_through,
 )
 from chordcubic.curve import (
@@ -33,6 +35,7 @@ from chordcubic.curve import (
     validate_curve,
 )
 from chordcubic.plane import (
+    MinDegree,
     _int_table,
     evaluate_form,
     find_flexes_over_Fp,
@@ -187,6 +190,14 @@ def test_quotient_skips_bad_primes():
     assert report.status == "pass"
     assert report.stats["counts"][5] == "skipped"
     assert isinstance(report.stats["counts"][7], int)
+
+
+def test_quotient_rejects_a_curve_from_another_field():
+    # Reducing an F_101 curve mod 103 is an error, not a bad prime to skip.
+    params = reduce_params(validate_curve(-3, 2), 101)
+    with pytest.raises(ValueError, match="parameters already live in F_101"):
+        verify_quotient(params, [103])
+    assert verify_quotient(params, [101]).stats["counts"] == {101: 104}
 
 
 def test_quotient_params_always_valid():
@@ -456,6 +467,45 @@ def test_report_shape():
     }
     failed = verify_chord_incidence_symbolic(mutate="incidence_v_sign")
     assert failed.status == "fail" and failed.witness != ""
+
+
+def test_records_keep_their_reprs_equality_and_hash():
+    params = validate_curve(-3, 2)
+    pp = reduce_params(params, 101)
+    report = Report("chord_line_incidence", "pass", "", {"points_checked": 2})
+    reprs = [
+        repr(params),
+        repr(pp),
+        repr(report),
+        repr(cubic_invariants(params)),
+        repr(MinDegree(3, 1, (1, 2))),
+    ]
+    assert reprs == [
+        "CurveParams(a=Fraction(-3, 1), b=Fraction(2, 1))",
+        "CurveParams(a=PrimeFieldScalar(98, 101), b=PrimeFieldScalar(2, 101))",
+        "Report(claim='chord_line_incidence', status='pass', witness='', "
+        "stats={'points_checked': 2})",
+        "CubicInvariants(e=Fraction(-64, 1), c1=Fraction(24, 1), "
+        "c2=Fraction(-16, 1), mu_inv=Fraction(-3, 4))",
+        "MinDegree(degree=3, nullity=1, kernel=(1, 2))",
+    ]
+
+    for name in ("a", "c"):
+        with pytest.raises(AttributeError):
+            setattr(params, name, Fraction(1))
+    twin = validate_curve(Fraction(-6, 2), 2)
+    assert twin == params and twin is not params and hash(twin) == hash(params)
+    assert len({params, twin, pp}) == 2
+    # _replace and _make validate too.
+    with pytest.raises(ValueError, match="beta degenerate"):
+        params._replace(b=Fraction(0))
+    with pytest.raises(ValueError, match="double root"):
+        type(params)._make((Fraction(2), Fraction(1)))
+
+    found, bare = MinDegree(3, 1, (1, 2)), MinDegree(3, 1)
+    assert bare.kernel is None
+    assert found == bare and not found != bare and hash(found) == hash(bare)
+    assert found != MinDegree(3, 2, (1, 2)) and not found == MinDegree(3, 2, (1, 2))
 
 
 def test_lcg_is_reproducible():
