@@ -2,17 +2,19 @@
 
 Everything here is exact: Hessians are expanded term by term on the
 coefficient tables, and the minimal interpolating degree of a set of F_p
-points comes from ranks mod p of monomial evaluation matrices.  One
-zero-finder gives the F_p zeros of a form: it solves the form on each line
-of the pencil through the vertex of a coordinate of degree at most 2, O(p)
-in all, or else of least degree.  Smoothness and flex searches solve
-only the lines of that pencil where the form meets a second form (its
-partial along the pencil axis, or its Hessian): the roots of one int
-eliminant of degree at most 11, plus the pencil's line at infinity and its
-vertex; they solve every line only when no coordinate has degree at most
-2 or the eliminant vanishes mod p.  Only F_p-rational singular points
-count.  Every function over F_p takes p explicitly and reads coefficients
-and coordinates as ints mod p through :func:`~chordcubic.scalars.residue`.
+points comes from ranks mod p of monomial evaluation matrices, eliminated
+on rows packed into one int each; a nullity of 1 at the expected degree
+settles it in one rank.  One zero-finder gives the F_p zeros of a form: it
+solves the form on each line of the pencil through the vertex of a
+coordinate of degree at most 2, O(p) in all, or else of least degree.
+Smoothness and flex searches solve only the lines of that pencil where the
+form meets a second form (its partial along the pencil axis, or its
+Hessian): the roots of one int eliminant of degree at most 11, plus the
+pencil's line at infinity and its vertex; they solve every line only when
+no coordinate has degree at most 2 or the eliminant vanishes mod p.  Only
+F_p-rational singular points count.  Every function over F_p takes p
+explicitly and reads coefficients and coordinates as ints mod p through
+:func:`~chordcubic.scalars.residue`.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from operator import mul
 
 from .chord import TernaryForm, as_triple, normalize_mod_p
 from .curve import _roots_mod, _tuple_str
-from .scalars import horner, residue, squares_table
+from .scalars import check_modulus, horner, residue, squares_table
 
 # Highest degree that min_interpolating_degree tries: the image of a
 # translation chord map lies on a cubic (order 2) or a sextic (order > 2).
@@ -324,31 +326,54 @@ def monomials(degree: int) -> list:
     ]
 
 
-def min_interpolating_degree(points, p: int) -> MinDegree | None:
+def min_interpolating_degree(points, p: int, *, first: int | None = None) -> MinDegree | None:
     """Smallest degree of a nonzero form vanishing at all given F_p points.
 
     Returns the degree together with the kernel dimension of the monomial
     evaluation matrix (and, at nullity 1, the kernel form), or None when
     no degree up to MAX_INTERPOLATION_DEGREE works; an empty point list
-    gives MinDegree(1, 3).  Each coordinate is read by
-    :func:`~chordcubic.scalars.residue`, so a value that F_p refuses raises
-    ValueError, and the points must be distinct.  The matrix entries are
-    products of per-coordinate powers mod p on plain ints, reduced mod p by
-    the rank, and each degree's rows, powers included, are generated only
-    as the rank consumes them.
+    gives MinDegree(1, 3).  The modulus is checked first, and each
+    coordinate is read by :func:`~chordcubic.scalars.residue`, so a value
+    that F_p refuses raises ValueError, and the points must be distinct.
+
+    The degrees 1, 2, ... are ranked in turn, up to the first with a
+    kernel.  With ``first``, the expected degree, that degree is ranked
+    before any other, and a nullity of exactly 1 there is the answer: a
+    form of lower degree e would put its C(first - e + 2, 2) >= 3
+    independent multiples by monomials into that kernel (Cox, Little and
+    O'Shea, Ideals, Varieties, and Algorithms, ch. 9 section 3).  Any other
+    nullity falls back to the ascending search, so the result, kernel
+    included, never depends on ``first``.  The matrix entries are products
+    of per-coordinate powers mod p on plain ints, reduced mod p by the
+    rank, and each degree's rows, powers included, are generated only as
+    the rank consumes them.
     """
+    check_modulus(p)
+    if first is not None and not 1 <= first <= MAX_INTERPOLATION_DEGREE:
+        raise ValueError(
+            f"first must be a degree from 1 to {MAX_INTERPOLATION_DEGREE}, got {first}"
+        )
     normalized = [normalize_mod_p([residue(c, p) for c in pt], p) for pt in points]
     if len(set(normalized)) != len(normalized):
         raise ValueError("interpolation points must be distinct")
-    for d in range(1, MAX_INTERPOLATION_DEGREE + 1):
+
+    def ranked(d):
         mons = monomials(d)
         rows = (
             [pu[i] * pv[j] * pw[k] for (i, j, k) in mons]
             for pu, pv, pw in ([_powers_mod_p(c, p, d) for c in t] for t in normalized)
         )
         rank, kernel = _rank_and_kernel_mod_p(rows, p, len(mons))
-        if rank < len(mons):
-            return MinDegree(d, len(mons) - rank, kernel)
+        return MinDegree(d, len(mons) - rank, kernel)
+
+    if first is not None:
+        found = ranked(first)
+        if found.nullity == 1:
+            return found
+    for d in range(1, MAX_INTERPOLATION_DEGREE + 1):
+        found = ranked(d)
+        if found.nullity:
+            return found
     return None
 
 
@@ -373,29 +398,54 @@ def _rank_and_kernel_mod_p(rows, p: int, ncols: int) -> tuple:
     first such row gives rank ncols, and no row after it is read.  The
     kernel is returned as a tuple when the rank ends at ncols - 1, else
     None.
+
+    Until the rank reaches ncols - 1 a row is reduced packed into one int,
+    its entries reduced mod p into fields of width = 2 bitlen(p) +
+    bitlen(ncols) + 1 bits, lowest column lowest.  A pivot row at column col is kept packed from col on, with 1
+    in its lowest field; the row is reduced from its lowest field up,
+    shifting each column out once it is read, so that the reduction by the
+    pivot row ``top`` of a column whose field is c mod p is the one
+    multiply-add r += (p - c) * top.  A field never carries into the next:
+    it starts below p, and a row takes at most ncols - 1 reductions, each
+    adding (p - c) * e <= (p - 1)^2 with e an entry of a pivot row, so it
+    stays below ncols * p^2 <= 2^(width - 1).  A pivot row is unpacked,
+    normalized mod p and repacked once; back-substitution and the dot
+    products of the kernel phase run on int lists.
     """
     rows = iter(rows)
-    basis = {}
+    width = 2 * p.bit_length() + ncols.bit_length() + 1
+    mask = (1 << width) - 1
+    basis, packed = {}, {}
     while len(basis) < ncols - 1:
         row = next(rows, None)
         if row is None:
             return len(basis), None
+        r = _packed([v % p for v in row], width)
         for col in range(ncols):
-            c = row[col] % p
-            if not c:
-                continue
-            top = basis.get(col)
-            if top is None:
-                inv = pow(c, -1, p)
-                basis[col] = [v * inv % p for v in row]
-                break
-            row = [(v - c * w) % p for v, w in zip(row, top)]
+            c = (r & mask) % p
+            if c:
+                top = packed.get(col)
+                if top is None:
+                    inv = pow(c, -1, p)
+                    tail = [(r >> (width * m) & mask) * inv % p for m in range(ncols - col)]
+                    basis[col] = tail
+                    packed[col] = _packed(tail, width)
+                    break
+                r += (p - c) * top
+            r >>= width
     kernel = [0] * ncols
     kernel[next(col for col in range(ncols) if col not in basis)] = 1
     for col in sorted(basis, reverse=True):
-        top = basis[col]
-        kernel[col] = -sum(top[m] * kernel[m] for m in range(col + 1, ncols)) % p
+        kernel[col] = -sum(map(mul, basis[col][1:], kernel[col + 1 :])) % p
     for row in rows:
         if sum(map(mul, row, kernel)) % p:
             return ncols, None
     return ncols - 1, tuple(kernel)
+
+
+def _packed(values, width: int) -> int:
+    """The ints 0 <= v < 2^width packed into one int, the first lowest."""
+    r = 0
+    for v in reversed(values):
+        r = r << width | v
+    return r

@@ -381,10 +381,14 @@ def verify_degree_remark(params: CurveParams, p: int, order: int) -> Report:
     suite, and the fibers group the points by the line through q and
     ``add_mod_p(q, T)``: their cross products (``cross_mod_p``), all
     normalized by one inverse (``normalize_all_mod_p``).  A curve point is
-    built only for the order test; witnesses print the int triples.  With
-    order 2, T is beta and the image lies on the image cubic G, so a
-    one-dimensional kernel at degree 3 must be proportional to G mod p;
-    otherwise the report is ``fail`` with both forms as witness.
+    built only for the order test; witnesses print the int triples.  The
+    image lines go to min_interpolating_degree with the expected degree as
+    ``first``, so an image that interpolates there with nullity 1 is
+    certified by that one rank; any other image gets the ascending search
+    over degrees 1 to 8.  With order 2, T is beta and the image lies on
+    the image cubic G, so a one-dimensional kernel at degree 3 must be
+    proportional to G mod p; otherwise the report is ``fail`` with both
+    forms as witness.
 
     T is the first point of that order in enumeration order.  The check is
     skipped when no point has that order, at once when the order does not
@@ -424,9 +428,9 @@ def verify_degree_remark(params: CurveParams, p: int, order: int) -> Report:
         elif len(fibers) < 31:
             witness = f"only {len(fibers)} image points"
 
-    found = min_interpolating_degree(fibers.keys(), p=p)
-    degree = found.degree if found else None
     expected_degree = 3 if order == 2 else 6
+    found = min_interpolating_degree(fibers.keys(), p=p, first=expected_degree)
+    degree = found.degree if found else None
     if degree != expected_degree:
         witness = witness or (
             f"image interpolates at degree {degree}, expected {expected_degree}"

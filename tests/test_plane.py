@@ -209,6 +209,11 @@ def test_min_interpolating_degree_line():
     pts = _fp_triples([(0, 1, 0), (0, 0, 1), (0, 1, 1)], 7)
     assert min_interpolating_degree(pts, p=7) == MinDegree(1, 1)
     assert min_interpolating_degree([], p=7) == MinDegree(1, 3)
+    # The modulus is refused even when no coordinate is read.
+    with pytest.raises(ValueError, match="got 4"):
+        min_interpolating_degree([], p=4)
+    with pytest.raises(ValueError, match="first must be a degree from 1 to 8, got 9"):
+        min_interpolating_degree(pts, p=7, first=9)
 
 
 def test_min_interpolating_degree_exceeds_dmax():
@@ -721,7 +726,14 @@ def test_interpolation_on_ints_matches_scalar_rows():
     def check(points_p):
         points, p = points_p
         expected = _min_degree_by_scalar_rows(points, p)
-        assert min_interpolating_degree(points, p=p) == expected
+        found = min_interpolating_degree(points, p=p)
+        assert found == expected
+        # Ranking any degree first certifies it only at nullity 1, so the
+        # result, kernel included, is the plain search's.
+        for first in range(1, 9):
+            certified = min_interpolating_degree(points, p=p, first=first)
+            assert certified == found
+            assert (certified and certified.kernel) == (found and found.kernel)
 
     check()
 
@@ -751,6 +763,29 @@ def test_row_echelon_rank_matches_gauss_jordan():
         assert _rank_and_kernel_mod_p(iter(mat), p, cols)[0] == _gauss_jordan_rank(mat, p)
 
     check()
+
+
+def test_packed_rank_fields_hold_at_the_top_of_the_domain():
+    # 45 columns (degree 8) at p = 65521: 44 dense rows, each reduced by
+    # every pivot row before it, and after every 11th a combination of the
+    # rows so far, which vanishes mod p only after as many reductions.
+    # Fields of 2 bitlen(p) bits would carry into their neighbours here.
+    p, ncols = 65521, 45
+    rng = random.Random(2)
+    for _ in range(3):
+        dense = [[rng.randrange(p) for _ in range(ncols)] for _ in range(ncols - 1)]
+        mat = []
+        for n, row in enumerate(dense, start=1):
+            mat.append(row)
+            if n % 11 == 0:
+                coeffs = [rng.randrange(p) for _ in range(n)]
+                mat.append([sum(c * r[m] for c, r in zip(coeffs, dense)) for m in range(ncols)])
+        rank, kernel = _rank_and_kernel_mod_p(iter(mat), p, ncols)
+        assert rank == _gauss_jordan_rank(mat, p) == ncols - 1
+        # At nullity 1 the kernel is the one vector on every row's
+        # orthogonal complement that is 1 at its last nonzero entry.
+        assert next(v for v in reversed(kernel) if v) == 1
+        assert all(sum(v * k for v, k in zip(r, kernel)) % p == 0 for r in mat)
 
 
 def test_rank_mod_p_reads_no_row_after_full_rank():

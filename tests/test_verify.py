@@ -6,7 +6,7 @@ from math import isqrt
 
 import pytest
 
-from chordcubic import verify
+from chordcubic import plane, verify
 from chordcubic.chord import (
     DualPoint,
     TernaryForm,
@@ -255,6 +255,24 @@ def test_degree_remark_records_the_forced_collision():
     assert "not a singleton" in report.witness
     assert report.stats["image_degree"] == 6
     assert report.stats["image_size"] == 103
+
+
+def test_degree_remark_ranks_one_matrix_at_the_expected_degree(monkeypatch):
+    # The 103 image lines of order 4 have nullity 1 at degree 6, which
+    # certifies degree 6 with one rank of 28 columns.  The 2-point image of
+    # (3, 4) mod 5 has nullity 8 at degree 3, so the ascending search runs
+    # and still finds the line through both points.
+    ncols = []
+    rank = plane._rank_and_kernel_mod_p
+    monkeypatch.setattr(
+        plane, "_rank_and_kernel_mod_p", lambda rows, p, n: ncols.append(n) or rank(rows, p, n)
+    )
+    report = verify_degree_remark(validate_curve(-3, 2), 101, 4)
+    assert (report.stats["image_degree"], ncols) == (6, [28])
+    ncols.clear()
+    report = verify_degree_remark(validate_curve(3, 4), 5, 2)
+    assert (report.stats["image_size"], report.stats["image_degree"]) == (2, 1)
+    assert ncols == [10, 3]
 
 
 def test_degree_remark_normalizes_its_lines_together(monkeypatch):
