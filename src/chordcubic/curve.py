@@ -11,28 +11,24 @@ different curves are rejected.
 Over F_p the scalar functions, one body for both fields, are the oracles of
 the int kernel on residue pairs that the per-point claims run on
 (:func:`add_mod_p`, :func:`scalar_mul_mod_p`, :func:`translate_mod_p`).
+Torsion points and point orders are computed over F_p only; on a rational
+curve :func:`two_torsion_points`, :func:`three_torsion_flexes` and
+:func:`point_order` raise ValueError, as no claim needs them over Q.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from itertools import count
-from math import lcm
 
 from .scalars import (
     PrimeField,
     PrimeFieldScalar,
+    _roots_mod,
     check_modulus,
-    horner,
-    is_prime,
-    rational_sqrt,
     residue,
     squares_table,
 )
-
-# Largest order of a rational torsion point (Mazur).
-_MAZUR_BOUND = 12
 
 
 class CurveParams(namedtuple("CurveParams", "a b")):
@@ -333,43 +329,35 @@ def translate_mod_p(b: int, p: int, s):
 
 
 def point_order(p: CurvePoint) -> int:
-    """Order of a point in the group, by repeated addition.
-
-    Over F_p this takes up to #E - 1 additions.  Over the rationals a point
-    of finite order has order at most 12 (Mazur, Publ. Math. IHES 47, 1977),
-    so a point still nonzero at 12 p has infinite order: ValueError.
-    """
-    bound = _MAZUR_BOUND if p.params.modulus is None else None
+    """Order of a point of E(F_p) by up to #E - 1 additions; ValueError over Q."""
+    _prime_of(p.params)
     n = 1
     q = p
     while not q.is_infinity:
-        if n == bound:
-            raise ValueError(
-                f"point {p} has infinite order: rational torsion has order <= {bound}"
-            )
         q = group_add(q, p)
         n += 1
     return n
 
 
-def _sort_key(scalar):
-    return scalar.value if isinstance(scalar, PrimeFieldScalar) else scalar
-
-
-def _sqrt(params: CurveParams, v):
-    """A square root of the field element v, or None if v is not a square."""
-    if params.modulus is None:
-        return rational_sqrt(v)
-    entry = squares_table(params.modulus).get(v.value)
-    return None if entry is None else params.scalar(entry[0])
+def _prime_of(params: CurveParams, p: int | None = None) -> int:
+    """p if given, else the modulus of params; ValueError for a rational curve."""
+    p = params.modulus if p is None else p
+    if p is None:
+        raise ValueError(f"torsion and orders are computed over F_p only, not on {params}")
+    return p
 
 
 def two_torsion_points(params: CurveParams) -> list:
-    """O, beta, and (r, 0) for each root r of x^2 + a x + b in the field."""
-    a, b = params.a, params.b
-    s = _sqrt(params, a * a - 4 * b)
-    roots = [] if s is None else [(-a + s) / 2, (-a - s) / 2]
-    affine = [CurvePoint.affine(params, r, 0) for r in sorted(roots, key=_sort_key)]
+    """O, beta, then (r, 0) for each root r of x^2 + a x + b in F_p, increasing.
+
+    The roots are (s - a)/2 for the square roots s of a^2 - 4b.  A rational
+    curve raises ValueError.
+    """
+    p = _prime_of(params)
+    a, b = params.a.value, params.b.value
+    half = (p + 1) // 2
+    roots = sorted((s - a) * half % p for s in squares_table(p).get((a * a - 4 * b) % p, ()))
+    affine = [CurvePoint.affine(params, r, 0) for r in roots]
     return [CurvePoint.infinity(params), beta(params)] + affine
 
 
@@ -405,80 +393,24 @@ def enumerate_points(params: CurveParams, p: int) -> list:
 
 
 def three_torsion_flexes(params: CurveParams, p: int | None = None) -> list:
-    """All points q with 3q = O over F_p (p given or that of params), else over Q.
+    """All points q of E(F_p) with 3q = O, for p given or the modulus of params.
 
     An affine q has 3q = O iff x(2q) = x(q), i.e. iff x is a root of
     psi3 = 3x^4 + 4a x^3 + 6b x^2 - b^2 (squarefree on a smooth curve: its
-    four roots are the x-coordinates of the four pairs +-q of order 3).
-    Over F_p the roots come from :func:`_roots_mod`.  Over the rationals,
-    with d the common denominator of a and b, the torsion of the integral
-    model (a d^2, b d^4), whose points are (d^2 x, d^3 y), has integer
-    coordinates by Nagell-Lutz (Silverman-Tate, Rational Points on Elliptic
-    Curves, 2.4); so the roots are its integer roots of psi3
-    (:func:`_integer_roots`) over d^2.  Each root x gives (x, +-y) when
-    f(x) = x^3 + a x^2 + b x has a square root y in the field
-    (:func:`_sqrt`).  O and each such candidate are kept iff scalar_mul
-    confirms 3q = O: O first, then by increasing (x, y).
+    four roots are the x-coordinates of the four pairs +-q of order 3).  The
+    roots come from :func:`~chordcubic.scalars._roots_mod`, and each root x
+    gives (x, y) for each square root y of x^3 + a x^2 + b x in
+    :func:`~chordcubic.scalars.squares_table`.  O and each such candidate
+    are kept iff scalar_mul confirms 3q = O: O first, then by increasing
+    (x, y).  A rational curve given without p raises ValueError.
     """
-    p = params.modulus if p is None else p
-    if p is not None:
-        params = reduce_params(params, p)
-        d, a, b = 1, params.a.value, params.b.value
-    else:
-        d = lcm(params.a.denominator, params.b.denominator)
-        a, b = int(params.a * d ** 2), int(params.b * d ** 4)
-    psi3 = [-b * b, 0, 6 * b, 4 * a, 3]
-    roots = _integer_roots(psi3) if p is None else _roots_mod(psi3, p)
-    candidates = [CurvePoint.infinity(params)]
-    for x in (params.coerce(Fraction(r, d * d)) for r in roots):
-        s = _sqrt(params, x ** 3 + params.a * x * x + params.b * x)
-        for y in [] if s is None else sorted({-s, s}, key=_sort_key):
-            candidates.append(CurvePoint.affine(params, x, y))
+    p = _prime_of(params, p)
+    params = reduce_params(params, p)
+    a, b = params.a.value, params.b.value
+    roots = squares_table(p)
+    candidates = [CurvePoint.infinity(params)] + [
+        CurvePoint.affine(params, x, y)
+        for x in _roots_mod([-b * b, 0, 6 * b, 4 * a, 3], p)
+        for y in roots.get((x * x * x + a * x * x + b * x) % p, ())
+    ]
     return [q for q in candidates if scalar_mul(3, q).is_infinity]
-
-
-def _roots_mod(coeffs: list, q: int) -> list:
-    """The roots in 0..q-1 of the int polynomial sum(coeffs[i] x^i) mod q.
-
-    One Horner evaluation per x, after the zero coefficients mod q at both
-    ends are dropped (zeros at the low end give the root 0).  Every x is a
-    root of the zero polynomial.
-    """
-    coeffs = [c % q for c in coeffs]
-    while coeffs and not coeffs[-1]:
-        coeffs.pop()
-    low = next((i for i, c in enumerate(coeffs) if c), None)
-    if low is None:
-        return list(range(q))
-    rest = coeffs[low:]
-    return [0] * (low > 0) + [r for r in range(q) if horner(rest, r) % q == 0]
-
-
-def _integer_roots(coeffs: list) -> list:
-    """The integer roots of a squarefree int polynomial, in increasing order.
-
-    ``coeffs[i]`` is the coefficient of x^i.  Every root lies within the
-    Cauchy bound 1 + max |coeffs[i] / coeffs[-1]|.  At the first prime q not
-    dividing the leading coefficient at which each root mod q is simple
-    (one exists, as q then only has to avoid the discriminant), each
-    integer root reduces to one of those roots and is its unique Hensel
-    lift.  Newton's iteration lifts every root mod q to a modulus q^(2^k)
-    above twice the bound, where the symmetric residue is the only
-    candidate and is tested exactly (Loos, SIAM J. Comput. 12, 1983).
-    """
-    lead = coeffs[-1]
-    deriv = [i * c for i, c in enumerate(coeffs)][1:]
-    bound = 1 - max(abs(c) for c in coeffs[:-1]) // -abs(lead)
-    q = 2
-    while True:
-        if lead % q:
-            roots = _roots_mod(coeffs, q)
-            if all(horner(deriv, r) % q for r in roots):
-                break
-        q = next(n for n in count(q + 1) if is_prime(n))
-    m = q
-    while m <= 2 * bound:
-        m *= m
-        roots = [(r - horner(coeffs, r) * pow(horner(deriv, r), -1, m)) % m for r in roots]
-    lifted = sorted(r - m if 2 * r > m else r for r in roots)
-    return [x for x in lifted if horner(coeffs, x) == 0]

@@ -24,8 +24,8 @@ from itertools import chain, product
 from operator import mul
 
 from .chord import TernaryForm, as_triple, normalize_mod_p
-from .curve import _roots_mod, _tuple_str
-from .scalars import check_modulus, horner, residue, squares_table
+from .curve import _tuple_str
+from .scalars import _roots_mod, check_modulus, horner, residue, squares_table
 
 # Highest degree that min_interpolating_degree tries: the image of a
 # translation chord map lies on a cubic (order 2) or a sextic (order > 2).
@@ -160,7 +160,7 @@ def _pencil_zeros(table: dict, degree: int, axis: int, p: int, lines):
     coordinates (r, s) are (1, t) or (0, 1).  Restricted to such a line the
     form is a polynomial in z: a quadratic, solved with the square-root
     table, when the form has degree at most 2 in z, else solved by
-    :func:`~chordcubic.curve._roots_mod`.  Yields the normalized zeros on
+    :func:`~chordcubic.scalars._roots_mod`.  Yields the normalized zeros on
     each of ``lines``, then the vertex if it is a zero.
     """
     top = max(2, _degree_along(table, axis))
@@ -246,7 +246,7 @@ def _zeros_where_meeting(form: TernaryForm, p: int, seconds):
 
     ``seconds[z]`` is K when the pencil axis of the form is z.  A line
     (1, t) is solved only at a root t of :func:`_eliminant`, found by one
-    Horner evaluation per t (:func:`~chordcubic.curve._roots_mod`); the line
+    Horner evaluation per t (:func:`~chordcubic.scalars._roots_mod`); the line
     (0, 1) and the vertex are always solved.  So every common F_p zero of
     the form and K is among the zeros.  Every line is solved instead
     (:func:`_zero_points_over_Fp`) when no coordinate has degree at most 2

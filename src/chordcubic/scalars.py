@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import isqrt
 from types import MappingProxyType
 
 MAX_PRIME = 1 << 16
@@ -221,13 +220,18 @@ def horner(coeffs: list, s: int) -> int:
     return acc
 
 
-def rational_sqrt(q) -> Fraction | None:
-    """Exact square root of a rational if it is a perfect square, else None."""
-    q = Fraction(q)
-    if q < 0:
-        return None
-    num, den = q.numerator, q.denominator
-    rn, rd = isqrt(num), isqrt(den)
-    if rn * rn != num or rd * rd != den:
-        return None
-    return Fraction(rn, rd)
+def _roots_mod(coeffs: list, q: int) -> list:
+    """The roots in 0..q-1 of the int polynomial sum(coeffs[i] x^i) mod q.
+
+    One Horner evaluation per x, after the zero coefficients mod q at both
+    ends are dropped (zeros at the low end give the root 0).  Every x is a
+    root of the zero polynomial.
+    """
+    coeffs = [c % q for c in coeffs]
+    while coeffs and not coeffs[-1]:
+        coeffs.pop()
+    low = next((i for i, c in enumerate(coeffs) if c), None)
+    if low is None:
+        return list(range(q))
+    rest = coeffs[low:]
+    return [0] * (low > 0) + [r for r in range(q) if horner(rest, r) % q == 0]

@@ -497,7 +497,7 @@ def verify_cross_checks(ctx: FpContext) -> Report:
     q and q + beta, and G on its int table.  Witnesses print the int
     triples.  The 3-torsion is ``ctx.torsion3``; the flexes it is compared
     with come from the Hessian sweep, which never uses psi3.  The scalar
-    functions stay the oracles of the int kernels and the only path over Q.
+    functions stay the oracles of the int kernels.
     """
     started = time.monotonic()
     pp, p, points = ctx.pp, ctx.p, ctx.points

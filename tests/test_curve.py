@@ -24,7 +24,7 @@ from chordcubic.curve import (
     validate_curve,
 )
 from chordcubic.plane import find_flexes_over_Fp, is_flex
-from chordcubic.scalars import PrimeField, PrimeFieldScalar, rational_sqrt
+from chordcubic.scalars import PrimeField, PrimeFieldScalar
 from fp_strategies import curve_residues, curves, hypothesis_api, outcome, triples
 
 
@@ -187,19 +187,13 @@ def test_two_torsion_points():
     def xs(points):
         return [str(q) for q in points]
 
-    assert xs(two_torsion_points(validate_curve(-3, 2))) == [
-        "[0:1:0]",
-        "[0:0:1]",
-        "[1:0:1]",
-        "[2:0:1]",
-    ]
-    assert xs(two_torsion_points(validate_curve(0, -1))) == [
-        "[0:1:0]",
-        "[0:0:1]",
-        "[-1:0:1]",
-        "[1:0:1]",
-    ]
-    assert xs(two_torsion_points(validate_curve(0, 4))) == ["[0:1:0]", "[0:0:1]"]
+    # -1 is 6 mod 7, and x^2 + 4 has no root there: -1 is not a square.
+    def mod7(a, b):
+        return two_torsion_points(reduce_params(validate_curve(a, b), 7))
+
+    assert xs(mod7(-3, 2)) == ["[0:1:0]", "[0:0:1]", "[1:0:1]", "[2:0:1]"]
+    assert xs(mod7(0, -1)) == ["[0:1:0]", "[0:0:1]", "[1:0:1]", "[6:0:1]"]
+    assert xs(mod7(0, 4)) == ["[0:1:0]", "[0:0:1]"]
 
 
 def test_two_torsion_over_prime_field():
@@ -207,6 +201,36 @@ def test_two_torsion_over_prime_field():
     points = two_torsion_points(params)
     assert len(points) == 4  # x^2 + 4 = (x-1)(x+1) mod 5
     assert all(q.is_infinity or q.y == 0 for q in points)
+    # Differential check: O, then the points y = 0 of the exhaustive scan
+    # (beta = (0, 0) first), in order, on every smooth curve at every prime
+    # 5 <= p <= 31.
+    curves_checked = 0
+    for p in (5, 7, 11, 13, 17, 19, 23, 29, 31):
+        for a in range(p):
+            for b in range(1, p):
+                if (a * a - 4 * b) % p == 0:
+                    continue
+                found = two_torsion_points(reduce_params(validate_curve(a, b), p))
+                pairs = [None if q.is_infinity else (q.x.value, q.y.value) for q in found]
+                scanned = [None] + [s for s in affine_points_mod_p(a, b, p) if s[1] == 0]
+                assert pairs == scanned, (a, b, p)
+                curves_checked += 1
+    assert curves_checked == 3044
+
+
+def test_torsion_over_Q_is_refused():
+    # Torsion and point orders are computed over F_p only.  A point of
+    # infinite order over Q is refused at once, not added up without end.
+    with pytest.raises(ValueError, match="over F_p only"):
+        two_torsion_points(validate_curve(-3, 2))
+    with pytest.raises(ValueError, match="over F_p only"):
+        three_torsion_flexes(validate_curve(-2, 5))
+    with pytest.raises(ValueError, match="over F_p only"):
+        point_order(beta(validate_curve(0, 4)))
+    started = time.monotonic()
+    with pytest.raises(ValueError, match="over F_p only"):
+        point_order(CurvePoint.affine(validate_curve(0, -2), 2, 2))
+    assert time.monotonic() - started < 5
 
 
 def test_enumerate_points_counts():
@@ -298,97 +322,6 @@ def test_three_torsion_over_Fp():
     assert curves_checked == 3044
 
 
-def test_rational_three_torsion_found():
-    # (1, +-2) has order 3 on y^2 = x^3 - 2x^2 + 5x.
-    tor3 = three_torsion_flexes(validate_curve(-2, 5))
-    assert [str(q) for q in tor3] == ["[0:1:0]", "[1:-2:1]", "[1:2:1]"]
-    tor3 = three_torsion_flexes(validate_curve(6, -3))
-    assert [str(q) for q in tor3] == ["[0:1:0]", "[1:-2:1]", "[1:2:1]"]
-    assert [str(q) for q in three_torsion_flexes(validate_curve(0, 4))] == ["[0:1:0]"]
-
-
-def test_rational_three_torsion_on_a_scaled_model():
-    # (-3, 3) has 3-torsion (1, +-1); scaled by u = 40 it is found on
-    # that integral model itself.
-    tor3 = three_torsion_flexes(validate_curve(-4800, 7680000))
-    assert [str(q) for q in tor3] == ["[0:1:0]", "[1600:-64000:1]", "[1600:64000:1]"]
-    # u = 1/2: the search runs on the integral model with d = 16.
-    tor3 = three_torsion_flexes(validate_curve(Fraction(-3, 4), Fraction(3, 16)))
-    assert [str(q) for q in tor3] == ["[0:1:0]", "[1/4:-1/8:1]", "[1/4:1/8:1]"]
-    tor3 = three_torsion_flexes(validate_curve(0, 8 * 23 ** 4))
-    assert [str(q) for q in tor3] == ["[0:1:0]"]
-
-
-def test_rational_three_torsion_is_decided_for_large_coefficients():
-    # b is prime and b^2 exceeds 10^14: no model with smaller coefficients.
-    assert [str(q) for q in three_torsion_flexes(validate_curve(1, 10_000_019))] == [
-        "[0:1:0]"
-    ]
-    # (-2, 5) scaled by u = 7^20.
-    tor3 = three_torsion_flexes(validate_curve(-2 * 7 ** 40, 5 * 7 ** 80))
-    assert [str(q) for q in tor3] == [
-        "[0:1:0]",
-        f"[{7 ** 40}:{-2 * 7 ** 60}:1]",
-        f"[{7 ** 40}:{2 * 7 ** 60}:1]",
-    ]
-    tor3 = three_torsion_flexes(validate_curve(Fraction(-27, 5), Fraction(-35, 6)))
-    assert [str(q) for q in tor3] == ["[0:1:0]"]
-
-
-def _brute_three_torsion(a: int, b: int) -> list:
-    """Every integer x within the Cauchy bound of psi3, with y from rational_sqrt."""
-    bound = 1 + max(4 * abs(a), 6 * abs(b), b * b) // 3 + 1
-    found = []
-    for x in range(-bound, bound + 1):
-        if 3 * x ** 4 + 4 * a * x ** 3 + 6 * b * x * x - b * b:
-            continue
-        s = rational_sqrt(x ** 3 + a * x * x + b * x)
-        if s is not None and s != 0:
-            found += [f"[{x}:{-s}:1]", f"[{x}:{s}:1]"]
-    return ["[0:1:0]"] + found
-
-
-def test_rational_three_torsion_matches_a_brute_force_search():
-    decided = 0
-    for a in range(-12, 13):
-        for b in range(-30, 31):
-            if b == 0 or a * a == 4 * b:
-                continue
-            found = [str(q) for q in three_torsion_flexes(validate_curve(a, b))]
-            assert found == _brute_three_torsion(a, b), (a, b)
-            decided += len(found) > 1
-    assert decided > 0
-
-
-def test_rational_three_torsion_follows_a_change_of_scale():
-    given, settings, st = hypothesis_api(max_examples=60)
-    small = st.integers(-20, 20)
-
-    @settings
-    @given(small, small, small.filter(bool), st.integers(1, 12))
-    def check(a, b, num, den):
-        if b == 0 or a * a == 4 * b:
-            return
-        u = Fraction(num, den)
-        scaled = validate_curve(a * u ** 2, b * u ** 4)
-        expected = {
-            (u ** 2 * q.x, u ** 3 * q.y)
-            for q in three_torsion_flexes(validate_curve(a, b))[1:]
-        }
-        tor3 = three_torsion_flexes(scaled)
-        assert tor3[0].is_infinity
-        assert {(q.x, q.y) for q in tor3[1:]} == expected
-
-    check()
-
-
-def test_integer_roots_skips_rational_non_integers():
-    # (3x - 1)(x - 5)(x + 7)(x^2 + 1)
-    coeffs = [35, -107, 40, -104, 5, 3]
-    assert curve._integer_roots(coeffs) == [-7, 5]
-    assert curve._integer_roots([-2, 0, 1]) == []
-
-
 def test_roots_mod_match_a_scan_of_the_full_polynomial():
     # Zero coefficients mod q at either end are dropped before the scan.
     given, settings, st = hypothesis_api(max_examples=150)
@@ -406,10 +339,13 @@ def test_roots_mod_match_a_scan_of_the_full_polynomial():
 
 
 def test_three_torsion_points_are_hessian_flexes():
-    # Rational case: the curve's own cubic must be inflected at 3-torsion.
-    params = validate_curve(-2, 5)
+    # (1, +-2) has order 3 on y^2 = x^3 - 2x^2 + 5x over Q, so it stays in
+    # E[3] mod 101: the curve's own cubic must be inflected there.
+    params = reduce_params(validate_curve(-2, 5), 101)
     form = weierstrass_form(params)
-    for q in three_torsion_flexes(params):
+    tor3 = three_torsion_flexes(params)
+    assert [str(q) for q in tor3] == ["[0:1:0]", "[1:2:1]", "[1:99:1]"]
+    for q in tor3:
         assert is_flex(form, q.coords)
     # Finite-field case: flexes of the Weierstrass cubic = 3-torsion, exactly.
     from chordcubic.chord import normalize_mod_p
@@ -425,17 +361,20 @@ def test_three_torsion_points_are_hessian_flexes():
 
 
 def test_point_order():
-    params = validate_curve(0, 4)
+    params = reduce_params(validate_curve(0, 4), 101)
     assert point_order(CurvePoint.infinity(params)) == 1
     assert point_order(beta(params)) == 2
     assert point_order(CurvePoint.affine(params, 2, 4)) == 4
 
 
-def test_point_order_over_Q_stops_at_the_mazur_bound():
-    started = time.monotonic()
-    with pytest.raises(ValueError, match=r"\[2:2:1\] has infinite order"):
-        point_order(CurvePoint.affine(validate_curve(0, -2), 2, 2))
-    assert time.monotonic() - started < 5
-    # Over F_p the order may exceed 12: E(F_23) is cyclic of order 24 here.
+def test_point_order_over_Fp_is_not_bounded_by_mazur():
+    # (2, 2) has infinite order on y^2 = x^3 - 2x over Q; mod 101 it
+    # generates E(F_101), of order 122, above the rational bound of 12.
+    params = reduce_params(validate_curve(0, -2), 101)
+    q = CurvePoint.affine(params, 2, 2)
+    assert point_order(q) == 122 == len(enumerate_points(params, 101))
+    assert scalar_mul(122, q).is_infinity
+    assert not any(scalar_mul(d, q).is_infinity for d in (1, 2, 61))
+    # E(F_23) is cyclic of order 24 here.
     params = reduce_params(validate_curve(0, 4), 23)
     assert max(point_order(q) for q in enumerate_points(params, 23)) == 24

@@ -7,7 +7,6 @@ from chordcubic.scalars import (
     PrimeField,
     PrimeFieldScalar,
     is_prime,
-    rational_sqrt,
     squares_table,
 )
 
@@ -91,9 +90,3 @@ def test_renderings():
     assert str(Fraction(-3, 6)) == "-1/2"
     assert str(Fraction(4, 2)) == "2"
 
-
-def test_rational_sqrt():
-    assert rational_sqrt(Fraction(9, 4)) == Fraction(3, 2)
-    assert rational_sqrt(Fraction(0)) == 0
-    assert rational_sqrt(Fraction(2)) is None
-    assert rational_sqrt(Fraction(-4)) is None
