@@ -154,11 +154,7 @@ class TernaryForm:
     def evaluate(self, coords):
         """Exact value at a projective triple (zero/nonzero is projective)."""
         u, v, w = as_triple(coords)
-        acc = None
-        for (i, j, k), coeff in self.coeffs.items():
-            term = coeff * u ** i * v ** j * w ** k
-            acc = term if acc is None else acc + term
-        return 0 if acc is None else acc
+        return sum(c * u ** i * v ** j * w ** k for (i, j, k), c in self.coeffs.items())
 
     def canonical(self) -> TernaryForm:
         """Content-normalized copy for deterministic comparison.
@@ -247,14 +243,6 @@ def chord_triple(x, y, b) -> tuple:
     return y * (x * x + b), b * x - x ** 3, -2 * b * x * y
 
 
-def _raw_chord(b: int, p: int, s) -> tuple:
-    """The chord triple of an int residue pair (None for O), not normalized."""
-    if s is None or s == (0, 0):
-        return (1, 0, 0)
-    x, y = s
-    return (x * x + b) * y % p, (b - x * x) * x % p, -2 * b * x * y % p
-
-
 def normalize_all_mod_p(triples: list, p: int) -> list:
     """normalize_mod_p on every int triple of the list, in place, by one inverse.
 
@@ -278,9 +266,18 @@ def normalize_all_mod_p(triples: list, p: int) -> list:
 def chords_mod_p(b: int, p: int, points) -> dict:
     """chord_map at each int pair of ``points`` (None for O), keyed in their order.
 
-    The chords are normalized together by :func:`normalize_all_mod_p`.
+    Each affine point other than beta gets :func:`chord_triple` on ints,
+    reduced mod p; O and beta get (1, 0, 0).  The chords are normalized
+    together by :func:`normalize_all_mod_p`.
     """
-    return dict(zip(points, normalize_all_mod_p([_raw_chord(b, p, s) for s in points], p)))
+    triples = []
+    for s in points:
+        if s is None or s == (0, 0):
+            triples.append((1, 0, 0))
+        else:
+            u, v, w = chord_triple(s[0], s[1], b)
+            triples.append((u % p, v % p, w % p))
+    return dict(zip(points, normalize_all_mod_p(triples, p)))
 
 
 def chord_cubic_generic(a, b) -> TernaryForm:

@@ -24,6 +24,7 @@ from fractions import Fraction
 from .scalars import (
     PrimeField,
     PrimeFieldScalar,
+    _quadratic_zeros,
     _roots_mod,
     check_modulus,
     residue,
@@ -350,13 +351,11 @@ def _prime_of(params: CurveParams, p: int | None = None) -> int:
 def two_torsion_points(params: CurveParams) -> list:
     """O, beta, then (r, 0) for each root r of x^2 + a x + b in F_p, increasing.
 
-    The roots are (s - a)/2 for the square roots s of a^2 - 4b.  A rational
-    curve raises ValueError.
+    The roots come from :func:`~chordcubic.scalars._quadratic_zeros`.  A
+    rational curve raises ValueError.
     """
     p = _prime_of(params)
-    a, b = params.a.value, params.b.value
-    half = (p + 1) // 2
-    roots = sorted((s - a) * half % p for s in squares_table(p).get((a * a - 4 * b) % p, ()))
+    roots = sorted(_quadratic_zeros(params.b.value, params.a.value, 1, p))
     affine = [CurvePoint.affine(params, r, 0) for r in roots]
     return [CurvePoint.infinity(params), beta(params)] + affine
 

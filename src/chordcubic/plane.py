@@ -25,7 +25,7 @@ from operator import mul
 
 from .chord import TernaryForm, as_triple, normalize_mod_p
 from .curve import _tuple_str
-from .scalars import _roots_mod, check_modulus, horner, residue, squares_table
+from .scalars import _dot, _quadratic_zeros, _roots_mod, check_modulus, horner, residue
 
 # Highest degree that min_interpolating_degree tries: the image of a
 # translation chord map lies on a cubic (order 2) or a sextic (order > 2).
@@ -47,19 +47,10 @@ class MinDegree(namedtuple("MinDegree", "degree nullity kernel", defaults=(None,
 
     At nullity 1, ``kernel`` holds the interpolating form's coefficients
     mod p in ``monomials(degree)`` order, scaled to 1 at its last nonzero
-    entry; otherwise it is None.  It takes no part in equality or hash.
+    entry; otherwise it is None.  Records compare as tuples, kernel included.
     """
 
     __slots__ = ()
-
-    def __eq__(self, other):
-        return isinstance(other, MinDegree) and self[:2] == other[:2]
-
-    def __ne__(self, other):
-        return not self == other
-
-    def __hash__(self):
-        return hash(self[:2])
 
 
 def evaluate_form(form: TernaryForm, pt):
@@ -158,15 +149,15 @@ def _pencil_zeros(table: dict, degree: int, axis: int, p: int, lines):
     Every point but the vertex, where only z is nonzero, lies on exactly one
     line of the pencil through the vertex, on which the other two
     coordinates (r, s) are (1, t) or (0, 1).  Restricted to such a line the
-    form is a polynomial in z: a quadratic, solved with the square-root
-    table, when the form has degree at most 2 in z, else solved by
-    :func:`~chordcubic.scalars._roots_mod`.  Yields the normalized zeros on
-    each of ``lines``, then the vertex if it is a zero.
+    form is a polynomial in z: a quadratic, solved by
+    :func:`~chordcubic.scalars._quadratic_zeros`, when the form has degree
+    at most 2 in z, else solved by :func:`~chordcubic.scalars._roots_mod`.
+    Yields the normalized zeros on each of ``lines``, then the vertex if it
+    is a zero.
     """
     top = max(2, _degree_along(table, axis))
     polys = _along(table, degree, axis, top)
     r, s = (m for m in range(3) if m != axis)
-    roots = squares_table(p) if top == 2 else None
     pt = [0, 0, 0]
     for xr, xs in lines:
         if xr:
@@ -174,7 +165,7 @@ def _pencil_zeros(table: dict, degree: int, axis: int, p: int, lines):
         else:
             coeffs = [poly[-1] % p for poly in polys]
         pt[r], pt[s] = xr, xs
-        zeros = _quadratic_zeros(*coeffs, p, roots) if top == 2 else _roots_mod(coeffs, p)
+        zeros = _quadratic_zeros(*coeffs, p) if top == 2 else _roots_mod(coeffs, p)
         for z in zeros:
             pt[axis] = z
             yield normalize_mod_p(pt, p)
@@ -195,28 +186,6 @@ def _zero_points_over_Fp(form: TernaryForm, p: int):
     table = _int_table(form, p)
     lines = chain(((1, t) for t in range(p)), [(0, 1)])
     return _pencil_zeros(table, form.degree, _pencil_axis(table), p, lines)
-
-
-def _quadratic_zeros(c0: int, c1: int, c2: int, p: int, roots: dict):
-    """All z in F_p with c2 z^2 + c1 z + c0 = 0; every z for the zero polynomial."""
-    if c2:
-        ys = roots.get((c1 * c1 - 4 * c2 * c0) % p, ())
-        inv = pow(2 * c2, -1, p) if ys else 0
-        return [(y - c1) * inv % p for y in ys]
-    if c1:
-        return [-c0 * pow(c1, -1, p) % p]
-    return range(p) if c0 == 0 else []
-
-
-def _dot(*pairs) -> list:
-    """The sum of the products f g over pairs of int polynomials, lowest term first."""
-    out = [0] * max(len(f) + len(g) - 1 for f, g in pairs)
-    for f, g in pairs:
-        for i, x in enumerate(f):
-            if x:
-                for j, y in enumerate(g):
-                    out[i + j] += x * y
-    return out
 
 
 def _eliminant(c: list, k: list) -> list:
@@ -244,22 +213,25 @@ def _eliminant(c: list, k: list) -> list:
 def _zeros_where_meeting(form: TernaryForm, p: int, seconds):
     """The F_p zeros of the form on the pencil lines where it meets a second form K.
 
-    ``seconds[z]`` is K when the pencil axis of the form is z.  A line
-    (1, t) is solved only at a root t of :func:`_eliminant`, found by one
-    Horner evaluation per t (:func:`~chordcubic.scalars._roots_mod`); the line
-    (0, 1) and the vertex are always solved.  So every common F_p zero of
+    The form must already be read mod p (:func:`_reduced`): its table is
+    taken as it is.  ``seconds[z]`` is K when the pencil axis of the form
+    is z; K's int table is taken as it is too, as the eliminant is reduced
+    mod p.  A line (1, t) is solved only at a root t of :func:`_eliminant`,
+    found by one Horner evaluation per t
+    (:func:`~chordcubic.scalars._roots_mod`); the line (0, 1) and the
+    vertex are always solved.  So every common F_p zero of
     the form and K is among the zeros.  Every line is solved instead
     (:func:`_zero_points_over_Fp`) when no coordinate has degree at most 2
     or the eliminant vanishes mod p (the forms share a component, or the
     form is at most linear along the axis).
     """
-    table = _int_table(form, p)
+    table = form.coeffs
     axis = _pencil_axis(table)
     if _degree_along(table, axis) <= 2:
         second = seconds[axis]
         eliminant = _eliminant(
             _along(table, form.degree, axis, 2),
-            _along(_int_table(second, p), second.degree, axis, 3),
+            _along(second.coeffs, second.degree, axis, 3),
         )
         if any(x % p for x in eliminant):
             lines = [(1, t) for t in _roots_mod(eliminant, p)] + [(0, 1)]
@@ -291,9 +263,8 @@ def smooth_over_Fp(form: TernaryForm, p: int) -> bool:
     """
     form = _reduced(form, p)
     grads = gradient(form)
-    tables = [_int_table(g, p) for g in grads]
     for pt in _zeros_where_meeting(form, p, grads):
-        if all(_vanishes(g, pt, p) for g in tables):
+        if all(_vanishes(g.coeffs, pt, p) for g in grads):
             return False
     return True
 
@@ -308,12 +279,12 @@ def find_flexes_over_Fp(form: TernaryForm, p: int) -> list:
     """
     form = _reduced(form, p)
     hessian = hessian_cubic(form)
-    grads = [_int_table(g, p) for g in gradient(form)]
-    hess = _int_table(hessian, p)
+    grads = gradient(form)
     return sorted(
         pt
         for pt in _zeros_where_meeting(form, p, (hessian,) * 3)
-        if _vanishes(hess, pt, p) and not all(_vanishes(g, pt, p) for g in grads)
+        if _vanishes(hessian.coeffs, pt, p)
+        and not all(_vanishes(g.coeffs, pt, p) for g in grads)
     )
 
 

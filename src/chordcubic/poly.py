@@ -54,10 +54,6 @@ class MultiPoly:
         return q
 
     @classmethod
-    def zero(cls) -> MultiPoly:
-        return cls()
-
-    @classmethod
     def const(cls, value) -> MultiPoly:
         return cls({(0, 0, 0, 0): value})
 

@@ -235,3 +235,29 @@ def _roots_mod(coeffs: list, q: int) -> list:
         return list(range(q))
     rest = coeffs[low:]
     return [0] * (low > 0) + [r for r in range(q) if horner(rest, r) % q == 0]
+
+
+def _quadratic_zeros(c0: int, c1: int, c2: int, p: int):
+    """All z in F_p with c2 z^2 + c1 z + c0 = 0; every z for the zero polynomial.
+
+    The coefficients are residues mod p; a quadratic is solved by the
+    quadratic formula on :func:`squares_table`.
+    """
+    if c2:
+        ys = squares_table(p).get((c1 * c1 - 4 * c2 * c0) % p, ())
+        inv = pow(2 * c2, -1, p) if ys else 0
+        return [(y - c1) * inv % p for y in ys]
+    if c1:
+        return [-c0 * pow(c1, -1, p) % p]
+    return range(p) if c0 == 0 else []
+
+
+def _dot(*pairs) -> list:
+    """The sum of the products f g over pairs of int polynomials, lowest term first."""
+    out = [0] * max(len(f) + len(g) - 1 for f, g in pairs)
+    for f, g in pairs:
+        for i, x in enumerate(f):
+            if x:
+                for j, y in enumerate(g):
+                    out[i + j] += x * y
+    return out

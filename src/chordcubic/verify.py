@@ -68,7 +68,7 @@ PASS, FAIL, SKIPPED = "pass", "fail", "skipped"
 
 
 class Report(namedtuple("Report", "claim status witness stats")):
-    """Outcome of one verification: a failed check always carries a witness."""
+    """One check's outcome: a fail carries its witness, a pass '', a skip its reason."""
 
     __slots__ = ()
 
@@ -89,9 +89,10 @@ def _stats(started, checked, extra: dict) -> dict:
     return {"points_checked": checked, "millis": millis, **extra}
 
 
-def _report(claim, ok, witness, started, checked, **extra) -> Report:
+def _report(claim, witness, started, checked, **extra) -> Report:
+    """A pass for the empty witness, else a fail that carries it."""
     stats = _stats(started, checked, extra)
-    return Report(claim, PASS if ok else FAIL, "" if ok else witness, stats)
+    return Report(claim, FAIL if witness else PASS, witness, stats)
 
 
 def _skip(claim, reason, started) -> Report:
@@ -129,7 +130,7 @@ def verify_chord_incidence_symbolic(mutate: str | None = None) -> Report:
         b * x * u - b * y * v + x ** 2 * w,
     ]
     witness = _residual_witness("nonzero incidence residual", residuals)
-    return _report(CLAIM_INCIDENCE, not witness, witness, started, len(residuals))
+    return _report(CLAIM_INCIDENCE, witness, started, len(residuals))
 
 
 def verify_identity_symbolic(mutate: str | None = None) -> Report:
@@ -157,7 +158,7 @@ def verify_identity_symbolic(mutate: str | None = None) -> Report:
     witness = _residual_witness(
         "nonzero identity residual", (main_residual, ratio_residual)
     )
-    return _report(CLAIM_IDENTITY, not witness, witness, started, 2)
+    return _report(CLAIM_IDENTITY, witness, started, 2)
 
 
 class FpContext:
@@ -235,15 +236,11 @@ def verify_fibers(ctx: FpContext) -> Report:
     started = time.monotonic()
     points = ctx.points
     fibers = _fibers(points, ctx.chords.__getitem__)
-    ok = len(points) % 2 == 0 and len(fibers) == len(points) // 2
-    if not ok:
-        witness = f"image has {len(fibers)} lines for {len(points)} points"
-    else:
+    if len(points) % 2 == 0 and len(fibers) == len(points) // 2:
         witness = _first_unpaired_fiber(fibers, ctx.translates.__getitem__)
-        ok = not witness
-    return _report(
-        CLAIM_FIBERS, ok, witness, started, len(points), image_size=len(fibers)
-    )
+    else:
+        witness = f"image has {len(fibers)} lines for {len(points)} points"
+    return _report(CLAIM_FIBERS, witness, started, len(points), image_size=len(fibers))
 
 
 def verify_flex_correspondence(ctx: FpContext) -> Report:
@@ -267,16 +264,10 @@ def verify_flex_correspondence(ctx: FpContext) -> Report:
     for q in torsion3:
         for gamma in gammas:
             expected.add(tuple(c.value for c in chord_map(group_add(q, gamma)).coords))
-    found = set(find_flexes_over_Fp(cubic, p))
-    ok = found == expected
-    witness = f"flex sets disagree on {sorted(_bracket(t) for t in found ^ expected)}"
+    differ = set(find_flexes_over_Fp(cubic, p)) ^ expected
+    witness = f"flex sets disagree on {sorted(map(_bracket, differ))}" if differ else ""
     return _report(
-        CLAIM_FLEX,
-        ok,
-        witness,
-        started,
-        len(torsion3) * len(gammas),
-        flexes=len(expected),
+        CLAIM_FLEX, witness, started, len(torsion3) * len(gammas), flexes=len(expected)
     )
 
 
@@ -308,11 +299,10 @@ def verify_quotient(params: CurveParams, primes, mutate: str | None = None) -> R
         - b_image * y ** 2 * x ** 4
     )
     witness = _residual_witness("isogeny residual", [residual])
-    ok = not witness
 
     checked = 0
     counts = {}
-    if ok:
+    if not witness:
         for p in primes:
             check_modulus(p)
             try:
@@ -328,13 +318,12 @@ def verify_quotient(params: CurveParams, primes, mutate: str | None = None) -> R
             counts[p] = image_count
             checked += 1
             if image_count != isogenous:
-                ok = False
                 witness = (
                     f"p={p}: image cubic has {image_count} points, "
                     f"quotient curve has {isogenous}"
                 )
                 break
-    return _report(CLAIM_QUOTIENT, ok, witness, started, checked, counts=counts)
+    return _report(CLAIM_QUOTIENT, witness, started, checked, counts=counts)
 
 
 def _cubic_str(coeffs) -> str:
@@ -446,7 +435,6 @@ def verify_degree_remark(params: CurveParams, p: int, order: int) -> Report:
             )
     return _report(
         CLAIM_DEGREE,
-        not witness,
         witness,
         started,
         len(points),
@@ -502,28 +490,27 @@ def verify_cross_checks(ctx: FpContext) -> Report:
     started = time.monotonic()
     pp, p, points = ctx.pp, ctx.p, ctx.points
     count = len(points)
-    ok, witness = True, ""
+    witness = ""
 
     drift = count - (p + 1)
     if drift * drift > 4 * p or count % 2:
-        ok, witness = False, f"point count {count} violates the Hasse window"
+        witness = f"point count {count} violates the Hasse window"
 
     cubic = chord_cubic(pp)
-    if ok:
+    if not witness:
         g = _int_table(cubic, p)
         for q in points:
             fault = _point_fault(ctx, g, q)
             if fault:
-                ok, witness = False, fault.format(q=_bracket(_triple(q)))
+                witness = fault.format(q=_bracket(_triple(q)))
                 break
-    if ok and not smooth_over_Fp(cubic, p):
-        ok, witness = False, "image cubic is singular"
-    if ok:
+    if not witness and not smooth_over_Fp(cubic, p):
+        witness = "image cubic is singular"
+    if not witness:
         flexes = set(find_flexes_over_Fp(weierstrass_form(pp), p))
         if flexes != {normalize_mod_p([c.value for c in q.coords], p) for q in ctx.torsion3}:
-            ok = False
             witness = "Weierstrass flexes differ from the 3-torsion"
-    return _report(CLAIM_CROSS, ok, witness, started, count, curve_points=count)
+    return _report(CLAIM_CROSS, witness, started, count, curve_points=count)
 
 
 def run_full_suite(params: CurveParams, p: int) -> list:

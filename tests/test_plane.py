@@ -207,7 +207,7 @@ def _fp_triples(triples, p):
 
 def test_min_interpolating_degree_line():
     pts = _fp_triples([(0, 1, 0), (0, 0, 1), (0, 1, 1)], 7)
-    assert min_interpolating_degree(pts, p=7) == MinDegree(1, 1)
+    assert min_interpolating_degree(pts, p=7) == MinDegree(1, 1, (1, 0, 0))
     assert min_interpolating_degree([], p=7) == MinDegree(1, 3)
     # The modulus is refused even when no coordinate is read.
     with pytest.raises(ValueError, match="got 4"):
@@ -233,9 +233,8 @@ def test_min_interpolating_degree_reads_coordinates_mod_p():
     twins = _fp_triples(ints, p)
     multiples = [tuple(k * c - p for c in t) for k, t in enumerate(ints, start=2)]
     found = [min_interpolating_degree(pts, p=p) for pts in (ints, twins, multiples)]
-    assert found[0] == MinDegree(2, 1) and found[0].kernel is not None
+    assert found[0][:2] == (2, 1) and found[0].kernel is not None
     assert found[1:] == found[:1] * 2
-    assert [f.kernel for f in found[1:]] == [found[0].kernel] * 2
     other = [(PrimeField(7)(1), 0, 0), (0, 1, 0)]
     with pytest.raises(ValueError, match="scalar mod 7 is not in F_11"):
         min_interpolating_degree(other, p=p)
@@ -257,7 +256,7 @@ def test_min_interpolating_degree_of_chord_image():
     params = reduce_params(validate_curve(-3, 2), 101)
     image = {chord_map(q) for q in enumerate_points(params, 101)}
     found = min_interpolating_degree([line.coords for line in image], p=101)
-    assert found == MinDegree(3, 1)
+    assert found[:2] == (3, 1)
 
 
 def test_min_interpolating_degree_is_monotone():
@@ -727,13 +726,11 @@ def test_interpolation_on_ints_matches_scalar_rows():
         points, p = points_p
         expected = _min_degree_by_scalar_rows(points, p)
         found = min_interpolating_degree(points, p=p)
-        assert found == expected
+        assert (found and found[:2]) == (expected and expected[:2])
         # Ranking any degree first certifies it only at nullity 1, so the
         # result, kernel included, is the plain search's.
         for first in range(1, 9):
-            certified = min_interpolating_degree(points, p=p, first=first)
-            assert certified == found
-            assert (certified and certified.kernel) == (found and found.kernel)
+            assert min_interpolating_degree(points, p=p, first=first) == found
 
     check()
 

@@ -1,11 +1,13 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from chordcubic.scalars import (
     PrimeField,
     PrimeFieldScalar,
+    _quadratic_zeros,
     is_prime,
     squares_table,
 )
@@ -44,6 +46,16 @@ def test_squares_table_shape():
         for r, ys in table.items():
             for y in ys:
                 assert y * y % p == r
+
+
+def test_quadratic_zeros_match_a_scan():
+    for p in (5, 7, 11):
+        for c0, c1, c2 in product(range(p), repeat=3):
+            scan = [z for z in range(p) if (c2 * z * z + c1 * z + c0) % p == 0]
+            assert sorted(_quadratic_zeros(c0, c1, c2, p)) == scan
+        assert list(_quadratic_zeros(0, 0, 0, p)) == list(range(p))
+        for c0, c1 in product(range(p), range(1, p)):
+            assert list(_quadratic_zeros(c0, c1, 0, p)) == [-c0 * pow(c1, -1, p) % p]
 
 
 @pytest.mark.parametrize("bad", [1, 2, 3, 4, 9, 91, 1 << 16, 65537, (1 << 16) + 3])
