@@ -30,7 +30,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .curve import CurveParams, CurvePoint, _bracket, _coord_str, beta
-from .scalars import PrimeField, PrimeFieldScalar
+from .scalars import PrimeField, PrimeFieldScalar, inverses_mod_p
 
 
 def coerce_triple(coords) -> tuple:
@@ -244,27 +244,21 @@ def chord_triple(x, y, b) -> tuple:
 
 
 def normalize_all_mod_p(triples: list, p: int) -> list:
-    """normalize_mod_p on every int triple of the list, in place, by one inverse.
+    """normalize_mod_p on every int triple of the list, by one inverse.
 
-    The leading entries are inverted together from one inverse of their
-    product and its prefix products (Montgomery, Math. Comp. 48, 1987).
-    The entries must be residues in 0..p-1; a zero triple makes the product
-    0, whose inverse raises ValueError.
+    The leading entries are inverted together by
+    :func:`~chordcubic.scalars.inverses_mod_p`.  The entries must be
+    residues in 0..p-1; a zero triple raises ValueError.
     """
-    prefix = [1]
-    for u, v, w in triples:
-        prefix.append(prefix[-1] * (u or v or w) % p)
-    inv = pow(prefix.pop(), -1, p)
-    for i in range(len(triples) - 1, -1, -1):
-        u, v, w = triples[i]
-        scale = inv * prefix[i] % p
-        inv = inv * (u or v or w) % p
-        triples[i] = (u * scale % p, v * scale % p, w * scale % p)
-    return triples
+    inverses = inverses_mod_p([u or v or w for u, v, w in triples], p)
+    return [
+        (u * inv % p, v * inv % p, w * inv % p)
+        for (u, v, w), inv in zip(triples, inverses)
+    ]
 
 
-def chords_mod_p(b: int, p: int, points) -> dict:
-    """chord_map at each int pair of ``points`` (None for O), keyed in their order.
+def chords_mod_p(b: int, p: int, points) -> list:
+    """chord_map at each int pair of ``points`` (None for O), in their order.
 
     Each affine point other than beta gets :func:`chord_triple` on ints,
     reduced mod p; O and beta get (1, 0, 0).  The chords are normalized
@@ -277,7 +271,7 @@ def chords_mod_p(b: int, p: int, points) -> dict:
         else:
             u, v, w = chord_triple(s[0], s[1], b)
             triples.append((u % p, v % p, w % p))
-    return dict(zip(points, normalize_all_mod_p(triples, p)))
+    return normalize_all_mod_p(triples, p)
 
 
 def chord_cubic_generic(a, b) -> TernaryForm:

@@ -10,7 +10,8 @@ different curves are rejected.
 
 Over F_p the scalar functions, one body for both fields, are the oracles of
 the int kernel on residue pairs that the per-point claims run on
-(:func:`add_mod_p`, :func:`scalar_mul_mod_p`, :func:`translate_mod_p`).
+(:func:`add_mod_p`, :func:`scalar_mul_mod_p`, and :func:`translates_mod_p`,
+the translates of a whole list of points).
 Torsion points and point orders are computed over F_p only; on a rational
 curve :func:`two_torsion_points`, :func:`three_torsion_flexes` and
 :func:`point_order` raise ValueError, as no claim needs them over Q.
@@ -27,6 +28,7 @@ from .scalars import (
     _quadratic_zeros,
     _roots_mod,
     check_modulus,
+    inverses_mod_p,
     residue,
     squares_table,
 )
@@ -318,15 +320,23 @@ def translate_by_beta(p: CurvePoint) -> CurvePoint:
     return CurvePoint.affine(params, b / x, -b * y / (x * x))
 
 
-def translate_mod_p(b: int, p: int, s):
-    """translate_by_beta on an int residue pair, None standing for O."""
-    if s is None:
-        return (0, 0)
-    x, y = s
-    if x == 0 and y == 0:
-        return None
-    inv = pow(x, -1, p)
-    return b * inv % p, -b * y * inv * inv % p
+def translates_mod_p(b: int, p: int, points: list) -> list:
+    """For each int pair of ``points`` (None for O), the index of its translate by beta.
+
+    O and beta = (0, 0) go to each other; any other (x, y) goes to
+    (b/x, -b y/x^2), translate_by_beta on ints, with all these x inverted
+    by one :func:`~chordcubic.scalars.inverses_mod_p` (O and beta enter it
+    as 1).  The indices come from one map of ``points`` to their
+    positions; a translate that is not on the list gets None.
+    """
+    index = {q: i for i, q in enumerate(points)}
+    xs = [1 if q is None or q == (0, 0) else q[0] for q in points]
+    return [
+        index.get((0, 0)) if q is None
+        else index.get(None) if q == (0, 0)
+        else index.get((b * inv % p, -b * q[1] * inv * inv % p))
+        for q, inv in zip(points, inverses_mod_p(xs, p))
+    ]
 
 
 def point_order(p: CurvePoint) -> int:

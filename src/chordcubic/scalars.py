@@ -197,6 +197,25 @@ def residue(value, p: int) -> int:
     return PrimeField(p)(value).value
 
 
+def inverses_mod_p(values: list, p: int) -> list:
+    """``pow(v, -1, p)`` for each int v of the list, from one modular inverse.
+
+    The prefix products of the values are inverted together from one
+    inverse of their product (Montgomery, Math. Comp. 48, 1987).  A value
+    divisible by p makes the product 0, whose inverse raises ValueError.
+    """
+    prefix = [1]
+    for v in values:
+        prefix.append(prefix[-1] * v % p)
+    inv = pow(prefix.pop(), -1, p)
+    out = []
+    for v, before in zip(reversed(values), reversed(prefix)):
+        out.append(inv * before % p)
+        inv = inv * v % p
+    out.reverse()
+    return out
+
+
 @lru_cache(maxsize=None)
 def squares_table(p: int) -> MappingProxyType:
     """Map each quadratic residue mod p to the tuple of its square roots.

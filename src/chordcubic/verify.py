@@ -40,7 +40,7 @@ from .curve import (
     reduce_params,
     scalar_mul_mod_p,
     three_torsion_flexes,
-    translate_mod_p,
+    translates_mod_p,
     two_torsion_points,
     validate_curve,
 )
@@ -168,8 +168,10 @@ class FpContext:
     reduced curve and ``a``, ``b`` its coefficients as residues.  The rest
     is built on first use: ``points`` is E(F_p) in enumeration order (None
     for O, then the affine points as int pairs (x, y)); ``translates`` and
-    ``chords`` map each point, in that order, to its ``translate_mod_p`` and
-    its ``chords_mod_p`` chord (one batch inversion); ``torsion3`` is
+    ``chords`` are lists aligned with it, ``translates[i]`` the index of
+    ``points[i] + beta`` (None if the translate is not on the list) from
+    ``translates_mod_p`` and ``chords[i]`` the normalized chord from
+    ``chords_mod_p``, each built with one batch inversion; ``torsion3`` is
     ``three_torsion_flexes(pp, p)``.
     """
 
@@ -183,11 +185,11 @@ class FpContext:
         return [None] + affine_points_mod_p(self.a, self.b, self.p)
 
     @cached_property
-    def translates(self) -> dict:
-        return {q: translate_mod_p(self.b, self.p, q) for q in self.points}
+    def translates(self) -> list:
+        return translates_mod_p(self.b, self.p, self.points)
 
     @cached_property
-    def chords(self) -> dict:
+    def chords(self) -> list:
         return chords_mod_p(self.b, self.p, self.points)
 
     @cached_property
@@ -205,11 +207,11 @@ def _incident(pt, line, p: int) -> bool:
     return (line[0] * pt[0] + line[1] * pt[1] + line[2] * pt[2]) % p == 0
 
 
-def _fibers(points: list, line_of) -> dict:
-    """The points grouped by the line ``line_of`` sends each to, in order."""
+def _fibers(lines: list) -> dict:
+    """The indices of ``lines`` grouped by line, in order of first appearance."""
     fibers: dict = {}
-    for q in points:
-        fibers.setdefault(line_of(q), []).append(q)
+    for i, line in enumerate(lines):
+        fibers.setdefault(line, []).append(i)
     return fibers
 
 
@@ -218,26 +220,28 @@ def _fiber_str(line, fiber) -> str:
     return f"fiber of {_bracket(line)} is {[_bracket(_triple(v)) for v in fiber]}"
 
 
-def _first_unpaired_fiber(fibers: dict, partner) -> str:
-    """A witness for the first fiber other than {q, partner(q)}, else ''."""
+def _first_unpaired_fiber(fibers: dict, points: list, paired) -> str:
+    """A witness for the first fiber (indices into ``points``) that ``paired`` rejects, else ''."""
     for line, fiber in fibers.items():
-        q = fiber[0]
-        if set(fiber) != {q, partner(q)}:
-            return _fiber_str(line, fiber)
+        if not paired(fiber):
+            return _fiber_str(line, [points[i] for i in fiber])
     return ""
 
 
 def verify_fibers(ctx: FpContext) -> Report:
     """Every chord-map fiber over F_p is a pair {q, q + beta}.
 
-    Groups the int points of ``ctx`` by its ``chords`` and pairs them by
-    its ``translates``, as the cross-checks do.
+    Groups the indices of ``ctx.points`` by ``ctx.chords`` and checks that
+    each fiber is {i, translates[i]} for its first index i, with the
+    ``translates`` that the cross-checks check.
     """
     started = time.monotonic()
-    points = ctx.points
-    fibers = _fibers(points, ctx.chords.__getitem__)
+    points, translates = ctx.points, ctx.translates
+    fibers = _fibers(ctx.chords)
     if len(points) % 2 == 0 and len(fibers) == len(points) // 2:
-        witness = _first_unpaired_fiber(fibers, ctx.translates.__getitem__)
+        witness = _first_unpaired_fiber(
+            fibers, points, lambda fiber: set(fiber) == {fiber[0], translates[fiber[0]]}
+        )
     else:
         witness = f"image has {len(fibers)} lines for {len(points)} points"
     return _report(CLAIM_FIBERS, witness, started, len(points), image_size=len(fibers))
@@ -403,15 +407,17 @@ def verify_degree_remark(params: CurveParams, p: int, order: int) -> Report:
     def shifted(s):
         return add_mod_p(a, b, p, s, t)
 
+    def paired(fiber):  # {q, q + T}, where q + T != q as T != O
+        return len(fiber) == 2 and points[fiber[1]] == shifted(points[fiber[0]])
+
     crosses = [cross_mod_p(_triple(s), _triple(shifted(s)), p) for s in points]
     if not all(map(any, crosses)):
         raise ValueError("no unique line: the points coincide")
-    lines = dict(zip(points, normalize_all_mod_p(crosses, p)))
-    fibers = _fibers(points, lines.__getitem__)
+    fibers = _fibers(normalize_all_mod_p(crosses, p))
     if order == 2:
-        witness = _first_unpaired_fiber(fibers, shifted)
+        witness = _first_unpaired_fiber(fibers, points, paired)
     else:
-        witness = _first_unpaired_fiber(fibers, lambda q: q)
+        witness = _first_unpaired_fiber(fibers, points, lambda fiber: len(fiber) == 1)
         if witness:
             witness += ", not a singleton"
         elif len(fibers) < 31:
@@ -445,28 +451,44 @@ def verify_degree_remark(params: CurveParams, p: int, order: int) -> Report:
     )
 
 
-def _point_fault(ctx: FpContext, g: dict, q) -> str:
-    """The first per-point cross-check failing at q, as a witness template.
+def _first_point_fault(ctx: FpContext, g: dict) -> str:
+    """The witness of the first point of ``ctx`` failing a per-point cross-check, else ''.
 
-    ``{q}`` in the template stands for the point; '' when every check holds.
+    At every point q: its translate against ``add_mod_p`` (a translate not
+    on the list disagrees), the involution by index and the chord's
+    factoring through the translate.  The two-point line, the incidence of
+    both endpoints and G (the int table ``g``) at the chord are checked
+    once per pair {q, q + beta}, at its first member in enumeration order.
+    Once the involution and the factoring hold there, the second member's
+    translate is q and its chord is q's, and these checks are symmetric in
+    the two points; so the first failing point and its witness are those
+    of all six checks at every point.
     """
-    p, translates, chords = ctx.p, ctx.translates, ctx.chords
-    shifted = translates[q]
-    if shifted != add_mod_p(ctx.a, ctx.b, p, q, (0, 0)):
-        return "translation formula disagrees at {q}"
-    if shifted not in translates or translates[shifted] != q:
-        return "translation is not an involution at {q}"
-    line = chords[q]
-    if line != chords[shifted]:
-        return "chord map does not factor at {q}"
-    q3, s3 = _triple(q), _triple(shifted)
-    cross = cross_mod_p(q3, s3, p)  # the two-point line, compared by 2x2 minors
-    if q != shifted and (not any(cross) or any(cross_mod_p(cross, line, p))):
-        return "chord of {q} is not the two-point line"
-    if not (_incident(q3, line, p) and _incident(s3, line, p)):
-        return "chord of {q} misses an endpoint"
-    if not _vanishes(g, line, p):
-        return f"chord {_bracket(line)} of {{q}} is off the image cubic"
+    a, b, p, points = ctx.a, ctx.b, ctx.p, ctx.points
+    translates, chords = ctx.translates, ctx.chords
+    for i, q in enumerate(points):
+        j = translates[i]
+        if j is None or points[j] != add_mod_p(a, b, p, q, (0, 0)):
+            fault = "translation formula disagrees at {q}"
+        elif translates[j] != i:
+            fault = "translation is not an involution at {q}"
+        elif chords[i] != chords[j]:
+            fault = "chord map does not factor at {q}"
+        elif j < i:
+            continue
+        else:
+            line = chords[i]
+            q3, s3 = _triple(q), _triple(points[j])
+            cross = cross_mod_p(q3, s3, p)  # the two-point line, compared by 2x2 minors
+            if i != j and (not any(cross) or any(cross_mod_p(cross, line, p))):
+                fault = "chord of {q} is not the two-point line"
+            elif not (_incident(q3, line, p) and _incident(s3, line, p)):
+                fault = "chord of {q} misses an endpoint"
+            elif not _vanishes(g, line, p):
+                fault = f"chord {_bracket(line)} of {{q}} is off the image cubic"
+            else:
+                continue
+        return fault.format(q=_bracket(_triple(q)))
     return ""
 
 
@@ -480,12 +502,15 @@ def verify_cross_checks(ctx: FpContext) -> Report:
     Hasse window and be even; the image cubic must be smooth; the flexes
     of the curve's own Weierstrass cubic must be exactly the 3-torsion.
 
-    The scan runs on the int points of ``ctx`` with its ``translates``
-    checked against ``add_mod_p``, its ``chords`` against ``cross_mod_p`` of
-    q and q + beta, and G on its int table.  Witnesses print the int
-    triples.  The 3-torsion is ``ctx.torsion3``; the flexes it is compared
-    with come from the Hessian sweep, which never uses psi3.  The scalar
-    functions stay the oracles of the int kernels.
+    The scan is one loop over the lists of ``ctx``.  At every point it
+    checks ``translates`` against ``add_mod_p`` (with its own inverse) and
+    as an involution by index, and ``chords`` for factoring by list
+    equality.  Once per pair {q, q + beta} it checks the chord against
+    ``cross_mod_p`` of q and q + beta, both endpoints and G on its int
+    table (see ``_first_point_fault``).  Witnesses print the int triples.
+    The 3-torsion is ``ctx.torsion3``; the flexes it is compared with come
+    from the Hessian sweep, which never uses psi3.  The scalar functions
+    stay the oracles of the int kernels.
     """
     started = time.monotonic()
     pp, p, points = ctx.pp, ctx.p, ctx.points
@@ -498,12 +523,7 @@ def verify_cross_checks(ctx: FpContext) -> Report:
 
     cubic = chord_cubic(pp)
     if not witness:
-        g = _int_table(cubic, p)
-        for q in points:
-            fault = _point_fault(ctx, g, q)
-            if fault:
-                witness = fault.format(q=_bracket(_triple(q)))
-                break
+        witness = _first_point_fault(ctx, _int_table(cubic, p))
     if not witness and not smooth_over_Fp(cubic, p):
         witness = "image cubic is singular"
     if not witness:
@@ -518,9 +538,9 @@ def run_full_suite(params: CurveParams, p: int) -> list:
 
     The three F_p claims share one :class:`FpContext`: E(F_p) is
     enumerated once on ints for the cross-checks and the fibers, which
-    share each point's translate and chord (normalized by one batch
-    inversion), and the 3-torsion is found once for the cross-checks and
-    the flex claim.
+    share the lists of each point's translate and chord (each built by one
+    batch inversion), and the 3-torsion is found once for the
+    cross-checks and the flex claim.
     """
     ctx = FpContext(params, p)
     return [

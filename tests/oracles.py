@@ -5,8 +5,10 @@ on ``sys.path`` for the test modules beside it.
 """
 
 from chordcubic.chord import TernaryForm, as_triple, cross_mod_p, cubic_invariants, normalize_mod_p
+from chordcubic.curve import _bracket, add_mod_p
 from chordcubic.plane import _int_table, _vanishes, _zero_points_over_Fp, gradient, hessian_cubic
 from chordcubic.scalars import horner
+from chordcubic.verify import _incident, _triple
 
 
 def invariants_form(params) -> TernaryForm:
@@ -47,6 +49,76 @@ def chord_mod_p(b: int, p: int, s) -> tuple:
         return (1, 0, 0)
     x, y = s
     return normalize_mod_p(((x * x + b) * y % p, (b * x - x ** 3) % p, -2 * b * x * y % p), p)
+
+
+def translate_mod_p(b: int, p: int, s):
+    """translate_by_beta on an int residue pair, None standing for O."""
+    if s is None:
+        return (0, 0)
+    x, y = s
+    if x == 0 and y == 0:
+        return None
+    inv = pow(x, -1, p)
+    return b * inv % p, -b * y * inv * inv % p
+
+
+def translate_table(b: int, p: int, points) -> dict:
+    """Each int pair of ``points`` (None for O) mapped to its translate_mod_p, in order."""
+    return {q: translate_mod_p(b, p, q) for q in points}
+
+
+def chord_table(b: int, p: int, points) -> dict:
+    """Each int pair of ``points`` (None for O) mapped to its chord_mod_p, in order."""
+    return {q: chord_mod_p(b, p, q) for q in points}
+
+
+def point_fault(a: int, b: int, p: int, g: dict, translates: dict, chords: dict, q) -> str:
+    """The first per-point cross-check failing at q, as a witness template.
+
+    All six checks at q itself, on the tables keyed by point
+    (:func:`translate_table`, :func:`chord_table`) and G on its int table
+    ``g``.  ``{q}`` in the template stands for the point; '' when every
+    check holds.
+    """
+    shifted = translates[q]
+    if shifted != add_mod_p(a, b, p, q, (0, 0)):
+        return "translation formula disagrees at {q}"
+    if shifted not in translates or translates[shifted] != q:
+        return "translation is not an involution at {q}"
+    line = chords[q]
+    if line != chords[shifted]:
+        return "chord map does not factor at {q}"
+    q3, s3 = _triple(q), _triple(shifted)
+    cross = cross_mod_p(q3, s3, p)
+    if q != shifted and (not any(cross) or any(cross_mod_p(cross, line, p))):
+        return "chord of {q} is not the two-point line"
+    if not (_incident(q3, line, p) and _incident(s3, line, p)):
+        return "chord of {q} misses an endpoint"
+    if not _vanishes(g, line, p):
+        return f"chord {_bracket(line)} of {{q}} is off the image cubic"
+    return ""
+
+
+def cross_witness_by_point(a: int, b: int, p: int, g: dict, translates: dict, chords: dict) -> str:
+    """The per-point loop of verify_cross_checks: :func:`point_fault` at each point, in order."""
+    for q in chords:
+        fault = point_fault(a, b, p, g, translates, chords, q)
+        if fault:
+            return fault.format(q=_bracket(_triple(q)))
+    return ""
+
+
+def fiber_witness_by_point(translates: dict, chords: dict) -> str:
+    """verify_fibers on the tables keyed by point: every fiber is {q, translates[q]}."""
+    fibers = {}
+    for q, line in chords.items():
+        fibers.setdefault(line, []).append(q)
+    if len(chords) % 2 or len(fibers) != len(chords) // 2:
+        return f"image has {len(fibers)} lines for {len(chords)} points"
+    for line, fiber in fibers.items():
+        if set(fiber) != {fiber[0], translates[fiber[0]]}:
+            return f"fiber of {_bracket(line)} is {[_bracket(_triple(v)) for v in fiber]}"
+    return ""
 
 
 def line_through_mod_p(s, t, p: int) -> tuple:

@@ -8,10 +8,12 @@ the suite relies on (associativity, the translation by beta as an
 involution, the chord map factoring through it, the Hasse window) are
 checked on both representations.  The scalar group law is an independent
 oracle: it still runs, and agrees, with the int kernel patched to raise.
-The batch chords ``chords_mod_p``, the batch normalization
-``normalize_all_mod_p`` and the cross product ``cross_mod_p`` are checked
-against their per-point oracles ``chord_mod_p`` and ``line_through_mod_p``
-(in ``oracles``) and ``normalize_mod_p``.
+The batch translates ``translates_mod_p``, the batch chords
+``chords_mod_p``, the batch normalization ``normalize_all_mod_p`` and the
+cross product ``cross_mod_p`` are checked against their per-point oracles
+``translate_mod_p``, ``chord_mod_p`` and ``line_through_mod_p`` (in
+``oracles``) and ``normalize_mod_p``; the batch inversion
+``inverses_mod_p`` they share, against ``pow(v, -1, p)``.
 """
 
 from math import isqrt
@@ -40,13 +42,13 @@ from chordcubic.curve import (
     scalar_mul,
     scalar_mul_mod_p,
     translate_by_beta,
-    translate_mod_p,
+    translates_mod_p,
     validate_curve,
 )
 from chordcubic.plane import _int_table, _vanishes, evaluate_form
-from chordcubic.scalars import PrimeField, PrimeFieldScalar
+from chordcubic.scalars import PrimeField, PrimeFieldScalar, inverses_mod_p
 from fp_strategies import curve_residues, curves, hypothesis_api, outcome
-from oracles import chord_mod_p, line_through_mod_p
+from oracles import chord_mod_p, line_through_mod_p, translate_mod_p
 
 
 def _setup(data, st):
@@ -141,7 +143,7 @@ def test_scalar_group_law_runs_and_agrees_with_the_int_kernel_patched_to_raise()
             order, r = order + 1, add_mod_p(a, b, p, r, s)
         q = _point(pp, s)
         with pytest.MonkeyPatch.context() as patch:
-            for name in ("add_mod_p", "scalar_mul_mod_p", "translate_mod_p"):
+            for name in ("add_mod_p", "scalar_mul_mod_p", "translates_mod_p"):
                 patch.setattr(curve, name, refuse)
             assert _pair(group_add(q, _point(pp, t))) == total
             assert _pair(scalar_mul(n, q)) == multiple
@@ -221,9 +223,50 @@ def test_batch_chords_match_chord_mod_p():
     def check(data):
         pp, a, b, p, points = _setup(data, st)
         assert points[0] is None and (0, 0) in points
-        assert chords_mod_p(b, p, points) == {s: chord_mod_p(b, p, s) for s in points}
+        assert chords_mod_p(b, p, points) == [chord_mod_p(b, p, s) for s in points]
         shuffled = data.draw(st.permutations(points))
-        assert list(chords_mod_p(b, p, shuffled)) == shuffled
+        assert chords_mod_p(b, p, shuffled) == [chord_mod_p(b, p, s) for s in shuffled]
+
+    check()
+
+
+def test_batch_translates_index_translate_mod_p():
+    # Each entry is the index of translate_mod_p in the list, in any order;
+    # a translate dropped from the list gets None, never a KeyError.
+    given, settings, st = hypothesis_api()
+
+    @settings
+    @given(st.data())
+    def check(data):
+        pp, a, b, p, points = _setup(data, st)
+        shuffled = data.draw(st.permutations(points))
+        for pts in (points, shuffled):
+            indices = translates_mod_p(b, p, pts)
+            assert [pts[j] for j in indices] == [translate_mod_p(b, p, s) for s in pts]
+        gone = data.draw(st.sampled_from(points))
+        rest = [s for s in points if s != gone]
+        expected = [
+            None if translate_mod_p(b, p, s) == gone else rest.index(translate_mod_p(b, p, s))
+            for s in rest
+        ]
+        assert translates_mod_p(b, p, rest) == expected
+
+    check()
+
+
+def test_batch_inverses_match_pow():
+    given, settings, st = hypothesis_api(max_examples=150)
+
+    @settings
+    @given(st.data())
+    def check(data):
+        p = data.draw(curves(st))[2]
+        values = data.draw(st.lists(st.integers(-3 * p, 3 * p).filter(lambda v: v % p)))
+        assert inverses_mod_p(values, p) == [pow(v, -1, p) for v in values]
+        spot = data.draw(st.integers(0, len(values)))
+        zero = data.draw(st.sampled_from([0, p, -2 * p]))
+        with pytest.raises(ValueError):
+            inverses_mod_p(values[:spot] + [zero] + values[spot:], p)
 
     check()
 
@@ -232,19 +275,20 @@ def test_batch_chords_scale_leads_other_than_1():
     # y^2 = x^3 + x^2 + 3x mod 7: the raw chords of the affine points off
     # beta lead with 5, 2 or 6, and at x = 2 and x = 5 with V, as U = 0.
     points = [None] + affine_points_mod_p(1, 3, 7)
-    assert chords_mod_p(3, 7, points) == {
-        None: (1, 0, 0),
-        (0, 0): (1, 0, 0),
-        (2, 2): (0, 1, 5),
-        (2, 5): (0, 1, 2),
-        (4, 1): (1, 5, 5),
-        (4, 6): (1, 2, 5),
-        (5, 2): (0, 1, 5),
-        (5, 5): (0, 1, 2),
-        (6, 2): (1, 5, 5),
-        (6, 5): (1, 2, 5),
-    }
-    assert chords_mod_p(3, 7, points) == {s: chord_mod_p(3, 7, s) for s in points}
+    assert points == [None, (0, 0), (2, 2), (2, 5), (4, 1), (4, 6), (5, 2), (5, 5), (6, 2), (6, 5)]
+    assert chords_mod_p(3, 7, points) == [
+        (1, 0, 0),
+        (1, 0, 0),
+        (0, 1, 5),
+        (0, 1, 2),
+        (1, 5, 5),
+        (1, 2, 5),
+        (0, 1, 5),
+        (0, 1, 2),
+        (1, 5, 5),
+        (1, 2, 5),
+    ]
+    assert chords_mod_p(3, 7, points) == [chord_mod_p(3, 7, s) for s in points]
 
 
 def test_batch_normalization_matches_normalize_mod_p():

@@ -16,6 +16,7 @@ from chordcubic.chord import (
     cross_mod_p,
     cubic_invariants,
     line_through,
+    normalize_mod_p,
 )
 from chordcubic.curve import (
     CurvePoint,
@@ -30,7 +31,7 @@ from chordcubic.curve import (
     scalar_mul,
     three_torsion_flexes,
     translate_by_beta,
-    translate_mod_p,
+    translates_mod_p,
     two_torsion_points,
     validate_curve,
 )
@@ -59,7 +60,16 @@ from chordcubic.verify import (
     verify_identity_symbolic,
     verify_quotient,
 )
-from oracles import chord_mod_p, dual_incidence
+from fp_strategies import curves, hypothesis_api
+from oracles import (
+    chord_mod_p,
+    chord_table,
+    cross_witness_by_point,
+    dual_incidence,
+    fiber_witness_by_point,
+    translate_mod_p,
+    translate_table,
+)
 
 
 def test_incidence_symbolic_passes():
@@ -590,7 +600,9 @@ def _scalar_cross_witness(pp, p, **ops) -> str:
 def _scalar_fiber_witness(pp, p, chord=chord_map) -> str:
     """verify_fibers' verdict on curve points, with the chord map swappable."""
     points = enumerate_points(pp, p)
-    fibers = verify._fibers(points, chord)
+    fibers = {}
+    for q in points:
+        fibers.setdefault(chord(q), []).append(q)
     if len(points) % 2 or len(fibers) != len(points) // 2:
         return f"image has {len(fibers)} lines for {len(points)} points"
     for line, fiber in fibers.items():
@@ -607,9 +619,17 @@ def _wrong_at(right, hit, wrong):
 
 def _wrong_chords(movers, line):
     """chords_mod_p with the chord of each int pair in ``movers`` replaced by ``line``."""
-    return lambda b, p, points: {
-        s: line if s in movers else right for s, right in chords_mod_p(b, p, points).items()
-    }
+    return lambda b, p, points: [
+        line if s in movers else right for s, right in zip(points, chords_mod_p(b, p, points))
+    ]
+
+
+def _wrong_translates(mover, to):
+    """translates_mod_p with the entry of the int pair ``mover`` set to the index of ``to``."""
+    return lambda b, p, points: [
+        points.index(to) if s == mover else j
+        for s, j in zip(points, translates_mod_p(b, p, points))
+    ]
 
 
 WITNESS_PRIME = 101
@@ -648,11 +668,7 @@ def _cross_faults(pp, T, t):
             f"translation formula disagrees at {T}",
         ),
         "involution": (
-            {
-                "translate_mod_p": _wrong_at(
-                    translate_mod_p, lambda b, p, s: s == (0, 0), lambda b, p, s: s
-                )
-            },
+            {"translates_mod_p": _wrong_translates((0, 0), (0, 0))},
             {
                 "translate": _wrong_at(
                     translate_by_beta, lambda q: q == beta(pp), lambda q: q
@@ -669,7 +685,7 @@ def _cross_faults(pp, T, t):
             {
                 "cross_mod_p": _wrong_at(
                     cross_mod_p,
-                    lambda s, u, p: (s, u) == (t_triple, shifted_triple),
+                    lambda s, u, p: {s, u} == {t_triple, shifted_triple},
                     lambda s, u, p: (1, 0, 0),
                 )
             },
@@ -733,6 +749,118 @@ def test_cross_check_passes_where_the_scalar_path_passes():
     assert verify_cross_checks(FpContext(pp, WITNESS_PRIME)).witness == ""
 
 
+def _second_member_faults(pp, T):
+    """Faults at S = T + beta, the second member of T's pair, as in :func:`_cross_faults`."""
+    S = translate_by_beta(T)
+    s = (S.x.value, S.y.value)
+    s_triple = (*s, 1)
+    unit_line = DualPoint((pp.scalar(1), pp.scalar(0), pp.scalar(0)))
+
+    def negated_sum(a, b, p, q, u):
+        x, y = add_mod_p(a, b, p, q, u)
+        return x, -y % p
+
+    return {
+        "translation against the group law": (
+            {"add_mod_p": _wrong_at(add_mod_p, lambda a, b, p, q, u: q == s, negated_sum)},
+            {
+                "add": _wrong_at(
+                    group_add, lambda q, r: q == S, lambda q, r: negate(group_add(q, r))
+                )
+            },
+            f"translation formula disagrees at {S}",
+        ),
+        "involution": (
+            {"translates_mod_p": _wrong_translates(s, s)},
+            {"translate": _wrong_at(translate_by_beta, lambda q: q == S, lambda q: q)},
+            f"translation is not an involution at {T}",
+        ),
+        "factoring": (
+            {"chords_mod_p": _wrong_chords({s}, (1, 0, 0))},
+            {"chord": _wrong_at(chord_map, lambda q: q == S, lambda q: unit_line)},
+            f"chord map does not factor at {T}",
+        ),
+        "two-point line": (
+            {
+                "cross_mod_p": _wrong_at(
+                    cross_mod_p, lambda q, u, p: s_triple in (q, u), lambda q, u, p: (1, 0, 0)
+                )
+            },
+            {
+                "line": _wrong_at(
+                    line_through, lambda q, u: S.coords in (q, u), lambda q, u: unit_line
+                )
+            },
+            f"chord of {T} is not the two-point line",
+        ),
+        "missed endpoint": (
+            {
+                "_incident": _wrong_at(
+                    verify._incident, lambda pt, line, p: pt == s_triple, lambda *_: False
+                )
+            },
+            {"incident": _wrong_at(dual_incidence, lambda q, line: q == S, lambda *_: False)},
+            f"chord of {T} misses an endpoint",
+        ),
+    }
+
+
+@pytest.mark.parametrize(
+    "fault",
+    ["translation against the group law", "involution", "factoring", "two-point line", "missed endpoint"],
+)
+def test_cross_check_witness_at_the_second_member_matches_the_scalar_path(fault, monkeypatch):
+    # T comes before T + beta in enumeration order, so the pair checks run
+    # at T; a fault at T + beta must still give the scalar path's witness.
+    pp, T, t = _fault_target()
+    points = [None] + affine_points_mod_p(pp.a.value, pp.b.value, WITNESS_PRIME)
+    assert points.index(t) < points.index(translate_mod_p(pp.b.value, WITNESS_PRIME, t))
+    int_patches, scalar_ops, expected_witness = _second_member_faults(pp, T)[fault]
+    expected = _scalar_cross_witness(pp, WITNESS_PRIME, **scalar_ops)
+    assert expected == expected_witness
+    for name, fn in int_patches.items():
+        monkeypatch.setattr(verify, name, fn)
+    report = verify_cross_checks(FpContext(pp, WITNESS_PRIME))
+    assert (report.status, report.witness) == ("fail", expected)
+
+
+def test_list_tables_and_loops_match_the_point_keyed_oracles():
+    # The context's lists hold translate_mod_p and chord_mod_p of each point.
+    # With one translate, one chord or the chord of one pair then replaced at
+    # random (or nothing), the cross-checks and the fibers give the witness
+    # of the per-point oracle loop on the same tables keyed by point.
+    given, settings, st = hypothesis_api(max_examples=80)
+
+    @settings
+    @given(st.data())
+    def check(data):
+        a, b, p = data.draw(curves(st))
+        ctx = FpContext(validate_curve(a, b), p)
+        points = ctx.points
+        assert [points[j] for j in ctx.translates] == list(translate_table(b, p, points).values())
+        assert ctx.chords == list(chord_table(b, p, points).values())
+        translates, chords = list(ctx.translates), list(ctx.chords)
+        kind = data.draw(st.sampled_from(["none", "translate", "chord", "pair chord"]))
+        i = data.draw(st.integers(0, len(points) - 1))
+        if kind == "translate":
+            translates[i] = data.draw(st.none() | st.integers(0, len(points) - 1))
+        elif kind != "none":
+            residue = st.integers(0, p - 1)
+            line = normalize_mod_p(data.draw(st.tuples(residue, residue, residue).filter(any)), p)
+            for k in [i] if kind == "chord" else [i, translates[i]]:
+                chords[k] = line
+        ctx.translates, ctx.chords = translates, chords
+        off_list = (p, 0)
+        by_point = {q: off_list if j is None else points[j] for q, j in zip(points, translates)}
+        chord_by_point = dict(zip(points, chords))
+        g = _int_table(chord_cubic(ctx.pp), p)
+        expected = cross_witness_by_point(ctx.a, ctx.b, p, g, by_point, chord_by_point)
+        assert verify_cross_checks(ctx).witness == expected
+        assert verify_fibers(ctx).witness == fiber_witness_by_point(by_point, chord_by_point)
+
+    check()
+
+
 @pytest.mark.parametrize("fault", ["unpaired fiber", "too few lines"])
 def test_fiber_witness_matches_the_scalar_path(fault, monkeypatch):
     pp, T, _ = _fault_target()
@@ -767,7 +895,7 @@ def test_int_witness_text_matches_the_scalar_printers(a, b, p):
     for s in points:
         triple = verify._triple(s)
         assert verify._bracket(triple) == str(CurvePoint(pp, triple))
-    for line in chords_mod_p(pp.b.value, p, points).values():
+    for line in chords_mod_p(pp.b.value, p, points):
         assert verify._bracket(line) == str(DualPoint(line))
     table = _int_table(chord_cubic(pp), p)
     g = [table.get(m, 0) for m in monomials(3)]
@@ -807,12 +935,13 @@ def test_suite_enumerates_no_curve_points_and_finds_the_3_torsion_once(monkeypat
 def test_suite_translates_and_chords_each_point_once(monkeypatch):
     from chordcubic import chord, curve
 
-    # The per-point chord is a test oracle only; the suite has the batch.
-    assert not hasattr(chord, "chord_mod_p")
+    # The per-point translate and chord are test oracles only; the suite
+    # builds each list once, by one batch inversion.
+    assert not hasattr(chord, "chord_mod_p") and not hasattr(curve, "translate_mod_p")
     calls = {}
     for source, name in [
         (curve, "affine_points_mod_p"),
-        (curve, "translate_mod_p"),
+        (curve, "translates_mod_p"),
         (chord, "chords_mod_p"),
         (curve, "three_torsion_flexes"),
     ]:
@@ -820,11 +949,10 @@ def test_suite_translates_and_chords_each_point_once(monkeypatch):
     params = validate_curve(-3, 2)
     reports = run_full_suite(params, 1019)
     assert all(r.status == "pass" for r in reports)
-    count = reports[2].stats["curve_points"]
     # One enumeration of E(F_p) for the context, one of E'(F_p) for the quotient.
     suite = {
         "affine_points_mod_p": 2,
-        "translate_mod_p": count,
+        "translates_mod_p": 1,
         "chords_mod_p": 1,
         "three_torsion_flexes": 1,
     }
