@@ -407,7 +407,8 @@ def three_torsion_flexes(params: CurveParams, p: int | None = None) -> list:
     An affine q has 3q = O iff x(2q) = x(q), i.e. iff x is a root of
     psi3 = 3x^4 + 4a x^3 + 6b x^2 - b^2 (squarefree on a smooth curve: its
     four roots are the x-coordinates of the four pairs +-q of order 3).  The
-    roots come from :func:`~chordcubic.scalars._roots_mod`, and each root x
+    roots come from :func:`~chordcubic.scalars._roots_mod`, which reads
+    psi3 at every x in 0..p-1 by packed forward differences, and each root x
     gives (x, y) for each square root y of x^3 + a x^2 + b x in
     :func:`~chordcubic.scalars.squares_table`.  O and each such candidate
     are kept iff scalar_mul confirms 3q = O: O first, then by increasing

@@ -6,26 +6,30 @@ points comes from ranks mod p of monomial evaluation matrices, eliminated
 on rows packed into one int each; a nullity of 1 at the expected degree
 settles it in one rank.  One zero-finder gives the F_p zeros of a form: it
 solves the form on each line of the pencil through the vertex of a
-coordinate of degree at most 2, O(p) in all, or else of least degree.
-Smoothness and flex searches solve only the lines of that pencil where the
-form meets a second form (its partial along the pencil axis, or its
-Hessian): the roots of one int eliminant of degree at most 11, plus the
-pencil's line at infinity and its vertex; they solve every line only when
-no coordinate has degree at most 2 or the eliminant vanishes mod p.  Only
-F_p-rational singular points count.  Every function over F_p takes p
-explicitly and reads coefficients and coordinates as ints mod p through
-:func:`~chordcubic.scalars.residue`.
+coordinate of degree at most 2 where the form's discriminant along that
+coordinate is a square, O(p) in all, or else on every line of the pencil
+of a coordinate of least degree.  Smoothness and flex searches solve only
+the lines of that pencil where the form meets a second form (its partial
+along the pencil axis, or its Hessian): the roots of one int eliminant of
+degree at most 11, plus the pencil's line at infinity and its vertex.  The
+discriminant and the eliminant are tabulated at every line by packed
+forward differences (:func:`~chordcubic.scalars._values_mod`).  The
+searches solve every line only when no coordinate has degree at most 2 or
+the eliminant vanishes mod p.  Only F_p-rational singular points count.
+Every function over F_p takes p explicitly and reads coefficients and
+coordinates as ints mod p through :func:`~chordcubic.scalars.residue`.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from itertools import chain, product
+from itertools import chain, compress, product
 from operator import mul
 
 from .chord import TernaryForm, as_triple, normalize_mod_p
 from .curve import _tuple_str
-from .scalars import _dot, _quadratic_zeros, _roots_mod, check_modulus, horner, residue
+from .scalars import _dot, _packed, _quadratic_zeros, _roots_mod, _values_mod, check_modulus
+from .scalars import horner, residue, squares_table
 
 # Highest degree that min_interpolating_degree tries: the image of a
 # translation chord map lies on a cubic (order 2) or a sextic (order > 2).
@@ -143,7 +147,7 @@ def _along(table: dict, degree: int, axis: int, top: int) -> list:
     return polys
 
 
-def _pencil_zeros(table: dict, degree: int, axis: int, p: int, lines):
+def _pencil_zeros(table: dict, degree: int, axis: int, p: int, ts):
     """The F_p zeros of an int table on some lines of the pencil along the axis z.
 
     Every point but the vertex, where only z is nonzero, lies on exactly one
@@ -152,23 +156,24 @@ def _pencil_zeros(table: dict, degree: int, axis: int, p: int, lines):
     form is a polynomial in z: a quadratic, solved by
     :func:`~chordcubic.scalars._quadratic_zeros`, when the form has degree
     at most 2 in z, else solved by :func:`~chordcubic.scalars._roots_mod`.
-    Yields the normalized zeros on each of ``lines``, then the vertex if it
-    is a zero.
+    Yields the normalized zeros on the lines (1, t) for t in ``ts``, then
+    on (0, 1), then the vertex if it is a zero.
     """
     top = max(2, _degree_along(table, axis))
     polys = _along(table, degree, axis, top)
     r, s = (m for m in range(3) if m != axis)
     pt = [0, 0, 0]
-    for xr, xs in lines:
+    for xr, xs in chain(((1, t) for t in ts), [(0, 1)]):
         if xr:
             coeffs = [horner(poly, xs) % p for poly in polys]
         else:
             coeffs = [poly[-1] % p for poly in polys]
         pt[r], pt[s] = xr, xs
         zeros = _quadratic_zeros(*coeffs, p) if top == 2 else _roots_mod(coeffs, p)
+        normalized = xr and not r  # (1, t) puts U = 1 first
         for z in zeros:
             pt[axis] = z
-            yield normalize_mod_p(pt, p)
+            yield tuple(pt) if normalized else normalize_mod_p(pt, p)
     vertex = [0, 0, 0]
     vertex[axis] = 1
     if table.get(tuple(degree * x for x in vertex), 0) % p == 0:
@@ -178,14 +183,22 @@ def _pencil_zeros(table: dict, degree: int, axis: int, p: int, lines):
 def _zero_points_over_Fp(form: TernaryForm, p: int):
     """All projective F_p zeros of the form, normalized, each once.
 
-    Every line of the pencil through the vertex of :func:`_pencil_axis` is
-    solved (:func:`_pencil_zeros`): O(p) in all when the form has degree at
-    most 2 in that coordinate, O(p^2) otherwise.  The order of the zeros is
-    unspecified.
+    The lines of the pencil through the vertex of :func:`_pencil_axis` are
+    solved (:func:`_pencil_zeros`), O(p^2) in all when the form has degree
+    3 or more in that coordinate z.  Otherwise, with the form c2 z^2 +
+    c1 z + c0 on the line (1, t), only the lines where c1^2 - 4 c0 c2
+    (:func:`~chordcubic.scalars._values_mod`) is a square mod p, O(p) in
+    all; that includes every line where c2(t) = 0.  The order of the zeros
+    is unspecified.
     """
     table = _int_table(form, p)
-    lines = chain(((1, t) for t in range(p)), [(0, 1)])
-    return _pencil_zeros(table, form.degree, _pencil_axis(table), p, lines)
+    axis = _pencil_axis(table)
+    ts = range(p)
+    if _degree_along(table, axis) <= 2:
+        c0, c1, c2 = _along(table, form.degree, axis, 2)
+        disc = _dot((c1, c1), ([-4 * x for x in c0], c2))
+        ts = compress(range(p), map(squares_table(p).__contains__, _values_mod(disc, p)))
+    return _pencil_zeros(table, form.degree, axis, p, ts)
 
 
 def _eliminant(c: list, k: list) -> list:
@@ -217,7 +230,7 @@ def _zeros_where_meeting(form: TernaryForm, p: int, seconds):
     taken as it is.  ``seconds[z]`` is K when the pencil axis of the form
     is z; K's int table is taken as it is too, as the eliminant is reduced
     mod p.  A line (1, t) is solved only at a root t of :func:`_eliminant`,
-    found by one Horner evaluation per t
+    read off its values at every t by forward differences
     (:func:`~chordcubic.scalars._roots_mod`); the line (0, 1) and the
     vertex are always solved.  So every common F_p zero of
     the form and K is among the zeros.  Every line is solved instead
@@ -234,8 +247,7 @@ def _zeros_where_meeting(form: TernaryForm, p: int, seconds):
             _along(second.coeffs, second.degree, axis, 3),
         )
         if any(x % p for x in eliminant):
-            lines = [(1, t) for t in _roots_mod(eliminant, p)] + [(0, 1)]
-            return _pencil_zeros(table, form.degree, axis, p, lines)
+            return _pencil_zeros(table, form.degree, axis, p, _roots_mod(eliminant, p))
     return _zero_points_over_Fp(form, p)
 
 
@@ -413,10 +425,3 @@ def _rank_and_kernel_mod_p(rows, p: int, ncols: int) -> tuple:
             return ncols, None
     return ncols - 1, tuple(kernel)
 
-
-def _packed(values, width: int) -> int:
-    """The ints 0 <= v < 2^width packed into one int, the first lowest."""
-    r = 0
-    for v in reversed(values):
-        r = r << width | v
-    return r

@@ -12,6 +12,10 @@ Each kind of scalar supports ``+ - * / **`` against itself and plain
 code runs unchanged over either field.  Characteristic 2 and 3 are rejected
 outright: the y^2 = f(x) curve model and the Hessian flex criterion both
 degenerate there.  All values are immutable, all operations pure.
+
+Int polynomials mod p are tabulated at every residue by forward
+differences packed into one int (:func:`_values_mod`), for the root scans
+and the pencil sweep.
 """
 
 from __future__ import annotations
@@ -239,21 +243,53 @@ def horner(coeffs: list, s: int) -> int:
     return acc
 
 
-def _roots_mod(coeffs: list, q: int) -> list:
-    """The roots in 0..q-1 of the int polynomial sum(coeffs[i] x^i) mod q.
+def _packed(values, width: int) -> int:
+    """The ints 0 <= v < 2^width packed into one int, the first lowest."""
+    r = 0
+    for v in reversed(values):
+        r = r << width | v
+    return r
 
-    One Horner evaluation per x, after the zero coefficients mod q at both
-    ends are dropped (zeros at the low end give the root 0).  Every x is a
-    root of the zero polynomial.
+
+def _values_mod(coeffs: list, q: int):
+    """Yield f(t) mod q for t = 0, 1, ..., q - 1, where f = sum(coeffs[i] x^i).
+
+    By forward differences (Knuth, TAOCP vol. 2, 4.6.4), with the
+    coefficients reduced to 0..q-1 and n = len(coeffs) - 1: the fields of
+    the int s, of width = bitlen(f(q + n)) + 1 bits, hold D^k f(t) for
+    k = 0..n, lowest first.  D^k f(t + 1) = D^k f(t) + D^(k+1) f(t), so
+    ``s += s >> width`` steps from t to t + 1, and f(t) mod q is
+    ``(s & mask) % q``.  No field carries: D x^m = (x + 1)^m - x^m has
+    nonnegative coefficients, so every D^k f has too, and D^k f(t) =
+    D^(k-1) f(t + 1) - D^(k-1) f(t) is in 0..D^(k-1) f(t + 1) <= f(t + k);
+    so up to t = q each field is in 0..f(q + n) < 2^(width - 1).
+    D^k f(0) = k! a_k, where the a_k of the Newton form f = sum(a_k x
+    (x - 1) ... (x - k + 1)) are the remainders of dividing f by x, the
+    quotient by x - 1, and so on.
     """
     coeffs = [c % q for c in coeffs]
-    while coeffs and not coeffs[-1]:
-        coeffs.pop()
-    low = next((i for i, c in enumerate(coeffs) if c), None)
-    if low is None:
-        return list(range(q))
-    rest = coeffs[low:]
-    return [0] * (low > 0) + [r for r in range(q) if horner(rest, r) % q == 0]
+    width = horner(coeffs, q + len(coeffs) - 1).bit_length() + 1
+    diffs, scale = [], 1
+    for k in range(len(coeffs)):
+        acc, quotient = 0, []
+        for c in reversed(coeffs):
+            acc = acc * k + c
+            quotient.append(acc)
+        diffs.append(quotient.pop() * scale)
+        coeffs, scale = quotient[::-1], scale * (k + 1)
+    mask = (1 << width) - 1
+    s = _packed(diffs, width)
+    for _ in range(q):
+        yield (s & mask) % q
+        s += s >> width
+
+
+def _roots_mod(coeffs: list, q: int) -> list:
+    """The roots in 0..q-1 of the int polynomial sum(coeffs[i] x^i) mod q, increasing.
+
+    Read off :func:`_values_mod`; every x is a root of the zero polynomial.
+    """
+    return [t for t, v in enumerate(_values_mod(coeffs, q)) if not v]
 
 
 def _quadratic_zeros(c0: int, c1: int, c2: int, p: int):

@@ -372,8 +372,9 @@ def verify_degree_remark(params: CurveParams, p: int, order: int) -> Report:
 
     E(F_p) is the int enumeration of an :class:`FpContext`, as in the
     suite, and the fibers group the points by the line through q and
-    ``add_mod_p(q, T)``: their cross products (``cross_mod_p``), all
-    normalized by one inverse (``normalize_all_mod_p``).  A curve point is
+    ``add_mod_p(q, T)``, computed once per point in a list aligned with the
+    points: their cross products (``cross_mod_p``), all normalized by one
+    inverse (``normalize_all_mod_p``).  A curve point is
     built only for the order test; witnesses print the int triples.  The
     image lines go to min_interpolating_degree with the expected degree as
     ``first``, so an image that interpolates there with nullity 1 is
@@ -404,13 +405,12 @@ def verify_degree_remark(params: CurveParams, p: int, order: int) -> Report:
     if t is None:
         return _skip(CLAIM_DEGREE, f"no point of order {order} mod {p}", started)
 
-    def shifted(s):
-        return add_mod_p(a, b, p, s, t)
+    shifts = [add_mod_p(a, b, p, s, t) for s in points]
 
     def paired(fiber):  # {q, q + T}, where q + T != q as T != O
-        return len(fiber) == 2 and points[fiber[1]] == shifted(points[fiber[0]])
+        return len(fiber) == 2 and points[fiber[1]] == shifts[fiber[0]]
 
-    crosses = [cross_mod_p(_triple(s), _triple(shifted(s)), p) for s in points]
+    crosses = [cross_mod_p(_triple(s), _triple(u), p) for s, u in zip(points, shifts)]
     if not all(map(any, crosses)):
         raise ValueError("no unique line: the points coincide")
     fibers = _fibers(normalize_all_mod_p(crosses, p))

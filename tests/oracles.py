@@ -149,6 +149,15 @@ def flexes_by_sweep(form, p: int) -> list:
     )
 
 
+def roots_by_scan(coeffs: list, q: int) -> list:
+    """The roots in 0..q-1 of sum(coeffs[i] x^i) mod q, by one Horner evaluation per x.
+
+    The oracle of ``scalars._roots_mod``; every x is a root of the zero
+    polynomial.
+    """
+    return [x for x in range(q) if horner(coeffs, x) % q == 0]
+
+
 def _chart_tables(table: dict, degree: int):
     """Coefficient grids of the three affine charts U=1, (0,1,w), (0,0,1)."""
     grid = [[0] * (degree + 1) for _ in range(degree + 1)]

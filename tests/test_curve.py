@@ -26,6 +26,7 @@ from chordcubic.curve import (
 from chordcubic.plane import find_flexes_over_Fp, is_flex
 from chordcubic.scalars import PrimeField, PrimeFieldScalar
 from fp_strategies import curve_residues, curves, hypothesis_api, outcome, triples
+from oracles import roots_by_scan
 
 
 def test_validate_curve():
@@ -323,19 +324,29 @@ def test_three_torsion_over_Fp():
 
 
 def test_roots_mod_match_a_scan_of_the_full_polynomial():
-    # Zero coefficients mod q at either end are dropped before the scan.
+    # Degrees up to 11, the eliminant's, also at or above q; zero
+    # coefficients mod q at either end, and the zero polynomial.
     given, settings, st = hypothesis_api(max_examples=150)
 
     @settings
-    @given(st.sampled_from([5, 7, 11, 31]), st.data())
+    @given(st.sampled_from([5, 7, 11, 31, 1009]), st.data())
     def check(q, data):
         entry = st.integers(-2 * q, 2 * q)
         zeros = st.lists(st.sampled_from([0, q, -q]), max_size=3)
         coeffs = data.draw(zeros) + data.draw(st.lists(entry, max_size=6)) + data.draw(zeros)
-        expected = [r for r in range(q) if sum(c * r ** i for i, c in enumerate(coeffs)) % q == 0]
-        assert curve._roots_mod(coeffs, q) == expected
+        assert curve._roots_mod(coeffs, q) == roots_by_scan(coeffs, q)
 
     check()
+    rng = random.Random(29)
+    q = 65521
+    for degree in (1, 4, 11):
+        coeffs = [rng.randrange(-(q ** 2), q ** 2) for _ in range(degree + 1)]
+        assert curve._roots_mod(coeffs, q) == roots_by_scan(coeffs, q)
+    # A product of distinct linear factors: its roots are known.
+    coeffs = [1]
+    for r in (0, 3, 77, 65520):
+        coeffs = [x - r * y for x, y in zip([0] + coeffs, coeffs + [0])]
+    assert curve._roots_mod(coeffs, q) == roots_by_scan(coeffs, q) == [0, 3, 77, 65520]
 
 
 def test_three_torsion_points_are_hessian_flexes():

@@ -449,6 +449,43 @@ def test_sweeps_agree_on_a_rational_form_and_its_reduction():
     check()
 
 
+def test_sweep_skips_only_lines_without_a_zero(monkeypatch):
+    # Along V, F = c2 V^2 + c1 V + c0 on the line (U, W) = (1, t).  The
+    # first form has c2(2) = 0 and c1(2) = 1: one zero on that line, whose
+    # discriminant c1^2 is a square.  The second contains the pencil line
+    # W = 3U (every z is a zero there).  Lines with a nonsquare
+    # discriminant are skipped, and no zero is lost or repeated.
+    conic = {(0, 2, 0): 1, (1, 0, 1): 1, (2, 0, 0): 1}
+    forms = {
+        "c2 vanishes": TernaryForm(
+            3, {(0, 2, 1): 1, (1, 2, 0): -2, (2, 1, 0): 1, (3, 0, 0): 1, (0, 0, 3): -1}
+        ),
+        "pencil line": TernaryForm(3, _times({(0, 0, 1): 1, (1, 0, 0): -3}, conic)),
+    }
+    solved = []
+    solve = plane._quadratic_zeros
+    monkeypatch.setattr(plane, "_quadratic_zeros", lambda *c: solved.append(c) or solve(*c))
+    skipped = 0
+    for p in (5, 7, 11, 31, 101):
+        for name, form in forms.items():
+            assert plane._pencil_axis(plane._int_table(form, p)) == 1
+            solved.clear()
+            swept = list(_zero_points_over_Fp(form, p))
+            scanned = list(zero_points_by_scan(form, p))
+            assert len(swept) == len(scanned) == len(set(swept)), (name, p)
+            assert sorted(swept) == sorted(scanned), (name, p)
+            line, zeros = (2, 1) if name == "c2 vanishes" else (3, p)
+            assert sum(1 for pt in scanned if pt[0] == 1 and pt[2] == line) == zeros, (name, p)
+            nonsquare = 0
+            for t in range(p):
+                c0, f1, g1 = (evaluate_form(form, (1, z, t)) for z in (0, 1, -1))
+                c1, c2 = (f1 - g1) // 2, (f1 + g1) // 2 - c0
+                nonsquare += pow(c1 * c1 - 4 * c0 * c2, (p - 1) // 2, p) == p - 1
+            assert len(solved) == p + 1 - nonsquare, (name, p)  # the lines (1, t) and (0, 1)
+            skipped += nonsquare
+    assert skipped
+
+
 def test_a_coefficient_that_vanishes_mod_p_does_not_force_the_scan(monkeypatch):
     # U^3 + V^3 + 7 W^3 + UVW is cubic in every coordinate over Q, but
     # linear in W mod 7, so the sweep must run along W and solve each

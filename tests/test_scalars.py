@@ -8,6 +8,8 @@ from chordcubic.scalars import (
     PrimeField,
     PrimeFieldScalar,
     _quadratic_zeros,
+    _values_mod,
+    horner,
     is_prime,
     squares_table,
 )
@@ -102,3 +104,10 @@ def test_renderings():
     assert str(Fraction(-3, 6)) == "-1/2"
     assert str(Fraction(4, 2)) == "2"
 
+
+def test_values_mod_fields_hold_at_the_widest_polynomial():
+    # Every coefficient q - 1 at degree 11 and the top of the domain gives
+    # the widest fields the differences can need: no field may carry.
+    q = 65521
+    coeffs = [q - 1] * 12
+    assert list(_values_mod(coeffs, q)) == [horner(coeffs, t) % q for t in range(q)]

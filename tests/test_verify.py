@@ -315,6 +315,17 @@ def test_degree_remark_normalizes_its_lines_together(monkeypatch):
         verify_degree_remark(validate_curve(-3, 2), 101, 2)
 
 
+def test_degree_remark_shifts_each_point_once(monkeypatch):
+    # One add_mod_p per point of #E(F_101) = 104 for the lines and the
+    # pairing together, in a whole `degree --order 2` request.
+    calls = []
+    add = verify.add_mod_p
+    monkeypatch.setattr(verify, "add_mod_p", lambda *args: calls.append(args) or add(*args))
+    with redirect_stdout(io.StringIO()):
+        assert main(["degree", "--a=-3", "--b=2", "--prime=101", "--order=2"]) == 0
+    assert len(calls) == 104
+
+
 def test_degree_remark_rejects_tiny_order():
     with pytest.raises(ValueError):
         verify_degree_remark(validate_curve(-3, 2), 101, 1)
