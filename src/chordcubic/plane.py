@@ -7,15 +7,17 @@ on rows packed into one int each; a nullity of 1 at the expected degree
 settles it in one rank.  One zero-finder gives the F_p zeros of a form: it
 solves the form on each line of the pencil through the vertex of a
 coordinate of degree at most 2 where the form's discriminant along that
-coordinate is a square, O(p) in all, or else on every line of the pencil
-of a coordinate of least degree.  Smoothness and flex searches solve only
-the lines of that pencil where the form meets a second form (its partial
+coordinate is a square, the quadratic lines together with one batch
+inversion, O(p) in all, or else on every line of the pencil of a
+coordinate of least degree.  Smoothness and flex searches solve only the
+lines of that pencil where the form meets a second form (its partial
 along the pencil axis, or its Hessian): the roots of one int eliminant of
-degree at most 11, plus the pencil's line at infinity and its vertex.  The
-discriminant and the eliminant are tabulated at every line by packed
-forward differences (:func:`~chordcubic.scalars._values_mod`).  The
-searches solve every line only when no coordinate has degree at most 2 or
-the eliminant vanishes mod p.  Only F_p-rational singular points count.
+degree at most 11, plus the pencil's line at infinity and its vertex.
+The coefficients along the axis, the discriminant and the eliminant are
+tabulated at every line by packed forward differences
+(:func:`~chordcubic.scalars._values_mod`).  The searches solve every
+line only when no coordinate has degree at most 2 or the eliminant
+vanishes mod p.  Only F_p-rational singular points count.
 Every function over F_p takes p explicitly and reads coefficients and
 coordinates as ints mod p through :func:`~chordcubic.scalars.residue`.
 """
@@ -23,13 +25,13 @@ coordinates as ints mod p through :func:`~chordcubic.scalars.residue`.
 from __future__ import annotations
 
 from collections import namedtuple
-from itertools import chain, compress, product
+from itertools import chain, product
 from operator import mul
 
 from .chord import TernaryForm, as_triple, normalize_mod_p
 from .curve import _tuple_str
-from .scalars import _dot, _packed, _quadratic_zeros, _roots_mod, _values_mod, check_modulus
-from .scalars import horner, residue, squares_table
+from .scalars import _dot, _packed, _quadratic_zeros, _quadratics_solved, _roots_mod, _values_mod
+from .scalars import check_modulus, horner, inverses_mod_p, residue, squares_table
 
 # Highest degree that min_interpolating_degree tries: the image of a
 # translation chord map lies on a cubic (order 2) or a sextic (order > 2).
@@ -147,29 +149,31 @@ def _along(table: dict, degree: int, axis: int, top: int) -> list:
     return polys
 
 
-def _pencil_zeros(table: dict, degree: int, axis: int, p: int, ts):
+def _pencil_zeros(table: dict, degree: int, axis: int, p: int, ts, solved=()):
     """The F_p zeros of an int table on some lines of the pencil along the axis z.
 
     Every point but the vertex, where only z is nonzero, lies on exactly one
     line of the pencil through the vertex, on which the other two
     coordinates (r, s) are (1, t) or (0, 1).  Restricted to such a line the
-    form is a polynomial in z: a quadratic, solved by
-    :func:`~chordcubic.scalars._quadratic_zeros`, when the form has degree
-    at most 2 in z, else solved by :func:`~chordcubic.scalars._roots_mod`.
-    Yields the normalized zeros on the lines (1, t) for t in ``ts``, then
-    on (0, 1), then the vertex if it is a zero.
+    form is a polynomial in z, evaluated by Horner's rule: a quadratic,
+    solved by :func:`~chordcubic.scalars._quadratic_zeros`, when the form
+    has degree at most 2 in z, else solved by
+    :func:`~chordcubic.scalars._roots_mod`.  Yields the normalized zeros
+    with (r, s) = (1, t) and z given by the pairs (t, z) of ``solved``,
+    then those on the lines (1, t) for t in ``ts``, then on (0, 1), then
+    the vertex if it is a zero.
     """
     top = max(2, _degree_along(table, axis))
     polys = _along(table, degree, axis, top)
     r, s = (m for m in range(3) if m != axis)
     pt = [0, 0, 0]
+    pt[r] = 1
+    for pt[s], pt[axis] in solved:
+        yield normalize_mod_p(pt, p) if r else tuple(pt)
     for xr, xs in chain(((1, t) for t in ts), [(0, 1)]):
-        if xr:
-            coeffs = [horner(poly, xs) % p for poly in polys]
-        else:
-            coeffs = [poly[-1] % p for poly in polys]
-        pt[r], pt[s] = xr, xs
+        coeffs = [horner(poly, xs) % p if xr else poly[-1] % p for poly in polys]
         zeros = _quadratic_zeros(*coeffs, p) if top == 2 else _roots_mod(coeffs, p)
+        pt[r], pt[s] = xr, xs
         normalized = xr and not r  # (1, t) puts U = 1 first
         for z in zeros:
             pt[axis] = z
@@ -186,19 +190,28 @@ def _zero_points_over_Fp(form: TernaryForm, p: int):
     The lines of the pencil through the vertex of :func:`_pencil_axis` are
     solved (:func:`_pencil_zeros`), O(p^2) in all when the form has degree
     3 or more in that coordinate z.  Otherwise, with the form c2 z^2 +
-    c1 z + c0 on the line (1, t), only the lines where c1^2 - 4 c0 c2
-    (:func:`~chordcubic.scalars._values_mod`) is a square mod p, O(p) in
-    all; that includes every line where c2(t) = 0.  The order of the zeros
-    is unspecified.
+    c1 z + c0 on the line (1, t), c1, c2 and c1^2 - 4 c0 c2 are tabulated
+    (:func:`~chordcubic.scalars._values_mod`) and only the lines where
+    c1^2 - 4 c0 c2 is a square mod p are solved, O(p) in all; that includes
+    every line where c2(t) = 0.  Those with c2(t) != 0 are solved together
+    (:func:`~chordcubic.scalars._quadratics_solved`), with one
+    :func:`~chordcubic.scalars.inverses_mod_p` for all 2 c2(t).  The order
+    of the zeros is unspecified.
     """
     table = _int_table(form, p)
     axis = _pencil_axis(table)
-    ts = range(p)
-    if _degree_along(table, axis) <= 2:
-        c0, c1, c2 = _along(table, form.degree, axis, 2)
-        disc = _dot((c1, c1), ([-4 * x for x in c0], c2))
-        ts = compress(range(p), map(squares_table(p).__contains__, _values_mod(disc, p)))
-    return _pencil_zeros(table, form.degree, axis, p, ts)
+    if _degree_along(table, axis) > 2:
+        return _pencil_zeros(table, form.degree, axis, p, range(p))
+    c0, c1, c2 = _along(table, form.degree, axis, 2)
+    disc = _dot((c1, c1), ([-4 * x for x in c0], c2))
+    roots = map(squares_table(p).get, _values_mod(disc, p))
+    lines = zip(range(p), _values_mod(c1, p), _values_mod(c2, p), roots)
+    kept = [line for line in lines if line[3]]
+    quadratic = [line for line in kept if line[2]]
+    inverses = inverses_mod_p([2 * c2t for _, _, c2t, _ in quadratic], p)
+    linear = [t for t, _, c2t, _ in kept if not c2t]
+    solved = _quadratics_solved(quadratic, inverses, p)
+    return _pencil_zeros(table, form.degree, axis, p, linear, solved)
 
 
 def _eliminant(c: list, k: list) -> list:
@@ -259,7 +272,7 @@ def _vanishes(table: dict, pt, p: int) -> bool:
 def count_zero_points_over_Fp(form: TernaryForm, p: int) -> int:
     """Number of F_p points of the projective zero set of the form.
 
-    Every line of the pencil is solved (:func:`_zero_points_over_Fp`).
+    The count of the zeros that :func:`_zero_points_over_Fp` yields.
     """
     return sum(1 for _ in _zero_points_over_Fp(form, p))
 

@@ -265,9 +265,14 @@ def _values_mod(coeffs: list, q: int):
     so up to t = q each field is in 0..f(q + n) < 2^(width - 1).
     D^k f(0) = k! a_k, where the a_k of the Newton form f = sum(a_k x
     (x - 1) ... (x - k + 1)) are the remainders of dividing f by x, the
-    quotient by x - 1, and so on.
+    quotient by x - 1, and so on.  When n >= q, each exponent e >= q is
+    first folded to (e - 1) % (q - 1) + 1, as x^q = x on F_q (at x = 0 too),
+    so that the differences are set up on a polynomial of degree below q.
     """
-    coeffs = [c % q for c in coeffs]
+    folded = coeffs[:q]
+    for e in range(q, len(coeffs)):
+        folded[(e - 1) % (q - 1) + 1] += coeffs[e]
+    coeffs = [c % q for c in folded]
     width = horner(coeffs, q + len(coeffs) - 1).bit_length() + 1
     diffs, scale = [], 1
     for k in range(len(coeffs)):
@@ -295,16 +300,25 @@ def _roots_mod(coeffs: list, q: int) -> list:
 def _quadratic_zeros(c0: int, c1: int, c2: int, p: int):
     """All z in F_p with c2 z^2 + c1 z + c0 = 0; every z for the zero polynomial.
 
-    The coefficients are residues mod p; a quadratic is solved by the
-    quadratic formula on :func:`squares_table`.
+    The coefficients are residues mod p; a quadratic is solved by
+    :func:`_quadratics_solved` on :func:`squares_table`.
     """
     if c2:
         ys = squares_table(p).get((c1 * c1 - 4 * c2 * c0) % p, ())
-        inv = pow(2 * c2, -1, p) if ys else 0
-        return [(y - c1) * inv % p for y in ys]
+        inverses = [pow(2 * c2, -1, p)] if ys else []
+        return [z for _, z in _quadratics_solved([(0, c1, c2, ys)], inverses, p)]
     if c1:
         return [-c0 * pow(c1, -1, p) % p]
     return range(p) if c0 == 0 else []
+
+
+def _quadratics_solved(quadratics, inverses, p: int) -> list:
+    """The pairs (key, z) for the zeros z = (y - c1) / (2 c2) mod p of quadratics.
+
+    Each quadratic c2 z^2 + c1 z + c0 is given as (key, c1, c2, ys), with ys
+    the square roots y of c1^2 - 4 c0 c2 mod p, and 1 / (2 c2) in ``inverses``.
+    """
+    return [(k, (y - c1) * h % p) for (k, c1, _, ys), h in zip(quadratics, inverses) for y in ys]
 
 
 def _dot(*pairs) -> list:

@@ -454,7 +454,8 @@ def test_sweep_skips_only_lines_without_a_zero(monkeypatch):
     # first form has c2(2) = 0 and c1(2) = 1: one zero on that line, whose
     # discriminant c1^2 is a square.  The second contains the pencil line
     # W = 3U (every z is a zero there).  Lines with a nonsquare
-    # discriminant are skipped, and no zero is lost or repeated.
+    # discriminant are skipped, and no zero is lost or repeated.  A line is
+    # solved either in the batch of the lines with c2(t) != 0 or on its own.
     conic = {(0, 2, 0): 1, (1, 0, 1): 1, (2, 0, 0): 1}
     forms = {
         "c2 vanishes": TernaryForm(
@@ -463,8 +464,9 @@ def test_sweep_skips_only_lines_without_a_zero(monkeypatch):
         "pencil line": TernaryForm(3, _times({(0, 0, 1): 1, (1, 0, 0): -3}, conic)),
     }
     solved = []
-    solve = plane._quadratic_zeros
+    solve, batch = plane._quadratic_zeros, plane._quadratics_solved
     monkeypatch.setattr(plane, "_quadratic_zeros", lambda *c: solved.append(c) or solve(*c))
+    monkeypatch.setattr(plane, "_quadratics_solved", lambda q, h, p: solved.extend(q) or batch(q, h, p))
     skipped = 0
     for p in (5, 7, 11, 31, 101):
         for name, form in forms.items():
@@ -478,12 +480,96 @@ def test_sweep_skips_only_lines_without_a_zero(monkeypatch):
             assert sum(1 for pt in scanned if pt[0] == 1 and pt[2] == line) == zeros, (name, p)
             nonsquare = 0
             for t in range(p):
-                c0, f1, g1 = (evaluate_form(form, (1, z, t)) for z in (0, 1, -1))
-                c1, c2 = (f1 - g1) // 2, (f1 + g1) // 2 - c0
+                c0, c1, c2 = _along_v(form, p, (1, t))
                 nonsquare += pow(c1 * c1 - 4 * c0 * c2, (p - 1) // 2, p) == p - 1
             assert len(solved) == p + 1 - nonsquare, (name, p)  # the lines (1, t) and (0, 1)
             skipped += nonsquare
     assert skipped
+
+
+def _along_v(form, p, rs):
+    """(c0, c1, c2) mod p of the form c2 V^2 + c1 V + c0 on the pencil line (U, W) = rs."""
+    u, w = rs
+    form = plane._reduced(form, p)
+    c0, f1, g1 = (evaluate_form(form, (u, z, w)) for z in (0, 1, -1))
+    return c0 % p, (f1 - g1) // 2 % p, ((f1 + g1) // 2 - c0) % p
+
+
+def test_sweep_of_G_inverts_once_and_solves_alone_only_lines_where_c2_vanishes(monkeypatch):
+    # Along V, G = c2 V^2 + c1 V + c0 on the line (U, W) = (1, t).  Every line
+    # with c2(t) != 0 is solved in one batch, from one inverses_mod_p call;
+    # _quadratic_zeros sees only the lines with c2(t) = 0, then (0, 1).
+    p = 1009
+    g = chord_cubic(reduce_params(validate_curve(-3, 2), p))
+    assert plane._pencil_axis(plane._int_table(g, p)) == 1
+    inverted, alone = [], []
+    invert, solve = plane.inverses_mod_p, plane._quadratic_zeros
+    monkeypatch.setattr(plane, "inverses_mod_p", lambda v, q: inverted.append(len(v)) or invert(v, q))
+    monkeypatch.setattr(plane, "_quadratic_zeros", lambda *c: alone.append(c) or solve(*c))
+    swept = list(_zero_points_over_Fp(g, p))
+    lines = [_along_v(g, p, (1, t)) for t in range(p)]
+    expected = [(*c, p) for c in lines if c[2] == 0] + [(*_along_v(g, p, (0, 1)), p)]
+    assert len(expected) == 2  # one t with c2(t) = 0
+    assert alone == expected
+    assert len(inverted) == 1 and 0 < inverted[0] < p
+    assert len(swept) == len(set(swept)) == count_zero_points_over_Fp(g, p)
+
+
+def _forms_of_degree_two_in_v(rng, p):
+    """Random forms c2 V^2 + c1 V + c0, by name, of the shapes the batch solve must meet.
+
+    c0, c1 and c2 are forms in U and W; c1 is 0 in G's shape.  c2 = W - t0 U
+    vanishes on the line (1, t0); a pencil line times a conic lies on the
+    curve; a form linear in V has c2 = 0 everywhere, so its batch is empty.
+    """
+
+    def uw(degree):
+        return {(i, 0, degree - i): rng.randrange(p) for i in range(degree + 1)}
+
+    def v_times(e, table):
+        return {(i, j + e, k): c for (i, j, k), c in table.items()}
+
+    t0 = rng.randrange(p)
+    vanishing = {(1, 0, 0): -t0, (0, 0, 1): 1}
+    conic = {key: rng.randrange(p) for key in monomials(2)}
+    conic[(0, 2, 0)] = rng.randrange(1, p)
+    shapes = {
+        "c1 = 0": (uw(3), {}, uw(1)),
+        "c1 != 0": (uw(3), uw(2), uw(1)),
+        "c2 vanishes at t0": (uw(3), uw(2), vanishing),
+        "conic, c1 = 0": (uw(2), {}, uw(0)),
+        "linear in V": (uw(3), uw(2), {}),
+        "c2 = 0 mod p only": (uw(3), uw(2), {(1, 0, 0): p, (0, 0, 1): 2 * p}),
+    }
+    forms = {}
+    for name, (c0, c1, c2) in shapes.items():
+        degree = sum(next(iter(c0)))
+        table = {**c0}
+        for e, c in ((1, c1), (2, c2)):
+            for key, x in v_times(e, c).items():
+                table[key] = table.get(key, 0) + x
+        forms[name] = TernaryForm(degree, table)
+    forms["pencil line times conic"] = TernaryForm(3, _times(vanishing, conic))
+    return forms
+
+
+def test_batch_solve_matches_the_scan_on_every_shape():
+    rng = random.Random(2024)
+    batches = 0
+    for p in (5, 7, 11, 31, 101):
+        for _ in range(4):
+            for name, form in _forms_of_degree_two_in_v(rng, p).items():
+                assert plane._pencil_axis(plane._int_table(form, p)) == 1, (name, p)
+                swept = list(_zero_points_over_Fp(form, p))
+                assert len(swept) == len(set(swept)), (name, p)
+                assert sorted(swept) == sorted(zero_points_by_scan(form, p)), (name, p)
+                quadratic = [t for t in range(p) if _along_v(form, p, (1, t))[2]]
+                if name in ("linear in V", "c2 = 0 mod p only"):
+                    assert not quadratic, (name, p)
+                elif name in ("c2 vanishes at t0", "pencil line times conic"):
+                    assert len(quadratic) == p - 1, (name, p)
+                batches += bool(quadratic)
+    assert batches
 
 
 def test_a_coefficient_that_vanishes_mod_p_does_not_force_the_scan(monkeypatch):

@@ -8,11 +8,13 @@ from chordcubic.scalars import (
     PrimeField,
     PrimeFieldScalar,
     _quadratic_zeros,
+    _roots_mod,
     _values_mod,
     horner,
     is_prime,
     squares_table,
 )
+from oracles import roots_by_scan
 
 
 def test_fermat_little_theorem_sampled():
@@ -111,3 +113,16 @@ def test_values_mod_fields_hold_at_the_widest_polynomial():
     q = 65521
     coeffs = [q - 1] * 12
     assert list(_values_mod(coeffs, q)) == [horner(coeffs, t) % q for t in range(q)]
+
+
+def test_values_mod_folds_exponents_at_or_above_q():
+    # At q <= 11 a degree-11 polynomial is folded by x^q = x before its
+    # differences are set up; the values and the roots must not change.
+    rng = random.Random(58)
+    for q in (5, 7, 11):
+        x_q_minus_x = [0, -1] + [0] * (q - 2) + [1]
+        assert _roots_mod(x_q_minus_x, q) == roots_by_scan(x_q_minus_x, q) == list(range(q))
+        for _ in range(200):
+            coeffs = [rng.randrange(-2 * q, 2 * q) for _ in range(12)]
+            assert list(_values_mod(coeffs, q)) == [horner(coeffs, t) % q for t in range(q)]
+            assert _roots_mod(coeffs, q) == roots_by_scan(coeffs, q)
