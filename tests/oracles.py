@@ -149,6 +149,15 @@ def flexes_by_sweep(form, p: int) -> list:
     )
 
 
+def count_by_euler(a: int, b: int, p: int) -> int:
+    """#E(F_p) for y^2 = x^3 + a x^2 + b x: O, then each x by Euler's criterion.
+
+    For the image cubic G, #E'(F_p) is the count at (-2a, a^2 - 4b).
+    """
+    fs = (x * (x * x + a * x + b) % p for x in range(p))
+    return 1 + sum(1 if f == 0 else 2 if pow(f, (p - 1) // 2, p) == 1 else 0 for f in fs)
+
+
 def roots_by_scan(coeffs: list, q: int) -> list:
     """The roots in 0..q-1 of sum(coeffs[i] x^i) mod q, by one Horner evaluation per x.
 

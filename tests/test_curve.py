@@ -339,8 +339,10 @@ def test_roots_mod_match_a_scan_of_the_full_polynomial():
     check()
     rng = random.Random(29)
     q = 65521
-    for degree in (1, 4, 11):
-        coeffs = [rng.randrange(-(q ** 2), q ** 2) for _ in range(degree + 1)]
+    randoms = [[rng.randrange(-(q ** 2), q ** 2) for _ in range(d + 1)] for d in (1, 4, 11)]
+    # psi3 of (-3, 2) and (-5, 1) on residues, as three_torsion_flexes reads it.
+    psi3s = [[-b * b, 0, 6 * b, 4 * a, 3] for a, b in [(-3 % q, 2), (-5 % q, 1)]]
+    for coeffs in randoms + psi3s:
         assert curve._roots_mod(coeffs, q) == roots_by_scan(coeffs, q)
     # A product of distinct linear factors: its roots are known.
     coeffs = [1]

@@ -5,9 +5,14 @@ corpus, so a refactor or a faster kernel that changes any report, witness,
 count or exit code fails here.  They were recorded before the int-residue
 construction of curve points and lines; the two suites at p = 1009 and
 p = 1019 (where (-3, 2) has three rational 3-torsion points, so the flex
-sets are not trivial) before the int kernel of the per-point suite checks.  To re-record after a deliberate
-change of output, run ``PYTHONPATH=src python tests/test_golden.py`` and
-paste what it prints.
+sets are not trivial) before the int kernel of the per-point suite checks.
+The five requests at p = 65521, near the top of the domain 3 < p < 2^16,
+pin each heavy subcommand where it costs most.  When they were recorded,
+every report passed (degree --order 4 exits 1 by design), the images had
+degree 3 and 6, the suite paired and cross-checked every point and the
+quotient's count was an int.  To re-record after a deliberate change of
+output, run ``PYTHONPATH=src python tests/test_golden.py`` and paste what
+it prints.
 """
 
 import hashlib
@@ -47,6 +52,11 @@ CORPUS = [
     ("quotient", "--a", "1", "--b", "3", "--prime", "101"),
     ("flexes", "--a", "-3", "--b", "2", "--prime", "101"),
     ("flexes", "--a", "1", "--b", "1", "--prime", "101"),
+    ("suite", "--a", "-3", "--b", "2", "--prime", "65521"),
+    ("degree", "--a", "-3", "--b", "2", "--prime", "65521", "--order", "2"),
+    ("degree", "--a", "-3", "--b", "2", "--prime", "65521", "--order", "4"),
+    ("flexes", "--a", "-3", "--b", "2", "--prime", "65521"),
+    ("quotient", "--a", "-3", "--b", "2", "--prime", "65521"),
 ]
 
 GOLDEN = {
@@ -78,6 +88,11 @@ GOLDEN = {
     "quotient --a 1 --b 3 --prime 101": ("103c3d99ccf86735073fa8936eabd6807b610cf5d0c4fa5635d1c5ef9b64e314", 0),
     "flexes --a -3 --b 2 --prime 101": ("65f3c898427a84121713ed0c4a544748d0b48bd09d4557e183f190cdd84c4f11", 0),
     "flexes --a 1 --b 1 --prime 101": ("c06998ee16980e9e26edea5e99be4fa10719b04b6f82a16e60872dd3f94a2d6e", 0),
+    "suite --a -3 --b 2 --prime 65521": ("fdc9d3454b4e507921abbd5218f4c7a347fb6f298df740ee76d83c3820343ee2", 0),
+    "degree --a -3 --b 2 --prime 65521 --order 2": ("cd6fd5b9a31aa7e6f300fdd7b3ccc9389343112efaf181a2fb6a7a86e0c0abd8", 0),
+    "degree --a -3 --b 2 --prime 65521 --order 4": ("a276999273a07be386af1b68bcc4d7ca0082ceee5944714fbc14651af82e08ac", 1),
+    "flexes --a -3 --b 2 --prime 65521": ("349f28d6d5797f61d58c143ab97bca89dc404f452aac3461821f2ffa8c6b23d2", 0),
+    "quotient --a -3 --b 2 --prime 65521": ("b65bbccce5f9559d23edebe60124d37e129788a45a3c2be2258146b17a63873f", 0),
 }
 
 

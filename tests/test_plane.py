@@ -30,7 +30,14 @@ from chordcubic.plane import (
 from chordcubic.poly import A, B
 from chordcubic.scalars import PrimeField, horner
 from fp_strategies import PRIMES_BELOW_200, curves, hypothesis_api
-from oracles import dual_incidence, flexes_by_sweep, smooth_by_sweep, zero_points_by_scan
+from oracles import (
+    count_by_euler,
+    dual_incidence,
+    flexes_by_sweep,
+    roots_by_scan,
+    smooth_by_sweep,
+    zero_points_by_scan,
+)
 
 
 def _fermat() -> TernaryForm:
@@ -780,15 +787,34 @@ def test_sweeps_refuse_a_form_that_F_p_cannot_read(sweep):
         sweep(sevenths, 7)
 
 
-def test_image_count_at_the_largest_prime_matches_euler_criterion():
-    # The image cubic is the quotient by beta, so it has #E(F_p) points.
-    p, a, b = 65521, -3, 2
-    count = 1 + sum(
-        1 + (0 if f % p == 0 else 1 if pow(f, (p - 1) // 2, p) == 1 else -1)
-        for f in (x * x * x + a * x * x + b * x for x in range(p))
-    )
+@pytest.mark.parametrize("a, b", [(-3, 2), (-5, 1)])
+def test_image_count_at_the_largest_prime_matches_euler_criterion(a, b):
+    # The image cubic G is E' = E/beta, so it has #E'(F_p) points; the
+    # Weierstrass cubic W has #E(F_p).  The full sweep yields each once.
+    p = 65521
     pp = reduce_params(validate_curve(a, b), p)
-    assert count_zero_points_over_Fp(chord_cubic(pp), p) == count
+    counts = [count_by_euler(-2 * a, a * a - 4 * b, p), count_by_euler(a, b, p)]
+    for form, count in zip([chord_cubic(pp), weierstrass_form(pp)], counts):
+        zeros = list(_zero_points_over_Fp(form, p))
+        assert len(set(zeros)) == len(zeros) == count == count_zero_points_over_Fp(form, p)
+        assert all(evaluate_form(form, pt) == 0 for pt in zeros)
+
+
+@pytest.mark.parametrize("a, b", [(-3, 2), (-5, 1)])
+def test_eliminant_search_matches_the_sweep_at_the_largest_prime(a, b):
+    # (-3, 2) has only the flex O at p = 65521; (-5, 1) also has two affine
+    # ones.  Also the roots of the smoothness and flex eliminants, which
+    # _roots_mod finds by forward differences, against a Horner scan.
+    p = 65521
+    pp = reduce_params(validate_curve(a, b), p)
+    for form in (chord_cubic(pp), weierstrass_form(pp)):
+        _matches_the_sweep(form, p)
+        form = plane._reduced(form, p)
+        axis = plane._pencil_axis(form.coeffs)
+        for second in (plane.gradient(form)[axis], hessian_cubic(form)):
+            k = plane._along(second.coeffs, second.degree, axis, 3)
+            eliminant = plane._eliminant(plane._along(form.coeffs, 3, axis, 2), k)
+            assert plane._roots_mod(eliminant, p) == roots_by_scan(eliminant, p)
 
 
 def _gauss_jordan_rank(mat, p):

@@ -835,11 +835,28 @@ def test_cross_check_witness_at_the_second_member_matches_the_scalar_path(fault,
     assert (report.status, report.witness) == ("fail", expected)
 
 
+def _loops_match_the_oracles(ctx):
+    """The cross-checks and the fibers give the witness of the oracle loop on ctx's lists."""
+    points, p = ctx.points, ctx.p
+    translates = {q: (p, 0) if j is None else points[j] for q, j in zip(points, ctx.translates)}
+    chords = dict(zip(points, ctx.chords))
+    g = _int_table(chord_cubic(ctx.pp), p)
+    expected = cross_witness_by_point(ctx.a, ctx.b, p, g, translates, chords)
+    assert verify_cross_checks(ctx).witness == expected
+    assert verify_fibers(ctx).witness == fiber_witness_by_point(translates, chords)
+
+
+def _lists_and_loops_match_the_oracles(ctx):
+    """The context's lists hold translate_mod_p and chord_mod_p of each point, and the loops match."""
+    points, p = ctx.points, ctx.p
+    assert [points[j] for j in ctx.translates] == list(translate_table(ctx.b, p, points).values())
+    assert ctx.chords == list(chord_table(ctx.b, p, points).values())
+    _loops_match_the_oracles(ctx)
+
+
 def test_list_tables_and_loops_match_the_point_keyed_oracles():
-    # The context's lists hold translate_mod_p and chord_mod_p of each point.
     # With one translate, one chord or the chord of one pair then replaced at
-    # random (or nothing), the cross-checks and the fibers give the witness
-    # of the per-point oracle loop on the same tables keyed by point.
+    # random, the loops still match the oracle loop.
     given, settings, st = hypothesis_api(max_examples=80)
 
     @settings
@@ -847,29 +864,27 @@ def test_list_tables_and_loops_match_the_point_keyed_oracles():
     def check(data):
         a, b, p = data.draw(curves(st))
         ctx = FpContext(validate_curve(a, b), p)
+        _lists_and_loops_match_the_oracles(ctx)
         points = ctx.points
-        assert [points[j] for j in ctx.translates] == list(translate_table(b, p, points).values())
-        assert ctx.chords == list(chord_table(b, p, points).values())
         translates, chords = list(ctx.translates), list(ctx.chords)
-        kind = data.draw(st.sampled_from(["none", "translate", "chord", "pair chord"]))
+        kind = data.draw(st.sampled_from(["translate", "chord", "pair chord"]))
         i = data.draw(st.integers(0, len(points) - 1))
         if kind == "translate":
             translates[i] = data.draw(st.none() | st.integers(0, len(points) - 1))
-        elif kind != "none":
+        else:
             residue = st.integers(0, p - 1)
             line = normalize_mod_p(data.draw(st.tuples(residue, residue, residue).filter(any)), p)
             for k in [i] if kind == "chord" else [i, translates[i]]:
                 chords[k] = line
         ctx.translates, ctx.chords = translates, chords
-        off_list = (p, 0)
-        by_point = {q: off_list if j is None else points[j] for q, j in zip(points, translates)}
-        chord_by_point = dict(zip(points, chords))
-        g = _int_table(chord_cubic(ctx.pp), p)
-        expected = cross_witness_by_point(ctx.a, ctx.b, p, g, by_point, chord_by_point)
-        assert verify_cross_checks(ctx).witness == expected
-        assert verify_fibers(ctx).witness == fiber_witness_by_point(by_point, chord_by_point)
+        _loops_match_the_oracles(ctx)
 
     check()
+
+
+@pytest.mark.parametrize("a, b", [(-3, 2), (-5, 1)])
+def test_lists_and_loops_match_the_point_keyed_oracles_at_the_largest_prime(a, b):
+    _lists_and_loops_match_the_oracles(FpContext(validate_curve(a, b), 65521))
 
 
 @pytest.mark.parametrize("fault", ["unpaired fiber", "too few lines"])
