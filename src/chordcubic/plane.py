@@ -2,17 +2,19 @@
 
 Everything here is exact: Hessians are expanded term by term on the
 coefficient tables, and the minimal interpolating degree of a set of F_p
-points comes from ranks mod p of monomial evaluation matrices, eliminated
-on rows packed into one int each; a nullity of 1 at the expected degree
-settles it in one rank.  One zero-finder gives the F_p zeros of a form: it
-solves the form on each line of the pencil through the vertex of a
-coordinate of degree at most 2 where the form's discriminant along that
-coordinate is a square, the quadratic lines together with one batch
-inversion, O(p) in all, or else on every line of the pencil of a
-coordinate of least degree.  Smoothness and flex searches solve only the
-lines of that pencil where the form meets a second form (its partial
-along the pencil axis, or its Hessian): the roots of one int eliminant of
-degree at most 11, plus the pencil's line at infinity and its vertex.
+points comes from ranks mod p of monomial evaluation matrices, built a
+block of points at a time by columns and eliminated on rows packed into
+one int each until one kernel form is left, which is then evaluated on the
+columns; a nullity of 1 at the expected degree settles it in one rank.
+One zero-finder gives the F_p zeros of a form: it solves the form on each
+line of the pencil through the vertex of a coordinate of degree at most 2
+where the form's discriminant along that coordinate is a square, the
+quadratic lines together with one batch inversion, O(p) in all, or else
+on every line of the pencil of a coordinate of least degree.  Smoothness
+and flex searches solve only the lines of that pencil where the form
+meets a second form (its partial along the pencil axis, or its Hessian):
+the roots of one int eliminant of degree at most 11, plus the pencil's
+line at infinity and its vertex.
 The coefficients along the axis, the discriminant and the eliminant are
 tabulated at every line by packed forward differences
 (:func:`~chordcubic.scalars._values_mod`).  The searches solve every
@@ -25,8 +27,8 @@ coordinates as ints mod p through :func:`~chordcubic.scalars.residue`.
 from __future__ import annotations
 
 from collections import namedtuple
-from itertools import chain, product
-from operator import mul
+from itertools import chain, product, repeat
+from operator import mod, mul
 
 from .chord import TernaryForm, as_triple, normalize_mod_p
 from .curve import _tuple_str
@@ -36,6 +38,11 @@ from .scalars import check_modulus, horner, inverses_mod_p, residue, squares_tab
 # Highest degree that min_interpolating_degree tries: the image of a
 # translation chord map lies on a cubic (order 2) or a sextic (order > 2).
 MAX_INTERPOLATION_DEGREE = 8
+
+# Points per block of min_interpolating_degree's evaluation matrix: one
+# block holds the ncols - 1 rows that the rank needs at least at every
+# degree, and an image of about p points at p near 100 fits in one.
+INTERPOLATION_BLOCK = 256
 
 # The permutations of (0, 1, 2) with their signs, for 3x3 determinants.
 _SIGNED_PERMUTATIONS = (
@@ -339,10 +346,10 @@ def min_interpolating_degree(points, p: int, *, first: int | None = None) -> Min
     independent multiples by monomials into that kernel (Cox, Little and
     O'Shea, Ideals, Varieties, and Algorithms, ch. 9 section 3).  Any other
     nullity falls back to the ascending search, so the result, kernel
-    included, never depends on ``first``.  The matrix entries are products
-    of per-coordinate powers mod p on plain ints, reduced mod p by the
-    rank, and each degree's rows, powers included, are generated only as
-    the rank consumes them.
+    included, never depends on ``first``.  Each degree's matrix is built
+    INTERPOLATION_BLOCK points at a time, by columns
+    (:func:`_monomial_columns`), and only as the rank consumes the blocks,
+    so it is never held whole.
     """
     check_modulus(p)
     if first is not None and not 1 <= first <= MAX_INTERPOLATION_DEGREE:
@@ -355,11 +362,11 @@ def min_interpolating_degree(points, p: int, *, first: int | None = None) -> Min
 
     def ranked(d):
         mons = monomials(d)
-        rows = (
-            [pu[i] * pv[j] * pw[k] for (i, j, k) in mons]
-            for pu, pv, pw in ([_powers_mod_p(c, p, d) for c in t] for t in normalized)
+        blocks = (
+            _monomial_columns(normalized[start : start + INTERPOLATION_BLOCK], mons, p)
+            for start in range(0, len(normalized), INTERPOLATION_BLOCK)
         )
-        rank, kernel = _rank_and_kernel_mod_p(rows, p, len(mons))
+        rank, kernel = _rank_and_kernel_mod_p(blocks, p, len(mons))
         return MinDegree(d, len(mons) - rank, kernel)
 
     if first is not None:
@@ -373,27 +380,49 @@ def min_interpolating_degree(points, p: int, *, first: int | None = None) -> Min
     return None
 
 
-def _powers_mod_p(c: int, p: int, top: int) -> list:
-    """c^0 .. c^top mod p, by repeated products."""
-    powers = [1]
-    for _ in range(top):
-        powers.append(powers[-1] * c % p)
-    return powers
+def _monomial_columns(block: list, mons: list, p: int) -> list:
+    """The columns of the monomials' evaluation matrix at a block of int points.
+
+    ``powers[z][e]`` lists coordinate z to the power e >= 1 mod p across
+    the block, each power from the one before by one product per point.
+    The column of a monomial is ``map(mul, ...)`` over the powers of its
+    nonzero exponents (the power itself for a monomial in one coordinate),
+    so its entries are products of up to three residues, not reduced mod
+    p, and none is computed before it is read.
+    """
+    top = sum(mons[0])
+    powers = []
+    for base in zip(*block):
+        table = [None, base]
+        for _ in range(top - 1):
+            table.append([x * y % p for x, y in zip(table[-1], base)])
+        powers.append(table)
+    columns = []
+    for mon in mons:
+        column, *factors = (table[e] for e, table in zip(mon, powers) if e)
+        for factor in factors:
+            column = map(mul, column, factor)
+        columns.append(column)
+    return columns
 
 
-def _rank_and_kernel_mod_p(rows, p: int, ncols: int) -> tuple:
-    """Rank mod p of int rows of length ncols, and the kernel at nullity 1.
+def _rank_and_kernel_mod_p(blocks, p: int, ncols: int) -> tuple:
+    """Rank mod p of a matrix given as blocks of columns, and the kernel at nullity 1.
 
-    The rows are read in one pass, so they may come from a generator.
-    Each row is reduced by the pivot rows found so far and, unless it
-    vanishes mod p, joins them as the pivot row of its first nonzero
-    column; no row is ever reduced above its pivot.  Once the rank reaches
-    ncols - 1, back-substitution gives the kernel vector k (1 at the free
-    column), and each further row raises the rank iff row . k != 0 mod p,
-    since the row space is the orthogonal complement of the kernel.  The
-    first such row gives rank ncols, and no row after it is read.  The
-    kernel is returned as a tuple when the rank ends at ncols - 1, else
-    None.
+    Each block is a list of ncols columns of ints, of equal length, which
+    together hold some rows of the matrix; the blocks are read in one pass,
+    so they may come from a generator.  Each row, read off its block by
+    ``zip(*columns)``, is reduced by the pivot rows found so far and,
+    unless it vanishes mod p, joins them as the pivot row of its first
+    nonzero column; no row is ever reduced above its pivot.  Once the rank
+    reaches ncols - 1, back-substitution gives the kernel vector k (1 at
+    the free column), and each further row raises the rank iff the kernel
+    form sum(k_m row_m) is nonzero mod p there, since the row space is the
+    orthogonal complement of the kernel.  The form is evaluated on the
+    columns, sum(k_m col_m) mod p, at the rows left in the block and then
+    block by block; the first nonzero value gives rank ncols, and no block
+    after it is read.  The kernel is returned as a tuple when the rank ends
+    at ncols - 1, else None.
 
     Until the rank reaches ncols - 1 a row is reduced packed into one int,
     its entries reduced mod p into fields of width = 2 bitlen(p) +
@@ -405,36 +434,43 @@ def _rank_and_kernel_mod_p(rows, p: int, ncols: int) -> tuple:
     it starts below p, and a row takes at most ncols - 1 reductions, each
     adding (p - c) * e <= (p - 1)^2 with e an entry of a pivot row, so it
     stays below ncols * p^2 <= 2^(width - 1).  A pivot row is unpacked,
-    normalized mod p and repacked once; back-substitution and the dot
-    products of the kernel phase run on int lists.
+    normalized mod p and repacked once; back-substitution runs on int lists.
     """
-    rows = iter(rows)
+    blocks = iter(blocks)
     width = 2 * p.bit_length() + ncols.bit_length() + 1
     mask = (1 << width) - 1
     basis, packed = {}, {}
+    rest = []
     while len(basis) < ncols - 1:
-        row = next(rows, None)
-        if row is None:
+        columns = next(blocks, None)
+        if columns is None:
             return len(basis), None
-        r = _packed([v % p for v in row], width)
-        for col in range(ncols):
-            c = (r & mask) % p
-            if c:
-                top = packed.get(col)
-                if top is None:
-                    inv = pow(c, -1, p)
-                    tail = [(r >> (width * m) & mask) * inv % p for m in range(ncols - col)]
-                    basis[col] = tail
-                    packed[col] = _packed(tail, width)
-                    break
-                r += (p - c) * top
-            r >>= width
+        columns = [iter(column) for column in columns]
+        for row in zip(*columns):
+            r = _packed([v % p for v in row], width)
+            for col in range(ncols):
+                c = (r & mask) % p
+                if c:
+                    top = packed.get(col)
+                    if top is None:
+                        inv = pow(c, -1, p)
+                        tail = [(r >> (width * m) & mask) * inv % p for m in range(ncols - col)]
+                        basis[col] = tail
+                        packed[col] = _packed(tail, width)
+                        break
+                    r += (p - c) * top
+                r >>= width
+            else:
+                continue
+            if len(basis) == ncols - 1:
+                rest = columns
+                break
     kernel = [0] * ncols
     kernel[next(col for col in range(ncols) if col not in basis)] = 1
     for col in sorted(basis, reverse=True):
         kernel[col] = -sum(map(mul, basis[col][1:], kernel[col + 1 :])) % p
-    for row in rows:
-        if sum(map(mul, row, kernel)) % p:
+    for columns in chain([rest], blocks):
+        terms = [map(mul, column, repeat(k)) for column, k in zip(columns, kernel) if k]
+        if any(map(mod, map(sum, zip(*terms)), repeat(p))):
             return ncols, None
     return ncols - 1, tuple(kernel)
-

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import repeat
 from types import MappingProxyType
 
 MAX_PRIME = 1 << 16
@@ -252,15 +253,16 @@ def _packed(values, width: int) -> int:
 
 
 def _values_mod(coeffs: list, q: int):
-    """Yield f(t) mod q for t = 0, 1, ..., q - 1, where f = sum(coeffs[i] x^i).
+    """An iterator over f(t) mod q, t = 0, 1, ..., q - 1, for f = sum(coeffs[i] x^i).
 
-    By forward differences (Knuth, TAOCP vol. 2, 4.6.4), with the
-    coefficients reduced to 0..q-1 and n = len(coeffs) - 1: the fields of
-    the int s, of width = bitlen(f(q + n)) + 1 bits, hold D^k f(t) for
-    k = 0..n, lowest first.  D^k f(t + 1) = D^k f(t) + D^(k+1) f(t), so
-    ``s += s >> width`` steps from t to t + 1, and f(t) mod q is
-    ``(s & mask) % q``.  No field carries: D x^m = (x + 1)^m - x^m has
-    nonnegative coefficients, so every D^k f has too, and D^k f(t) =
+    A polynomial that is constant mod q gives its constant q times, with no
+    differences to step.  Any other goes by forward differences (Knuth,
+    TAOCP vol. 2, 4.6.4), with the coefficients reduced to 0..q-1 and n =
+    len(coeffs) - 1: the fields of the int s, of width = bitlen(f(q + n)) +
+    1 bits, hold D^k f(t) for k = 0..n, lowest first.  D^k f(t + 1) = D^k
+    f(t) + D^(k+1) f(t), so ``s += s >> width`` steps from t to t + 1, and
+    f(t) mod q is ``(s & mask) % q``.  No field carries: D x^m = (x + 1)^m -
+    x^m has nonnegative coefficients, so every D^k f has too, and D^k f(t) =
     D^(k-1) f(t + 1) - D^(k-1) f(t) is in 0..D^(k-1) f(t + 1) <= f(t + k);
     so up to t = q each field is in 0..f(q + n) < 2^(width - 1).
     D^k f(0) = k! a_k, where the a_k of the Newton form f = sum(a_k x
@@ -273,6 +275,8 @@ def _values_mod(coeffs: list, q: int):
     for e in range(q, len(coeffs)):
         folded[(e - 1) % (q - 1) + 1] += coeffs[e]
     coeffs = [c % q for c in folded]
+    if not any(coeffs[1:]):
+        return repeat(sum(coeffs), q)
     width = horner(coeffs, q + len(coeffs) - 1).bit_length() + 1
     diffs, scale = [], 1
     for k in range(len(coeffs)):
@@ -282,8 +286,12 @@ def _values_mod(coeffs: list, q: int):
             quotient.append(acc)
         diffs.append(quotient.pop() * scale)
         coeffs, scale = quotient[::-1], scale * (k + 1)
+    return _stepped(_packed(diffs, width), width, q)
+
+
+def _stepped(s: int, width: int, q: int):
+    """Yield the lowest field of s mod q, then step s += s >> width; q times."""
     mask = (1 << width) - 1
-    s = _packed(diffs, width)
     for _ in range(q):
         yield (s & mask) % q
         s += s >> width

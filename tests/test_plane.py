@@ -1,15 +1,17 @@
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
-from chordcubic import plane
+from chordcubic import plane, scalars
 from chordcubic.chord import (
     DualPoint,
     TernaryForm,
     chord_cubic,
     chord_cubic_generic,
     chord_map,
+    normalize_mod_p,
     normalize_triple,
     weierstrass_form,
 )
@@ -579,6 +581,23 @@ def test_batch_solve_matches_the_scan_on_every_shape():
     assert batches
 
 
+def test_the_sweeps_of_g_and_w_step_no_differences_for_c1(monkeypatch):
+    # Along V both cubics have c1 = 0, so each sweep steps only the
+    # differences of c2 and of the discriminant, and counts as before.
+    stepped = scalars._stepped
+    calls = []
+    monkeypatch.setattr(scalars, "_stepped", lambda *args: calls.append(args) or stepped(*args))
+    a, b, p = -3, 2, 101
+    params = reduce_params(validate_curve(a, b), p)
+    for form, count in (
+        (chord_cubic(params), count_by_euler(-2 * a, a * a - 4 * b, p)),
+        (weierstrass_form(params), count_by_euler(a, b, p)),
+    ):
+        calls.clear()
+        assert count_zero_points_over_Fp(form, p) == count
+        assert len(calls) == 2
+
+
 def test_a_coefficient_that_vanishes_mod_p_does_not_force_the_scan(monkeypatch):
     # U^3 + V^3 + 7 W^3 + UVW is cubic in every coordinate over Q, but
     # linear in W mod 7, so the sweep must run along W and solve each
@@ -819,6 +838,11 @@ def test_eliminant_search_matches_the_sweep_at_the_largest_prime(a, b):
 
 def _gauss_jordan_rank(mat, p):
     """Rank mod p by a full Gauss-Jordan pass: the oracle for _rank_and_kernel_mod_p."""
+    return _gauss_jordan(mat, p)[0]
+
+
+def _gauss_jordan(mat, p):
+    """The rank mod p and the reduced row echelon form of the rank's rows."""
     mat = [list(row) for row in mat]
     rank = 0
     for col in range(len(mat[0]) if mat else 0):
@@ -833,22 +857,47 @@ def _gauss_jordan_rank(mat, p):
                 factor = mat[r][col]
                 mat[r] = [(v - factor * w) % p for v, w in zip(mat[r], mat[rank])]
         rank += 1
-    return rank
+    return rank, mat[:rank]
+
+
+def _kernel_at_nullity_one(reduced, p, ncols):
+    """The kernel vector of a reduced row echelon form of rank ncols - 1.
+
+    It is 1 at the free column f and -row[f] at each row's pivot column,
+    so 0 past f: 1 is its last nonzero entry.
+    """
+    pivots = [next(col for col, v in enumerate(row) if v) for row in reduced]
+    free = next(col for col in range(ncols) if col not in pivots)
+    kernel = [0] * ncols
+    kernel[free] = 1
+    for col, row in zip(pivots, reduced):
+        kernel[col] = -row[free] % p
+    return tuple(kernel)
 
 
 def _min_degree_by_scalar_rows(points, p):
-    """Minimal degree up to 8 from monomial rows of F_p scalars: the oracle."""
-    normalized = [normalize_triple(pt) for pt in points]
+    """Minimal degree up to 8, kernel included, from monomial rows of F_p scalars: the oracle."""
     for d in range(1, 9):
         mons = monomials(d)
-        rows = [
-            [(t[0] ** i * t[1] ** j * t[2] ** k).value for (i, j, k) in mons]
-            for t in normalized
-        ]
-        nullity = len(mons) - _gauss_jordan_rank(rows, p)
-        if nullity > 0:
+        rank, reduced = _gauss_jordan(_scalar_rows(points, mons), p)
+        nullity = len(mons) - rank
+        if nullity == 1:
+            return MinDegree(d, 1, _kernel_at_nullity_one(reduced, p, len(mons)))
+        if nullity > 1:
             return MinDegree(d, nullity)
     return None
+
+
+def _scalar_rows(points, mons):
+    """The monomials' values at the points, as F_p scalars, one row per point."""
+    normalized = [normalize_triple(pt) for pt in points]
+    return [[(t[0] ** i * t[1] ** j * t[2] ** k).value for (i, j, k) in mons] for t in normalized]
+
+
+def _column_blocks(mat, size):
+    """The rows of a matrix in blocks of ``size``, each a list of its columns."""
+    for start in range(0, len(mat), size):
+        yield [list(column) for column in zip(*mat[start : start + size])]
 
 
 def test_interpolation_on_ints_matches_scalar_rows():
@@ -873,9 +922,8 @@ def test_interpolation_on_ints_matches_scalar_rows():
     @given(point_sets())
     def check(points_p):
         points, p = points_p
-        expected = _min_degree_by_scalar_rows(points, p)
         found = min_interpolating_degree(points, p=p)
-        assert (found and found[:2]) == (expected and expected[:2])
+        assert found == _min_degree_by_scalar_rows(points, p)
         # Ranking any degree first certifies it only at nullity 1, so the
         # result, kernel included, is the plain search's.
         for first in range(1, 9):
@@ -900,13 +948,14 @@ def test_row_echelon_rank_matches_gauss_jordan():
         for _ in range(draw(st.integers(0, 12))):
             coeffs = [draw(st.integers(-3, 3) | st.just(p)) for _ in basis]
             mat.append([sum(c * b[m] for c, b in zip(coeffs, basis)) for m in range(cols)])
-        return mat, p, cols
+        return mat, p, cols, draw(st.integers(1, 13))
 
     @settings
     @given(matrices())
     def check(mat_p):
-        mat, p, cols = mat_p
-        assert _rank_and_kernel_mod_p(iter(mat), p, cols)[0] == _gauss_jordan_rank(mat, p)
+        mat, p, cols, size = mat_p
+        found = _rank_and_kernel_mod_p(_column_blocks(mat, size), p, cols)[0]
+        assert found == _gauss_jordan_rank(mat, p)
 
     check()
 
@@ -926,7 +975,7 @@ def test_packed_rank_fields_hold_at_the_top_of_the_domain():
             if n % 11 == 0:
                 coeffs = [rng.randrange(p) for _ in range(n)]
                 mat.append([sum(c * r[m] for c, r in zip(coeffs, dense)) for m in range(ncols)])
-        rank, kernel = _rank_and_kernel_mod_p(iter(mat), p, ncols)
+        rank, kernel = _rank_and_kernel_mod_p(_column_blocks(mat, 16), p, ncols)
         assert rank == _gauss_jordan_rank(mat, p) == ncols - 1
         # At nullity 1 the kernel is the one vector on every row's
         # orthogonal complement that is 1 at its last nonzero entry.
@@ -935,11 +984,16 @@ def test_packed_rank_fields_hold_at_the_top_of_the_domain():
 
 
 def test_rank_mod_p_reads_no_row_after_full_rank():
-    def rows():
-        yield from ([1, 0, 0], [5, 6, 0], [0, 0, 3])
-        raise AssertionError("row read after full column rank")
+    # The rank is full at the third row, [0, 0, 3]: at the end of a block,
+    # or in the middle of one; no block after it is read.
+    for head in ([[1, 0, 0], [5, 6, 0]], [[1, 0, 0], [5, 6, 0], [0, 0, 3], [1, 1, 1]]):
 
-    assert _rank_and_kernel_mod_p(rows(), 7, 3)[0] == 3
+        def blocks():
+            yield from _column_blocks(head, 2)
+            yield [[0], [0], [3]]
+            raise AssertionError("block read after full column rank")
+
+        assert _rank_and_kernel_mod_p(blocks(), 7, 3)[0] == 3
 
 
 def test_kernel_path_matches_gauss_jordan_on_rows_past_nullity_one():
@@ -963,14 +1017,14 @@ def test_kernel_path_matches_gauss_jordan_on_rows_past_nullity_one():
             if basis and n < late:
                 coeffs[-1] = 0
             mat.append([sum(c * b[m] for c, b in zip(coeffs, basis)) for m in range(cols)])
-        return mat, p, cols
+        return mat, p, cols, draw(st.integers(1, cols + 13))
 
     @settings
     @given(matrices())
     def check(mat_p):
-        mat, p, cols = mat_p
+        mat, p, cols, size = mat_p
         rank = _gauss_jordan_rank(mat, p)
-        found, kernel = _rank_and_kernel_mod_p(iter(mat), p, cols)
+        found, kernel = _rank_and_kernel_mod_p(_column_blocks(mat, size), p, cols)
         assert found == rank
         assert (kernel is not None) == (rank == cols - 1)
         if kernel is not None:
@@ -982,12 +1036,115 @@ def test_kernel_path_matches_gauss_jordan_on_rows_past_nullity_one():
 
 def test_rank_mod_p_reads_no_row_after_a_row_off_the_kernel():
     # At p = 7 the first three rows give rank 2 and the kernel (3, 2, 1);
-    # [3, 7, 5] lies on it, [0, 0, 1] does not.
-    head = ([1, 2, 0], [2, 4, 0], [0, 1, 5], [3, 7, 5])
-    assert _rank_and_kernel_mod_p(iter(head), 7, 3) == (2, (3, 2, 1))
+    # [3, 7, 5] lies on it, [0, 0, 1] does not.  In blocks of 1 to 5 rows
+    # the kernel test starts at the end of a block or inside one, and the
+    # row off the kernel is in the same block or a later one.
+    head = [[1, 2, 0], [2, 4, 0], [0, 1, 5], [3, 7, 5]]
+    for size in range(1, 6):
+        assert _rank_and_kernel_mod_p(_column_blocks(head, size), 7, 3) == (2, (3, 2, 1))
 
-    def rows():
-        yield from head + ([0, 0, 1],)
-        raise AssertionError("row read after full column rank")
+        def blocks():
+            yield from _column_blocks(head + [[0, 0, 1]], size)
+            raise AssertionError("block read after full column rank")
 
-    assert _rank_and_kernel_mod_p(rows(), 7, 3)[0] == 3
+        assert _rank_and_kernel_mod_p(blocks(), 7, 3)[0] == 3
+
+
+def _block_boundary_sets(p):
+    """Point sets mod p = 31 with their minimal degree, as the row-by-row rank gave it.
+
+    The cuspidal cubic V^3 = U^2 W is (1, t, t^3) and the conic U W = V^2
+    is (1, t, t^2); (1, 2, 9) lies on neither, and the conic's two extra
+    points lie on the line W = U + V.
+    """
+    cubic = [(1, t, t ** 3 % p) for t in range(p)]
+    conic = [(1, t, t * t % p) for t in range(p)]
+    return [
+        (cubic, MinDegree(3, 1, (0, 0, 30, 0, 0, 0, 1, 0, 0, 0))),
+        (cubic[:10] + [(1, 2, 9)] + cubic[10:], MinDegree(4, 2)),
+        (cubic[:25] + [(1, 2, 9)] + cubic[25:], MinDegree(4, 2)),
+        (conic, MinDegree(2, 1, (0, 0, 30, 1, 0, 0))),
+        (conic[:12] + [(1, 1, 2)] + conic[12:21] + [(0, 1, 1)] + conic[21:],
+         MinDegree(3, 1, (0, 0, 1, 30, 1, 30, 30, 1, 0, 0))),
+    ]
+
+
+def test_interpolation_across_blocks_matches_scalar_rows(monkeypatch):
+    # On the cubic's points the rank at degree 3 reaches 9 = ncols - 1 at
+    # the ninth point, so the kernel test starts inside a block of 4, 5,
+    # 10, 16 or 64 points and at the end of one of 1, 3 or 9.  The point
+    # off the cubic at index 10 makes the rank full inside a block of 4 or
+    # 8; at index 25 it is in a later block than the ninth point for every
+    # size up to 16.
+    p = 31
+    sets = _block_boundary_sets(p)
+    rows = _scalar_rows(_fp_triples(sets[0][0], p), monomials(3))
+    assert [_gauss_jordan_rank(rows[:n], p) for n in (8, 9)] == [8, 9]
+    for points, expected in sets:
+        assert _min_degree_by_scalar_rows(_fp_triples(points, p), p) == expected
+    for size in (1, 2, 3, 4, 5, 8, 9, 10, 16, 64):
+        monkeypatch.setattr(plane, "INTERPOLATION_BLOCK", size)
+        assert min_interpolating_degree([], p=p) == MinDegree(1, 3)
+        for points, expected in sets:
+            for first in (None, *range(1, 9)):
+                assert min_interpolating_degree(points, p=p, first=first) == expected
+
+
+def test_interpolation_builds_no_block_after_the_answer(monkeypatch):
+    # Every rank builds the blocks up to the one holding the first row at
+    # which the rank of the rows so far is full, or every block when it
+    # stays short of full, and none before the rank starts.
+    p = 31
+    columns, rank = plane._monomial_columns, plane._rank_and_kernel_mod_p
+    built, ranks = [], []
+
+    def counted_columns(block, mons, p):
+        built.append(len(mons))
+        return columns(block, mons, p)
+
+    def counted_rank(blocks, p, ncols):
+        start = len(built)
+        found = rank(blocks, p, ncols)
+        ranks.append((ncols, built[start:]))
+        return found
+
+    monkeypatch.setattr(plane, "_monomial_columns", counted_columns)
+    monkeypatch.setattr(plane, "_rank_and_kernel_mod_p", counted_rank)
+    for size in (1, 4, 8, 64):
+        monkeypatch.setattr(plane, "INTERPOLATION_BLOCK", size)
+        for points, _ in _block_boundary_sets(p):
+            for first in (None, 3, 6):
+                built.clear()
+                ranks.clear()
+                min_interpolating_degree(points, p=p, first=first)
+                assert len(built) == sum(len(blocks) for _, blocks in ranks)
+                for ncols, blocks in ranks:
+                    degree = next(d for d in range(1, 9) if len(monomials(d)) == ncols)
+                    rows = _scalar_rows(_fp_triples(points, p), monomials(degree))
+                    ranks_so_far = (_gauss_jordan_rank(rows[:n], p) for n in range(1, len(rows) + 1))
+                    read = next((n for n, r in enumerate(ranks_so_far, 1) if r == ncols), len(rows))
+                    assert blocks == [ncols] * -(-read // size)
+
+
+def test_interpolation_never_holds_the_matrix():
+    # The 4001 points (1, t, t^6) mod 4001 lie on the sextic U^5 W = V^6
+    # and on no curve of lower degree, so with first = 6 the rank reads
+    # every block of degree 6 (28 columns).  The whole matrix would hold
+    # 28 ints per point, about 11 times the normalized points; one block
+    # at a time, the peak stays within a small factor of the points.
+    p = 4001
+    points = [(1, t, pow(t, 6, p)) for t in range(p)]
+    assert len(points) > 8 * plane.INTERPOLATION_BLOCK
+    tracemalloc.start()
+    try:
+        normalized = [normalize_mod_p([c % p for c in pt], p) for pt in points]
+        held = tracemalloc.get_traced_memory()[0]
+        del normalized
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        found = min_interpolating_degree(points, p=p, first=6)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert found[:2] == (6, 1)
+    assert peak < 3 * held

@@ -4,6 +4,7 @@ from itertools import product
 
 import pytest
 
+from chordcubic import scalars
 from chordcubic.scalars import (
     PrimeField,
     PrimeFieldScalar,
@@ -126,3 +127,21 @@ def test_values_mod_folds_exponents_at_or_above_q():
             coeffs = [rng.randrange(-2 * q, 2 * q) for _ in range(12)]
             assert list(_values_mod(coeffs, q)) == [horner(coeffs, t) % q for t in range(q)]
             assert _roots_mod(coeffs, q) == roots_by_scan(coeffs, q)
+
+
+def test_values_mod_of_a_constant_steps_no_difference(monkeypatch):
+    # Polynomials that are constant mod q, some only after the reduction
+    # of their coefficients or the folding by x^q = x, are tabulated
+    # without stepping differences; any other is stepped.
+    q = 7
+    constants = ([0], [3], [3, 0, 0], [3, q, -2 * q], [-4, 1, 0, 0, 0, 0, 0, -1])
+    stepped = scalars._stepped
+    monkeypatch.setattr(scalars, "_stepped", None)
+    for coeffs in constants:
+        assert list(_values_mod(coeffs, q)) == [horner(coeffs, t) % q for t in range(q)]
+        assert len(set(_values_mod(coeffs, q))) == 1
+    calls = []
+    monkeypatch.setattr(scalars, "_stepped", lambda *args: calls.append(args) or stepped(*args))
+    for coeffs in ([0, 1], [3, 0, q + 1], [0, 0, 0, 0, 0, 0, 0, 0, 1]):
+        assert list(_values_mod(coeffs, q)) == [horner(coeffs, t) % q for t in range(q)]
+    assert len(calls) == 3

@@ -289,7 +289,7 @@ def test_degree_remark_ranks_one_matrix_at_the_expected_degree(monkeypatch):
     ncols = []
     rank = plane._rank_and_kernel_mod_p
     monkeypatch.setattr(
-        plane, "_rank_and_kernel_mod_p", lambda rows, p, n: ncols.append(n) or rank(rows, p, n)
+        plane, "_rank_and_kernel_mod_p", lambda blocks, p, n: ncols.append(n) or rank(blocks, p, n)
     )
     report = verify_degree_remark(validate_curve(-3, 2), 101, 4)
     assert (report.stats["image_degree"], ncols) == (6, [28])
