@@ -176,7 +176,7 @@ class CurvePoint:
 
 
 def _off_curve(params: CurveParams, coords) -> ValueError:
-    return ValueError(f"point {_tuple_str(coords)} is not on {params}")
+    return ValueError(f"point {_bracket(coords)} is not on {params}")
 
 
 def _normalized_mod_p(params: CurveParams, p: int, coords) -> tuple:
@@ -206,10 +206,6 @@ def _coord_str(c) -> str:
 def _bracket(values) -> str:
     """``[x:y:z]``: the printed form of curve points, dual points and int triples."""
     return "[" + ":".join(_coord_str(c) for c in values) + "]"
-
-
-def _tuple_str(coords) -> str:
-    return "(" + ", ".join(_coord_str(c) for c in coords) + ")"
 
 
 def beta(params: CurveParams) -> CurvePoint:
@@ -378,7 +374,7 @@ def reduce_params(params: CurveParams, p: int) -> CurveParams:
             raise ValueError(f"parameters already live in F_{params.modulus}")
         return params
     field = PrimeField(p)
-    return CurveParams(field.from_rational(params.a), field.from_rational(params.b))
+    return CurveParams(field(params.a), field(params.b))
 
 
 def affine_points_mod_p(a: int, b: int, p: int) -> list:

@@ -31,7 +31,7 @@ from itertools import chain, product, repeat
 from operator import mod, mul
 
 from .chord import TernaryForm, as_triple, normalize_mod_p
-from .curve import _tuple_str
+from .curve import _bracket
 from .scalars import _dot, _packed, _quadratic_zeros, _quadratics_solved, _roots_mod, _values_mod
 from .scalars import check_modulus, horner, inverses_mod_p, residue, squares_table
 
@@ -99,7 +99,7 @@ def hessian_cubic(form: TernaryForm) -> TernaryForm:
 def is_flex(form: TernaryForm, pt) -> bool:
     """Whether pt is a smooth point of the cubic with vanishing Hessian."""
     if evaluate_form(form, pt) != 0:
-        raise ValueError(f"point {_tuple_str(as_triple(pt))} is not on the curve")
+        raise ValueError(f"point {_bracket(as_triple(pt))} is not on the curve")
     if all(g.evaluate(pt) == 0 for g in gradient(form)):
         return False
     return hessian_cubic(form).evaluate(pt) == 0

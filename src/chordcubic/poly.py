@@ -12,8 +12,7 @@ empty table.
 
 The one rewriting rule this module knows is reduction modulo the curve
 relation y^2 = x^3 + a x^2 + b x: every term is rewritten until its
-y-degree is at most 1.  Ints stay ints and other rationals stay Fractions;
-specialisation into a prime field happens only at evaluation time.
+y-degree is at most 1.  Ints stay ints and other rationals stay Fractions.
 
 Canonical term order is descending lexicographic on (e_y, e_x, e_a, e_b),
 which fixes the textual form used in serialised output.
@@ -22,8 +21,6 @@ which fixes the textual form used in serialised output.
 from __future__ import annotations
 
 from fractions import Fraction
-
-from .scalars import PrimeField, PrimeFieldScalar
 
 VARIABLES = ("x", "y", "a", "b")
 _VAR_INDEX = {name: i for i, name in enumerate(VARIABLES)}
@@ -146,31 +143,6 @@ class MultiPoly:
             key=lambda item: (item[0][1], item[0][0], item[0][2], item[0][3]),
             reverse=True,
         )
-
-    def evaluate(self, **values):
-        """The value at a full assignment, over Q or over one F_p.
-
-        Values are ints, Fractions or scalars of one prime field.  With a
-        scalar among them every value and coefficient is reduced mod its p
-        (ZeroDivisionError when p divides a denominator).  An unknown
-        variable, or one that occurs unbound, raises ValueError.
-        """
-        unknown = values.keys() - _VAR_INDEX.keys()
-        if unknown:
-            raise ValueError(f"unknown variables {sorted(unknown)}; expected {VARIABLES}")
-        moduli = {v.modulus for v in values.values() if isinstance(v, PrimeFieldScalar)}
-        lift = PrimeField(min(moduli)) if moduli else Fraction
-        point = {name: lift(value) for name, value in values.items()}
-        total = lift(0)
-        for key, coeff in self.terms.items():
-            term = lift(coeff)
-            for name, e in zip(VARIABLES, key):
-                if e:
-                    if name not in point:
-                        raise ValueError(f"variable {name!r} is unbound")
-                    term = term * point[name] ** e
-            total = total + term
-        return total
 
     def __str__(self):
         if not self.terms:

@@ -126,12 +126,10 @@ class PrimeFieldScalar:
         )
 
     def inverse(self) -> PrimeFieldScalar:
-        """Multiplicative inverse via Fermat's little theorem."""
+        """The multiplicative inverse; ZeroDivisionError for 0."""
         if self.value == 0:
             raise ZeroDivisionError(f"0 mod {self.modulus} has no inverse")
-        return PrimeFieldScalar(
-            pow(self.value, self.modulus - 2, self.modulus), self.modulus
-        )
+        return PrimeFieldScalar(pow(self.value, -1, self.modulus), self.modulus)
 
     def __eq__(self, other):
         if isinstance(other, PrimeFieldScalar):
@@ -164,19 +162,15 @@ class PrimeField:
                 raise ValueError(f"scalar mod {value.modulus} is not in F_{self.p}")
             return value
         if isinstance(value, Fraction):
-            return self.from_rational(value)
+            if value.denominator % self.p == 0:
+                raise ZeroDivisionError(
+                    f"denominator {value.denominator} is not invertible mod {self.p}"
+                )
+            num = PrimeFieldScalar(value.numerator, self.p)
+            return num * PrimeFieldScalar(value.denominator, self.p).inverse()
         if isinstance(value, int) and not isinstance(value, bool):
             return PrimeFieldScalar(value, self.p)
         raise ValueError(f"cannot coerce {value!r} into F_{self.p}")
-
-    def from_rational(self, q: Fraction) -> PrimeFieldScalar:
-        """Reduce an exact rational mod p; the denominator must be invertible."""
-        if q.denominator % self.p == 0:
-            raise ZeroDivisionError(
-                f"denominator {q.denominator} is not invertible mod {self.p}"
-            )
-        num = PrimeFieldScalar(q.numerator, self.p)
-        return num * PrimeFieldScalar(q.denominator, self.p).inverse()
 
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p

@@ -7,6 +7,7 @@ on ``sys.path`` for the test modules beside it.
 from chordcubic.chord import TernaryForm, as_triple, cross_mod_p, cubic_invariants, normalize_mod_p
 from chordcubic.curve import _bracket, add_mod_p
 from chordcubic.plane import _int_table, _vanishes, _zero_points_over_Fp, gradient, hessian_cubic
+from chordcubic.poly import VARIABLES
 from chordcubic.scalars import horner
 from chordcubic.verify import _incident, _triple
 
@@ -31,6 +32,22 @@ def invariants_form(params) -> TernaryForm:
             (0, 0, 3): c2 * m * m - c1 * m - 1,
         },
     ).canonical()
+
+
+def poly_at(q, field, **values):
+    """The MultiPoly q at ints or Fractions for its variables, in field: Fraction or a PrimeField.
+
+    Coefficients and values are taken into the field term by term; a
+    variable of q with no value raises KeyError.
+    """
+    total = field(0)
+    for key, coeff in q.terms.items():
+        term = field(coeff)
+        for name, e in zip(VARIABLES, key):
+            if e:
+                term = term * field(values[name]) ** e
+        total = total + term
+    return total
 
 
 def dual_incidence(pt, line) -> bool:

@@ -66,7 +66,7 @@ def test_map_off_curve_rejected(capsys):
             capsys, "map", "--a", "0", "--b", "4", "--x", "1", "--y", "1", *field
         )
         assert code == 2
-        assert json.loads(err)["error"].startswith("point (1, 1, 1) is not on y^2 = ")
+        assert json.loads(err)["error"].startswith("point [1:1:1] is not on y^2 = ")
 
 
 def test_suite_rejects_singular_curve(capsys):

@@ -69,9 +69,9 @@ def test_point_normalization_over_Fp():
 
 def test_every_point_over_Fp_is_checked_on_the_curve():
     params = reduce_params(validate_curve(-3, 2), 101)
-    with pytest.raises(ValueError, match=r"point \(3, 40, 1\) is not on y\^2 = "):
+    with pytest.raises(ValueError, match=r"point \[3:40:1\] is not on y\^2 = "):
         CurvePoint(params, (3, 40, 1))
-    with pytest.raises(ValueError, match=r"point \(1, 0, 0\) is not on"):
+    with pytest.raises(ValueError, match=r"point \[1:0:0\] is not on"):
         CurvePoint(params, (1, 0, 0))
     with pytest.raises(ValueError, match="must not all vanish"):
         CurvePoint(params, (0, 101, 0))
@@ -84,8 +84,8 @@ def test_every_point_over_Fp_is_checked_on_the_curve():
 def _point_by_scalar_oracle(params, coords):
     """The stored coordinates by is_on_curve and division in the field."""
     if not is_on_curve(params, coords):
-        shown = ", ".join(str(getattr(c, "value", c)) for c in coords)
-        raise ValueError(f"point ({shown}) is not on {params}")
+        shown = ":".join(str(getattr(c, "value", c)) for c in coords)
+        raise ValueError(f"point [{shown}] is not on {params}")
     x, y, z = (params.coerce(c) for c in coords)
     if z != 0:
         return (x / z, y / z, params.scalar(1))

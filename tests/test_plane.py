@@ -149,7 +149,7 @@ def test_is_flex_examples():
     cubic = chord_cubic(validate_curve(-3, 2))
     assert is_flex(cubic, (0, 1, 0))
     assert not is_flex(cubic, (1, 0, 0))
-    off_curve = r"^point \(1, 1, 1\) is not on the curve$"
+    off_curve = r"^point \[1:1:1\] is not on the curve$"
     with pytest.raises(ValueError, match=off_curve):
         is_flex(cubic, (Fraction(1), 1, 1))
     fp_cubic = chord_cubic(reduce_params(validate_curve(-3, 2), 101))

@@ -24,6 +24,10 @@ def test_fermat_little_theorem_sampled():
         for _ in range(10):
             s = PrimeFieldScalar(rng.randrange(1, p), p)
             assert s ** (p - 1) == 1
+            assert s * s.inverse() == 1
+            assert s ** -1 == s.inverse()
+        with pytest.raises(ZeroDivisionError):
+            PrimeFieldScalar(0, p).inverse()
 
 
 def test_rational_arithmetic_is_exact():
@@ -100,6 +104,12 @@ def test_prime_field_from_rational():
     assert field(Fraction(1, 2)) == 4
     with pytest.raises(ZeroDivisionError):
         field(Fraction(1, 7))
+    rng, p = random.Random(19), 65521
+    field = PrimeField(p)
+    for _ in range(50):
+        q = Fraction(rng.randrange(-10 ** 6, 10 ** 6), rng.randrange(1, 10 ** 6))
+        if q.denominator % p:
+            assert field(q) == q.numerator * pow(q.denominator, -1, p) % p
 
 
 def test_renderings():

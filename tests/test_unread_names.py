@@ -1,4 +1,4 @@
-"""Scans for names that nothing reads, over src/, tests/ and bench/.
+"""Scans for names that nothing reads, over src/, tests/ and bench/, and for upward imports in src/.
 
 Each report is built on one reader, :func:`loads`, and takes trees keyed
 by their path from the repository root, so a test can plant sources.
@@ -143,8 +143,8 @@ def unread_methods(src: dict, bench: dict) -> list:
 
     Only classes whose bases are object or a namedtuple(...) call are
     covered, so hooks that a library calls, such as cli._Parser.error, are
-    exempt.  Names are matched, not classes: MultiPoly.evaluate, the tests'
-    reference evaluator, passes because TernaryForm.evaluate is read.
+    exempt.  Names are matched, not classes: a public method passes when
+    an attribute of the same name is read, even on another src/ class.
     """
     _, attributes = loads([*src.values(), *bench.values()])
 
@@ -186,6 +186,37 @@ def unread_helpers(tests: dict) -> list:
         for path, node, name in definitions(tests)
         if not exempt(node) and not name.startswith("__") and name not in read
     ]
+
+
+LAYERS = ("poly", "scalars", "curve", "chord", "plane", "verify", "cli")
+
+
+def upward_imports(src: dict) -> list:
+    """Package imports of each src/ module but __init__ from a module not earlier in LAYERS.
+
+    So poly and scalars import nothing from the package, and the ring the
+    symbolic claims run in cannot come to depend on F_p code.
+    """
+    found = []
+    for path, tree in src.items():
+        module = Path(path).stem
+        if module == "__init__":
+            continue
+        below = LAYERS[: LAYERS.index(module)] if module in LAYERS else ()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                dotted = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                base = f"chordcubic.{node.module or ''}".rstrip(".") if node.level else node.module
+                dotted = [f"{base}.{a.name}" for a in node.names]
+            else:
+                continue
+            found += [
+                f"{path}:{node.lineno}: {module} imports {target}, not earlier in {LAYERS}"
+                for target in sorted({d.split(".")[1] for d in dotted if d.startswith("chordcubic.")})
+                if target not in below
+            ]
+    return found
 
 
 SRC, TESTS, BENCH = parse("src/chordcubic/*.py"), parse("tests/*.py"), parse("bench/*.py")
@@ -268,4 +299,21 @@ def test_an_unread_method_on_a_plain_class_is_reported():
 def test_an_unread_test_helper_is_reported():
     assert unread_helpers(PLANTED_TESTS) == [
         "tests/test_m.py:2: _oracle is defined but nothing in tests/ reads it"
+    ]
+
+
+def test_src_modules_import_only_from_earlier_layers():
+    assert SRC and not upward_imports(SRC), "\n".join(upward_imports(SRC))
+    planted = {
+        "src/chordcubic/poly.py": ast.parse("from fractions import Fraction\nfrom .scalars import PrimeField, residue\n"),
+        "src/chordcubic/curve.py": ast.parse("from . import poly, cli\nimport chordcubic.chord\n"),
+        "src/chordcubic/chord.py": ast.parse("from chordcubic import poly\nfrom chordcubic.plane import gradient\n"),
+        "src/chordcubic/m.py": ast.parse("from .poly import X\n"),
+    }
+    assert [finding.split(",")[0] for finding in upward_imports(planted)] == [
+        "src/chordcubic/poly.py:2: poly imports scalars",
+        "src/chordcubic/curve.py:1: curve imports cli",
+        "src/chordcubic/curve.py:2: curve imports chord",
+        "src/chordcubic/chord.py:2: chord imports plane",
+        "src/chordcubic/m.py:1: m imports poly",
     ]
