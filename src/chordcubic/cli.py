@@ -113,7 +113,6 @@ def _cubic(args):
 def _map(args):
     params = _curve_from_args(args)
     if args.prime is not None:
-        check_modulus(args.prime)
         params = reduce_params(params, args.prime)
     if args.x is None:
         if args.y is not None:

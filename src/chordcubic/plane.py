@@ -105,26 +105,16 @@ def is_flex(form: TernaryForm, pt) -> bool:
     return hessian_cubic(form).evaluate(pt) == 0
 
 
-def _int_table(form: TernaryForm, p: int) -> dict:
-    """The form's nonzero coefficients mod p, as ints in 1..p-1.
+def _reduced(form: TernaryForm, p: int) -> TernaryForm:
+    """The form with its coefficients as ints mod p, zeros dropped.
 
     Each coefficient is read by :func:`~chordcubic.scalars.residue`, so a
     scalar mod another prime raises ValueError and a rational with p in
     its denominator ZeroDivisionError.  A coefficient that vanishes only
     mod p is dropped, so that the sweep sees the form's degree in each
-    coordinate mod p.
+    coordinate mod p, and derivatives take int arithmetic.
     """
-    table = {}
-    for key, c in form.coeffs.items():
-        r = residue(c, p)
-        if r:
-            table[key] = r
-    return table
-
-
-def _reduced(form: TernaryForm, p: int) -> TernaryForm:
-    """The form on its int table mod p, so that derivatives take int arithmetic."""
-    return TernaryForm(form.degree, _int_table(form, p))
+    return TernaryForm(form.degree, {key: residue(c, p) for key, c in form.coeffs.items()})
 
 
 def _degree_along(table: dict, z: int) -> int:
@@ -205,7 +195,7 @@ def _zero_points_over_Fp(form: TernaryForm, p: int):
     :func:`~chordcubic.scalars.inverses_mod_p` for all 2 c2(t).  The order
     of the zeros is unspecified.
     """
-    table = _int_table(form, p)
+    table = _reduced(form, p).coeffs
     axis = _pencil_axis(table)
     if _degree_along(table, axis) > 2:
         return _pencil_zeros(table, form.degree, axis, p, range(p))
@@ -271,11 +261,6 @@ def _zeros_where_meeting(form: TernaryForm, p: int, seconds):
     return _zero_points_over_Fp(form, p)
 
 
-def _vanishes(table: dict, pt, p: int) -> bool:
-    u, v, w = pt
-    return sum(c * u ** i * v ** j * w ** k for (i, j, k), c in table.items()) % p == 0
-
-
 def count_zero_points_over_Fp(form: TernaryForm, p: int) -> int:
     """Number of F_p points of the projective zero set of the form.
 
@@ -296,7 +281,7 @@ def smooth_over_Fp(form: TernaryForm, p: int) -> bool:
     form = _reduced(form, p)
     grads = gradient(form)
     for pt in _zeros_where_meeting(form, p, grads):
-        if all(_vanishes(g.coeffs, pt, p) for g in grads):
+        if not any(g.evaluate(pt) % p for g in grads):
             return False
     return True
 
@@ -315,8 +300,7 @@ def find_flexes_over_Fp(form: TernaryForm, p: int) -> list:
     return sorted(
         pt
         for pt in _zeros_where_meeting(form, p, (hessian,) * 3)
-        if _vanishes(hessian.coeffs, pt, p)
-        and not all(_vanishes(g.coeffs, pt, p) for g in grads)
+        if hessian.evaluate(pt) % p == 0 and any(g.evaluate(pt) % p for g in grads)
     )
 
 

@@ -4,9 +4,10 @@ Each operation checks one statement about the chord construction and
 returns a :class:`Report` carrying a stable claim tag, a status of
 ``pass``/``fail``/``skipped``, a witness string for any failure, and basic
 statistics.  Symbolic checks are exact polynomial identities over the
-rationals; numeric checks enumerate rational points over small prime
-fields.  The ``mutate`` hooks deliberately perturb a target formula so the
-regression suite can confirm each check actually has teeth.
+rationals; the F_p checks run on the int residues of E(F_p), its chords
+and the image cubic G at primes 3 < p < 2^16.  The ``mutate`` hooks
+deliberately perturb a target formula so the regression suite can
+confirm each check actually has teeth.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from math import isqrt
 from . import poly
 from .chord import (
     TernaryForm,
-    chord_cubic,
     chord_cubic_generic,
     chord_map,
     chord_triple,
@@ -45,8 +45,6 @@ from .curve import (
     validate_curve,
 )
 from .plane import (
-    _int_table,
-    _vanishes,
     count_zero_points_over_Fp,
     find_flexes_over_Fp,
     min_interpolating_degree,
@@ -263,22 +261,15 @@ def verify_flex_correspondence(ctx: FpContext) -> Report:
         return _skip(CLAIM_FLEX, f"x^2 + a x + b has no root mod {p}", started)
     gammas = torsion2[2:]  # after O and beta
     torsion3 = ctx.torsion3
-    cubic = chord_cubic(pp)
     expected = set()
     for q in torsion3:
         for gamma in gammas:
             expected.add(tuple(c.value for c in chord_map(group_add(q, gamma)).coords))
-    differ = set(find_flexes_over_Fp(cubic, p)) ^ expected
+    differ = set(find_flexes_over_Fp(chord_cubic_generic(ctx.a, ctx.b), p)) ^ expected
     witness = f"flex sets disagree on {sorted(map(_bracket, differ))}" if differ else ""
     return _report(
         CLAIM_FLEX, witness, started, len(torsion3) * len(gammas), flexes=len(expected)
     )
-
-
-def quotient_params(params: CurveParams) -> CurveParams:
-    """The 2-isogenous curve (-2a, a^2 - 4b); valid whenever params is."""
-    a, b = params.a, params.b
-    return CurveParams(-2 * a, a * a - 4 * b)
 
 
 def verify_quotient(params: CurveParams, primes, mutate: str | None = None) -> Report:
@@ -286,9 +277,10 @@ def verify_quotient(params: CurveParams, primes, mutate: str | None = None) -> R
 
     Symbolically: (x, y) -> (y^2/x^2, y (x^2 - b)/x^2) lands on
     Y^2 = X^3 - 2a X^2 + (a^2 - 4b) X, checked after clearing x^6 and
-    reducing modulo the curve.  Numerically: the F_p point count of the
-    image cubic equals that of the isogenous curve at each usable prime
-    (primes where the reduction is singular are skipped).
+    reducing modulo the curve.  Numerically: at each usable prime (primes
+    where the reduction is singular are skipped), the F_p point count of
+    the image cubic G on the residues of a and b equals #E'(F_p), counted
+    on the residues of (-2a, a^2 - 4b); E' is smooth whenever E is.
     ``mutate="quotient_b_coeff"`` replaces a^2 - 4b by a^2 - 3b.
     """
     started = time.monotonic()
@@ -310,15 +302,16 @@ def verify_quotient(params: CurveParams, primes, mutate: str | None = None) -> R
         for p in primes:
             check_modulus(p)
             try:
-                pp = reduce_params(params, p)
+                ctx = FpContext(params, p)
             except (ValueError, ZeroDivisionError):
                 if params.modulus is not None:  # another field, not a bad prime
                     raise
                 counts[p] = "skipped"
                 continue
-            image_count = count_zero_points_over_Fp(chord_cubic(pp), p)
-            qp = quotient_params(pp)
-            isogenous = 1 + len(affine_points_mod_p(qp.a.value, qp.b.value, p))
+            a_p, b_p = ctx.a, ctx.b
+            image_count = count_zero_points_over_Fp(chord_cubic_generic(a_p, b_p), p)
+            quotient = affine_points_mod_p(-2 * a_p % p, (a_p * a_p - 4 * b_p) % p, p)
+            isogenous = 1 + len(quotient)
             counts[p] = image_count
             checked += 1
             if image_count != isogenous:
@@ -431,8 +424,8 @@ def verify_degree_remark(params: CurveParams, p: int, order: int) -> Report:
             f"image interpolates at degree {degree}, expected {expected_degree}"
         )
     elif order == 2 and found.kernel is not None:
-        table = _int_table(chord_cubic(ctx.pp), p)
-        g = [table.get(m, 0) for m in monomials(3)]
+        table = chord_cubic_generic(a, b).coeffs
+        g = [table.get(m, 0) % p for m in monomials(3)]
         kernel, cubic = normalize_mod_p(found.kernel, p), normalize_mod_p(g, p)
         if kernel != cubic:
             witness = witness or (
@@ -451,13 +444,13 @@ def verify_degree_remark(params: CurveParams, p: int, order: int) -> Report:
     )
 
 
-def _first_point_fault(ctx: FpContext, g: dict) -> str:
+def _first_point_fault(ctx: FpContext, g: TernaryForm) -> str:
     """The witness of the first point of ``ctx`` failing a per-point cross-check, else ''.
 
     At every point q: its translate against ``add_mod_p`` (a translate not
     on the list disagrees), the involution by index and the chord's
     factoring through the translate.  The two-point line, the incidence of
-    both endpoints and G (the int table ``g``) at the chord are checked
+    both endpoints and G (the int form ``g``) at the chord are checked
     once per pair {q, q + beta}, at its first member in enumeration order.
     Once the involution and the factoring hold there, the second member's
     translate is q and its chord is q's, and these checks are symmetric in
@@ -484,7 +477,7 @@ def _first_point_fault(ctx: FpContext, g: dict) -> str:
                 fault = "chord of {q} is not the two-point line"
             elif not (_incident(q3, line, p) and _incident(s3, line, p)):
                 fault = "chord of {q} misses an endpoint"
-            elif not _vanishes(g, line, p):
+            elif g.evaluate(line) % p:
                 fault = f"chord {_bracket(line)} of {{q}} is off the image cubic"
             else:
                 continue
@@ -506,8 +499,8 @@ def verify_cross_checks(ctx: FpContext) -> Report:
     checks ``translates`` against ``add_mod_p`` (with its own inverse) and
     as an involution by index, and ``chords`` for factoring by list
     equality.  Once per pair {q, q + beta} it checks the chord against
-    ``cross_mod_p`` of q and q + beta, both endpoints and G on its int
-    table (see ``_first_point_fault``).  Witnesses print the int triples.
+    ``cross_mod_p`` of q and q + beta, both endpoints and G at the chord
+    (see ``_first_point_fault``).  Witnesses print the int triples.
     The 3-torsion is ``ctx.torsion3``; the flexes it is compared with come
     from the Hessian sweep, which never uses psi3.  The scalar functions
     stay the oracles of the int kernels.
@@ -521,9 +514,9 @@ def verify_cross_checks(ctx: FpContext) -> Report:
     if drift * drift > 4 * p or count % 2:
         witness = f"point count {count} violates the Hasse window"
 
-    cubic = chord_cubic(pp)
+    cubic = chord_cubic_generic(ctx.a, ctx.b)
     if not witness:
-        witness = _first_point_fault(ctx, _int_table(cubic, p))
+        witness = _first_point_fault(ctx, cubic)
     if not witness and not smooth_over_Fp(cubic, p):
         witness = "image cubic is singular"
     if not witness:
@@ -567,7 +560,6 @@ def lcg_stream(seed: int):
 
 def sample_params(p: int, count: int, seed: int = 1) -> list:
     """Pseudo-random valid curves over F_p from the documented generator."""
-    check_modulus(p)
     field_p = PrimeField(p)
     rng = lcg_stream(seed)
     out = []

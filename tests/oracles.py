@@ -6,7 +6,7 @@ on ``sys.path`` for the test modules beside it.
 
 from chordcubic.chord import TernaryForm, as_triple, cross_mod_p, cubic_invariants, normalize_mod_p
 from chordcubic.curve import _bracket, add_mod_p
-from chordcubic.plane import _int_table, _vanishes, _zero_points_over_Fp, gradient, hessian_cubic
+from chordcubic.plane import _reduced, _zero_points_over_Fp, gradient, hessian_cubic
 from chordcubic.poly import VARIABLES
 from chordcubic.scalars import horner
 from chordcubic.verify import _incident, _triple
@@ -89,12 +89,12 @@ def chord_table(b: int, p: int, points) -> dict:
     return {q: chord_mod_p(b, p, q) for q in points}
 
 
-def point_fault(a: int, b: int, p: int, g: dict, translates: dict, chords: dict, q) -> str:
+def point_fault(a: int, b: int, p: int, g: TernaryForm, translates: dict, chords: dict, q) -> str:
     """The first per-point cross-check failing at q, as a witness template.
 
     All six checks at q itself, on the tables keyed by point
-    (:func:`translate_table`, :func:`chord_table`) and G on its int table
-    ``g``.  ``{q}`` in the template stands for the point; '' when every
+    (:func:`translate_table`, :func:`chord_table`) and the form ``g`` of G
+    read mod p.  ``{q}`` in the template stands for the point; '' when every
     check holds.
     """
     shifted = translates[q]
@@ -111,12 +111,12 @@ def point_fault(a: int, b: int, p: int, g: dict, translates: dict, chords: dict,
         return "chord of {q} is not the two-point line"
     if not (_incident(q3, line, p) and _incident(s3, line, p)):
         return "chord of {q} misses an endpoint"
-    if not _vanishes(g, line, p):
+    if _reduced(g, p).evaluate(line) % p:
         return f"chord {_bracket(line)} of {{q}} is off the image cubic"
     return ""
 
 
-def cross_witness_by_point(a: int, b: int, p: int, g: dict, translates: dict, chords: dict) -> str:
+def cross_witness_by_point(a: int, b: int, p: int, g: TernaryForm, translates: dict, chords: dict) -> str:
     """The per-point loop of verify_cross_checks: :func:`point_fault` at each point, in order."""
     for q in chords:
         fault = point_fault(a, b, p, g, translates, chords, q)
@@ -148,21 +148,21 @@ def line_through_mod_p(s, t, p: int) -> tuple:
 
 def smooth_by_sweep(form, p: int) -> bool:
     """smooth_over_Fp by testing the gradient at every zero of the full pencil sweep."""
-    grads = [_int_table(g, p) for g in gradient(form)]
+    grads = [_reduced(g, p) for g in gradient(form)]
     for pt in _zero_points_over_Fp(form, p):
-        if all(_vanishes(g, pt, p) for g in grads):
+        if not any(g.evaluate(pt) % p for g in grads):
             return False
     return True
 
 
 def flexes_by_sweep(form, p: int) -> list:
     """find_flexes_over_Fp by testing the Hessian at every zero of the full pencil sweep."""
-    grads = [_int_table(g, p) for g in gradient(form)]
-    hess = _int_table(hessian_cubic(form), p)
+    grads = [_reduced(g, p) for g in gradient(form)]
+    hess = _reduced(hessian_cubic(form), p)
     return sorted(
         pt
         for pt in _zero_points_over_Fp(form, p)
-        if _vanishes(hess, pt, p) and not all(_vanishes(g, pt, p) for g in grads)
+        if hess.evaluate(pt) % p == 0 and any(g.evaluate(pt) % p for g in grads)
     )
 
 
@@ -202,9 +202,9 @@ def zero_points_by_scan(form: TernaryForm, p: int):
 
     O(p^2), in the order v, then w, of the charts U = 1, (0, 1, w) and
     (0, 0, 1): the oracle of the pencil sweep, which shares with it only
-    the reading of the form mod p (``_int_table``).
+    the reading of the form mod p (``_reduced``).
     """
-    grid, edge, corner = _chart_tables(_int_table(form, p), form.degree)
+    grid, edge, corner = _chart_tables(_reduced(form, p).coeffs, form.degree)
     columns = list(zip(*grid))  # columns[k][j] is the coefficient of v^j w^k
     for v in range(p):
         wcoef = [horner(column, v) % p for column in columns]

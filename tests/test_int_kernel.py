@@ -16,6 +16,7 @@ cross product ``cross_mod_p`` are checked against their per-point oracles
 ``inverses_mod_p`` they share, against ``pow(v, -1, p)``.
 """
 
+from fractions import Fraction
 from math import isqrt
 
 import pytest
@@ -23,7 +24,9 @@ import pytest
 from chordcubic import curve
 from chordcubic.chord import (
     DualPoint,
+    TernaryForm,
     chord_cubic,
+    chord_cubic_generic,
     chord_map,
     chords_mod_p,
     cross_mod_p,
@@ -45,8 +48,8 @@ from chordcubic.curve import (
     translates_mod_p,
     validate_curve,
 )
-from chordcubic.plane import _int_table, _vanishes, evaluate_form
-from chordcubic.scalars import PrimeField, PrimeFieldScalar, inverses_mod_p
+from chordcubic.plane import _reduced, evaluate_form, monomials
+from chordcubic.scalars import PrimeField, PrimeFieldScalar, inverses_mod_p, residue
 from fp_strategies import curve_residues, curves, hypothesis_api, outcome
 from oracles import chord_mod_p, line_through_mod_p, translate_mod_p
 
@@ -358,20 +361,46 @@ def test_normalized_cross_product_is_line_through_mod_p():
 
 
 def test_int_g_matches_evaluate_form_on_chords_and_random_lines():
+    # A form read mod p by _reduced has at an int triple the residue of the
+    # form's value in its own field.  The forms: G on the int residues of a
+    # and b, as the F_p claims build it, G over F_p and the monic G of
+    # chord_cubic, at every chord, where all three vanish, and at random
+    # triples; and at the random triples a random form of degree 0 to 4,
+    # over F_p or over Q, whose coefficients and coordinates are then
+    # rationals equal to residues mod p, half the coefficients 0 mod p but
+    # mostly not 0.
     given, settings, st = hypothesis_api()
 
     @settings
     @given(st.data())
     def check(data):
         pp, a, b, p, points = _setup(data, st)
-        cubic = chord_cubic(pp)
-        table = _int_table(cubic, p)
-        residue = st.integers(0, p - 1)
-        lines = [chord_mod_p(b, p, s) for s in points]
-        lines += data.draw(st.lists(st.tuples(residue, residue, residue), max_size=20))
-        for line in lines:
+        cubics = [chord_cubic_generic(a, b), chord_cubic_generic(pp.a, pp.b), chord_cubic(pp)]
+        residues = st.integers(0, p - 1)
+        triples = data.draw(st.lists(st.tuples(residues, residues, residues), max_size=20))
+        chords = [chord_mod_p(b, p, s) for s in points]
+        for line in chords + triples:
             scalars = tuple(PrimeFieldScalar(c, p) for c in line)
-            assert _vanishes(table, line, p) == (evaluate_form(cubic, scalars) == 0)
+            values = [_reduced(g, p).evaluate(line) % p for g in cubics]
+            assert values == [residue(evaluate_form(g, scalars), p) for g in cubics]
+            assert values[0] == values[1]
+            assert (line in chords) <= (values == [0, 0, 0])
+
+        over_q = data.draw(st.booleans())
+        lifts = st.tuples(st.integers(1, 60).filter(lambda d: d % p), st.integers(-3, 3))
+
+        def lift(r):
+            if not over_q:
+                return PrimeFieldScalar(r, p)
+            d, k = data.draw(lifts)
+            return Fraction(r * d + k * p, d)
+
+        degree = data.draw(st.integers(0, 4))
+        table = {key: data.draw(st.just(0) | residues) for key in monomials(degree)}
+        form = TernaryForm(degree, {key: lift(r) for key, r in table.items()})
+        for pt in triples:
+            lifted = tuple(lift(c) for c in pt)
+            assert _reduced(form, p).evaluate(pt) % p == residue(form.evaluate(lifted), p)
 
     check()
 

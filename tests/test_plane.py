@@ -408,7 +408,7 @@ def test_sweep_matches_scan_on_curves_with_lines_and_without_an_axis():
         _sweep_matches_scan(_triangle(), p)
         _sweep_matches_scan(_fermat(), p)
         form, q = form_q
-        table = plane._int_table(form, q)
+        table = plane._reduced(form, q).coeffs
         assert min(plane._degree_along(table, z) for z in range(3)) >= 3
         assert plane._pencil_axis(table) == 1
         zeros, singular, flexes = _scan_oracle(form, q)
@@ -479,7 +479,7 @@ def test_sweep_skips_only_lines_without_a_zero(monkeypatch):
     skipped = 0
     for p in (5, 7, 11, 31, 101):
         for name, form in forms.items():
-            assert plane._pencil_axis(plane._int_table(form, p)) == 1
+            assert plane._pencil_axis(plane._reduced(form, p).coeffs) == 1
             solved.clear()
             swept = list(_zero_points_over_Fp(form, p))
             scanned = list(zero_points_by_scan(form, p))
@@ -510,7 +510,7 @@ def test_sweep_of_G_inverts_once_and_solves_alone_only_lines_where_c2_vanishes(m
     # _quadratic_zeros sees only the lines with c2(t) = 0, then (0, 1).
     p = 1009
     g = chord_cubic(reduce_params(validate_curve(-3, 2), p))
-    assert plane._pencil_axis(plane._int_table(g, p)) == 1
+    assert plane._pencil_axis(plane._reduced(g, p).coeffs) == 1
     inverted, alone = [], []
     invert, solve = plane.inverses_mod_p, plane._quadratic_zeros
     monkeypatch.setattr(plane, "inverses_mod_p", lambda v, q: inverted.append(len(v)) or invert(v, q))
@@ -568,7 +568,7 @@ def test_batch_solve_matches_the_scan_on_every_shape():
     for p in (5, 7, 11, 31, 101):
         for _ in range(4):
             for name, form in _forms_of_degree_two_in_v(rng, p).items():
-                assert plane._pencil_axis(plane._int_table(form, p)) == 1, (name, p)
+                assert plane._pencil_axis(plane._reduced(form, p).coeffs) == 1, (name, p)
                 swept = list(_zero_points_over_Fp(form, p))
                 assert len(swept) == len(set(swept)), (name, p)
                 assert sorted(swept) == sorted(zero_points_by_scan(form, p)), (name, p)
@@ -604,7 +604,7 @@ def test_a_coefficient_that_vanishes_mod_p_does_not_force_the_scan(monkeypatch):
     # pencil line as a quadratic, never by a root scan.
     form = TernaryForm(3, {(3, 0, 0): 1, (0, 3, 0): 1, (0, 0, 3): 7, (1, 1, 1): 1})
     expected = sum(1 for _ in zero_points_by_scan(form, 7))
-    assert plane._pencil_axis(plane._int_table(form, 7)) == 2
+    assert plane._pencil_axis(plane._reduced(form, 7).coeffs) == 2
 
     def refuse(coeffs, q):
         raise AssertionError("a pencil line was solved by a root scan")

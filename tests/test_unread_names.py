@@ -1,4 +1,4 @@
-"""Scans for names that nothing reads, over src/, tests/ and bench/, and for upward imports in src/.
+"""Scans for names that nothing reads, over src/, tests/ and bench/, and for upward and private imports in src/.
 
 Each report is built on one reader, :func:`loads`, and takes trees keyed
 by their path from the repository root, so a test can plant sources.
@@ -219,6 +219,28 @@ def upward_imports(src: dict) -> list:
     return found
 
 
+# The layers whose underscore names stay their own: the claims reach the
+# plane-curve sweeps, and the CLI the claims, only through public names.
+SEALED = ("plane", "verify", "cli")
+
+
+def private_imports(src: dict) -> list:
+    """Underscore names that a src/ module imports from a SEALED module; dunder names pass."""
+    found = []
+    for path, tree in src.items():
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            base = f"chordcubic.{node.module or ''}".rstrip(".") if node.level else node.module
+            source = base.removeprefix("chordcubic.")
+            found += [
+                f"{path}:{node.lineno}: imports {a.name} from {source}"
+                for a in node.names
+                if source in SEALED and a.name.startswith("_") and not a.name.startswith("__")
+            ]
+    return found
+
+
 SRC, TESTS, BENCH = parse("src/chordcubic/*.py"), parse("tests/*.py"), parse("bench/*.py")
 
 
@@ -228,6 +250,7 @@ SCANS = {
     unset_defaults: [SRC, BENCH],
     unread_methods: [SRC, BENCH],
     unread_helpers: [TESTS],
+    private_imports: [SRC],
 }
 
 
@@ -316,4 +339,21 @@ def test_src_modules_import_only_from_earlier_layers():
         "src/chordcubic/curve.py:2: curve imports chord",
         "src/chordcubic/chord.py:2: chord imports plane",
         "src/chordcubic/m.py:1: m imports poly",
+    ]
+
+
+def test_a_private_name_imported_from_a_sealed_layer_is_reported():
+    planted = {
+        "src/chordcubic/verify.py": ast.parse(
+            "from .curve import _bracket\nfrom .plane import (\n    _reduced,\n    monomials,\n)\n"
+        ),
+        "src/chordcubic/cli.py": ast.parse(
+            "from chordcubic.verify import _triple, __all__\nfrom .scalars import _dot\n"
+        ),
+        "src/chordcubic/m.py": ast.parse("from .cli import main, _Parser\n"),
+    }
+    assert private_imports(planted) == [
+        "src/chordcubic/verify.py:2: imports _reduced from plane",
+        "src/chordcubic/cli.py:1: imports _triple from verify",
+        "src/chordcubic/m.py:1: imports _Parser from cli",
     ]

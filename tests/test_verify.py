@@ -3,6 +3,7 @@ import json
 from contextlib import redirect_stdout
 from fractions import Fraction
 from math import isqrt
+from types import SimpleNamespace
 
 import pytest
 
@@ -11,6 +12,7 @@ from chordcubic.chord import (
     DualPoint,
     TernaryForm,
     chord_cubic,
+    chord_cubic_generic,
     chord_map,
     chords_mod_p,
     cross_mod_p,
@@ -19,6 +21,7 @@ from chordcubic.chord import (
     normalize_mod_p,
 )
 from chordcubic.curve import (
+    CurveParams,
     CurvePoint,
     add_mod_p,
     affine_points_mod_p,
@@ -37,7 +40,7 @@ from chordcubic.curve import (
 )
 from chordcubic.plane import (
     MinDegree,
-    _int_table,
+    _reduced,
     evaluate_form,
     find_flexes_over_Fp,
     min_interpolating_degree,
@@ -49,7 +52,6 @@ from chordcubic.verify import (
     FpContext,
     Report,
     lcg_stream,
-    quotient_params,
     run_full_suite,
     sample_params,
     verify_chord_incidence_symbolic,
@@ -225,17 +227,18 @@ def test_quotient_rejects_a_curve_from_another_field():
 
 
 def test_quotient_params_always_valid():
+    # E' = (-2a, a^2 - 4b) is smooth whenever E is.
     for a, b in [(-3, 2), (0, 4), (3, 1)]:
-        quotient_params(validate_curve(a, b))
+        params = validate_curve(a, b)
+        CurveParams(-2 * params.a, params.a * params.a - 4 * params.b)
 
 
 def test_quotient_point_counts_match_group_order():
     # Isogenous curves have the same number of rational points.
     for a, b, p in [(-3, 2, 101), (0, 4, 101)]:
         params = reduce_params(validate_curve(a, b), p)
-        assert len(enumerate_points(quotient_params(params), p)) == len(
-            enumerate_points(params, p)
-        )
+        quotient = CurveParams(-2 * params.a, params.a * params.a - 4 * params.b)
+        assert len(enumerate_points(quotient, p)) == len(enumerate_points(params, p))
 
 
 def test_degree_remark_beta_case_passes():
@@ -249,12 +252,12 @@ def test_degree_remark_ties_the_order_2_image_to_the_image_cubic(monkeypatch):
     # With order 2 the kernel at degree 3 must be proportional to G mod p:
     # a scaled G still passes, another curve's cubic is refuted.
     params = validate_curve(-3, 2)
-    cubic = chord_cubic(reduce_params(params, 101))
+    cubic = chord_cubic_generic(-3 % 101, 2)
     tripled = TernaryForm(3, {key: 3 * c for key, c in cubic.coeffs.items()})
-    monkeypatch.setattr(verify, "chord_cubic", lambda pp: tripled)
+    monkeypatch.setattr(verify, "chord_cubic_generic", lambda a, b: tripled)
     assert verify_degree_remark(params, 101, 2).status == "pass"
-    wrong = chord_cubic(reduce_params(validate_curve(-3, 5), 101))
-    monkeypatch.setattr(verify, "chord_cubic", lambda pp: wrong)
+    wrong = chord_cubic_generic(-3 % 101, 5)
+    monkeypatch.setattr(verify, "chord_cubic_generic", lambda a, b: wrong)
     report = verify_degree_remark(params, 101, 2)
     assert report.status == "fail"
     assert report.witness == (
@@ -722,8 +725,12 @@ def _cross_faults(pp, T, t):
         ),
         "off-G": (
             {
-                "_vanishes": _wrong_at(
-                    verify._vanishes, lambda g, line, p: line == t_line, lambda *_: False
+                "chord_cubic_generic": lambda a, b: SimpleNamespace(
+                    evaluate=_wrong_at(
+                        chord_cubic_generic(a, b).evaluate,
+                        lambda line: line == t_line,
+                        lambda line: 1,
+                    )
                 )
             },
             {"on_g": lambda line: line != chord_map(T)},
@@ -840,8 +847,7 @@ def _loops_match_the_oracles(ctx):
     points, p = ctx.points, ctx.p
     translates = {q: (p, 0) if j is None else points[j] for q, j in zip(points, ctx.translates)}
     chords = dict(zip(points, ctx.chords))
-    g = _int_table(chord_cubic(ctx.pp), p)
-    expected = cross_witness_by_point(ctx.a, ctx.b, p, g, translates, chords)
+    expected = cross_witness_by_point(ctx.a, ctx.b, p, chord_cubic(ctx.pp), translates, chords)
     assert verify_cross_checks(ctx).witness == expected
     assert verify_fibers(ctx).witness == fiber_witness_by_point(translates, chords)
 
@@ -923,7 +929,7 @@ def test_int_witness_text_matches_the_scalar_printers(a, b, p):
         assert verify._bracket(triple) == str(CurvePoint(pp, triple))
     for line in chords_mod_p(pp.b.value, p, points):
         assert verify._bracket(line) == str(DualPoint(line))
-    table = _int_table(chord_cubic(pp), p)
+    table = _reduced(chord_cubic(pp), p).coeffs
     g = [table.get(m, 0) for m in monomials(3)]
     for coeffs in (g, verify.normalize_mod_p(g, p)):
         scalars = {m: PrimeFieldScalar(c, p) for m, c in zip(monomials(3), coeffs)}
