@@ -112,11 +112,16 @@ class CurvePoint:
     is not already 1; the three stored scalars are built last.
     :func:`is_on_curve` stays the oracle of both paths.
 
-    The int path stays because F_p points are built several times per
-    request (7 per suite or flexes at p = 101 and at p = 1009, 2 per map,
-    3 per degree --order 2, 11 per degree --order 4) and the generic body
-    costs about seven times as much (42 against 6 us per point on a 2-vCPU
-    VM, Python 3.11).
+    The int path stays because most F_p requests build points and the
+    generic body costs five to seven times as much.  With
+    ``_normalized_mod_p`` wrapped by a counter, over the first 150 requests
+    of suite-large and degree and 300 of small-mix (``bench/workloads.py``
+    streams, seed 1), the median per request was 7 for a suite-large
+    ``suite`` (max 63), 9 for a small-mix ``suite``, 2 for ``flexes`` (max
+    63), 3 for ``degree --order 2`` and 2 to 7 for orders 3 to 6.  One
+    construction at p = 101 took 2.4-2.6 us on the int path against 14-18
+    us for the generic body on the same scalars (best of 7 by ``timeit``,
+    2-vCPU Intel Xeon VM, Python 3.11).
     """
 
     __slots__ = ("params", "coords")

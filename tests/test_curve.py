@@ -3,6 +3,7 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from chordcubic import curve
 from chordcubic.chord import weierstrass_form
@@ -25,7 +26,7 @@ from chordcubic.curve import (
 )
 from chordcubic.plane import find_flexes_over_Fp, is_flex
 from chordcubic.scalars import PrimeField, PrimeFieldScalar
-from fp_strategies import curve_residues, curves, hypothesis_api, outcome, triples
+from fp_strategies import curve_residues, curves, outcome, triples
 from oracles import roots_by_scan
 
 
@@ -92,20 +93,15 @@ def _point_by_scalar_oracle(params, coords):
     return (params.scalar(0), params.scalar(1), params.scalar(0))
 
 
-def test_int_construction_matches_the_scalar_oracle():
-    given, settings, st = hypothesis_api(max_examples=150)
-
-    @settings
-    @given(st.data())
-    def check(data):
-        a, b, p = data.draw(curves(st))
-        params = reduce_params(validate_curve(a, b), p)
-        coords = data.draw(triples(st, p, curve_residues(a, b, p)))
-        assert outcome(lambda: CurvePoint(params, coords).coords) == outcome(
-            lambda: _point_by_scalar_oracle(params, coords)
-        )
-
-    check()
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_int_construction_matches_the_scalar_oracle(data):
+    a, b, p = data.draw(curves())
+    params = reduce_params(validate_curve(a, b), p)
+    coords = data.draw(triples(p, curve_residues(a, b, p)))
+    assert outcome(lambda: CurvePoint(params, coords).coords) == outcome(
+        lambda: _point_by_scalar_oracle(params, coords)
+    )
 
 
 def test_group_identity_and_beta_order():
@@ -323,20 +319,18 @@ def test_three_torsion_over_Fp():
     assert curves_checked == 3044
 
 
-def test_roots_mod_match_a_scan_of_the_full_polynomial():
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([5, 7, 11, 31, 1009]), st.data())
+def test_roots_mod_match_a_scan_of_the_full_polynomial(q, data):
     # Degrees up to 11, the eliminant's, also at or above q; zero
     # coefficients mod q at either end, and the zero polynomial.
-    given, settings, st = hypothesis_api(max_examples=150)
+    entry = st.integers(-2 * q, 2 * q)
+    zeros = st.lists(st.sampled_from([0, q, -q]), max_size=3)
+    coeffs = data.draw(zeros) + data.draw(st.lists(entry, max_size=6)) + data.draw(zeros)
+    assert curve._roots_mod(coeffs, q) == roots_by_scan(coeffs, q)
 
-    @settings
-    @given(st.sampled_from([5, 7, 11, 31, 1009]), st.data())
-    def check(q, data):
-        entry = st.integers(-2 * q, 2 * q)
-        zeros = st.lists(st.sampled_from([0, q, -q]), max_size=3)
-        coeffs = data.draw(zeros) + data.draw(st.lists(entry, max_size=6)) + data.draw(zeros)
-        assert curve._roots_mod(coeffs, q) == roots_by_scan(coeffs, q)
 
-    check()
+def test_roots_mod_match_a_scan_of_the_full_polynomial_at_the_largest_prime():
     rng = random.Random(29)
     q = 65521
     randoms = [[rng.randrange(-(q ** 2), q ** 2) for _ in range(d + 1)] for d in (1, 4, 11)]

@@ -20,6 +20,7 @@ from fractions import Fraction
 from math import isqrt
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from chordcubic import curve
 from chordcubic.chord import (
@@ -50,13 +51,14 @@ from chordcubic.curve import (
 )
 from chordcubic.plane import _reduced, evaluate_form, monomials
 from chordcubic.scalars import PrimeField, PrimeFieldScalar, inverses_mod_p, residue
-from fp_strategies import curve_residues, curves, hypothesis_api, outcome
+from chordcubic.verify import _triple
+from fp_strategies import curve_residues, curves, outcome
 from oracles import chord_mod_p, line_through_mod_p, translate_mod_p
 
 
-def _setup(data, st):
+def _setup(data):
     """A random curve over F_p: the reduced params and the int points, O first."""
-    a, b, p = data.draw(curves(st))
+    a, b, p = data.draw(curves())
     pp = reduce_params(validate_curve(a, b), p)
     return pp, a, b, p, [None] + affine_points_mod_p(a, b, p)
 
@@ -69,25 +71,16 @@ def _point(pp, s) -> CurvePoint:
     return CurvePoint.infinity(pp) if s is None else CurvePoint.affine(pp, *s)
 
 
-def _triple(s) -> tuple:
-    return (0, 1, 0) if s is None else (s[0], s[1], 1)
-
-
 def _ints(coords) -> tuple:
     return tuple(c.value for c in coords)
 
 
-def test_int_points_match_enumerate_points_and_the_brute_force_list():
-    given, settings, st = hypothesis_api()
-
-    @settings
-    @given(st.data())
-    def check(data):
-        pp, a, b, p, points = _setup(data, st)
-        assert points == [_pair(q) for q in enumerate_points(pp, p)]
-        assert [_triple(s) for s in points] == curve_residues(a, b, p)
-
-    check()
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_int_points_match_enumerate_points_and_the_brute_force_list(data):
+    pp, a, b, p, points = _setup(data)
+    assert points == [_pair(q) for q in enumerate_points(pp, p)]
+    assert [_triple(s) for s in points] == curve_residues(a, b, p)
 
 
 def _meets_curve_again(a, b, p, s, t, total) -> bool:
@@ -110,50 +103,40 @@ def _meets_curve_again(a, b, p, s, t, total) -> bool:
     return sum(g * c for g, c in zip(grad, r)) % p == 0
 
 
-def test_int_add_matches_group_add_and_the_chord_tangent_geometry():
-    given, settings, st = hypothesis_api(max_examples=80)
-
-    @settings
-    @given(st.data())
-    def check(data):
-        pp, a, b, p, points = _setup(data, st)
-        s, t = data.draw(st.sampled_from(points)), data.draw(st.sampled_from(points))
-        total = add_mod_p(a, b, p, s, t)
-        assert total == _pair(group_add(_point(pp, s), _point(pp, t)))
-        assert total is None or total in points
-        if s is not None and t is not None:
-            assert _meets_curve_again(a, b, p, s, t, total)
-
-    check()
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_int_add_matches_group_add_and_the_chord_tangent_geometry(data):
+    pp, a, b, p, points = _setup(data)
+    s, t = data.draw(st.sampled_from(points)), data.draw(st.sampled_from(points))
+    total = add_mod_p(a, b, p, s, t)
+    assert total == _pair(group_add(_point(pp, s), _point(pp, t)))
+    assert total is None or total in points
+    if s is not None and t is not None:
+        assert _meets_curve_again(a, b, p, s, t, total)
 
 
-def test_scalar_group_law_runs_and_agrees_with_the_int_kernel_patched_to_raise():
-    given, settings, st = hypothesis_api(max_examples=60)
-
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_scalar_group_law_runs_and_agrees_with_the_int_kernel_patched_to_raise(data):
     def refuse(*args):
         raise AssertionError("the scalar group law reached the int kernel")
 
-    @settings
-    @given(st.data())
-    def check(data):
-        pp, a, b, p, points = _setup(data, st)
-        s, t = data.draw(st.sampled_from(points)), data.draw(st.sampled_from(points))
-        n = data.draw(st.integers(0, p + 1 + isqrt(4 * p)))
-        total, multiple = add_mod_p(a, b, p, s, t), scalar_mul_mod_p(a, b, p, n, s)
-        shifted = translate_mod_p(b, p, s)
-        order, r = 1, s
-        while r is not None:
-            order, r = order + 1, add_mod_p(a, b, p, r, s)
-        q = _point(pp, s)
-        with pytest.MonkeyPatch.context() as patch:
-            for name in ("add_mod_p", "scalar_mul_mod_p", "translates_mod_p"):
-                patch.setattr(curve, name, refuse)
-            assert _pair(group_add(q, _point(pp, t))) == total
-            assert _pair(scalar_mul(n, q)) == multiple
-            assert point_order(q) == order
-            assert _pair(translate_by_beta(q)) == shifted
-
-    check()
+    pp, a, b, p, points = _setup(data)
+    s, t = data.draw(st.sampled_from(points)), data.draw(st.sampled_from(points))
+    n = data.draw(st.integers(0, p + 1 + isqrt(4 * p)))
+    total, multiple = add_mod_p(a, b, p, s, t), scalar_mul_mod_p(a, b, p, n, s)
+    shifted = translate_mod_p(b, p, s)
+    order, r = 1, s
+    while r is not None:
+        order, r = order + 1, add_mod_p(a, b, p, r, s)
+    q = _point(pp, s)
+    with pytest.MonkeyPatch.context() as patch:
+        for name in ("add_mod_p", "scalar_mul_mod_p", "translates_mod_p"):
+            patch.setattr(curve, name, refuse)
+        assert _pair(group_add(q, _point(pp, t))) == total
+        assert _pair(scalar_mul(n, q)) == multiple
+        assert point_order(q) == order
+        assert _pair(translate_by_beta(q)) == shifted
 
 
 @pytest.mark.parametrize("p", [5, 7, 11])
@@ -172,19 +155,14 @@ def test_int_multiple_matches_scalar_mul_on_every_small_curve(p):
                     assert scalar_mul_mod_p(a, b, p, n, s) == _pair(scalar_mul(n, q))
 
 
-def test_int_multiple_matches_scalar_mul():
-    given, settings, st = hypothesis_api()
-
-    @settings
-    @given(st.data())
-    def check(data):
-        pp, a, b, p, points = _setup(data, st)
-        s = data.draw(st.sampled_from(points))
-        q = _point(pp, s)
-        for n in range(p + 2 + isqrt(4 * p)):
-            assert scalar_mul_mod_p(a, b, p, n, s) == _pair(scalar_mul(n, q))
-
-    check()
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_int_multiple_matches_scalar_mul(data):
+    pp, a, b, p, points = _setup(data)
+    s = data.draw(st.sampled_from(points))
+    q = _point(pp, s)
+    for n in range(p + 2 + isqrt(4 * p)):
+        assert scalar_mul_mod_p(a, b, p, n, s) == _pair(scalar_mul(n, q))
 
 
 def test_int_multiple_rejects_a_negative_multiplier():
@@ -192,86 +170,61 @@ def test_int_multiple_rejects_a_negative_multiplier():
         scalar_mul_mod_p(-3, 2, 101, -1, (0, 0))
 
 
-def test_int_translation_matches_translate_by_beta():
-    given, settings, st = hypothesis_api()
-
-    @settings
-    @given(st.data())
-    def check(data):
-        pp, a, b, p, points = _setup(data, st)
-        for s in points:
-            assert translate_mod_p(b, p, s) == _pair(translate_by_beta(_point(pp, s)))
-
-    check()
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_int_translation_matches_translate_by_beta(data):
+    pp, a, b, p, points = _setup(data)
+    for s in points:
+        assert translate_mod_p(b, p, s) == _pair(translate_by_beta(_point(pp, s)))
 
 
-def test_int_chord_matches_chord_map():
-    given, settings, st = hypothesis_api()
-
-    @settings
-    @given(st.data())
-    def check(data):
-        pp, a, b, p, points = _setup(data, st)
-        for s in points:
-            assert chord_mod_p(b, p, s) == _ints(chord_map(_point(pp, s)).coords)
-
-    check()
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_int_chord_matches_chord_map(data):
+    pp, a, b, p, points = _setup(data)
+    for s in points:
+        assert chord_mod_p(b, p, s) == _ints(chord_map(_point(pp, s)).coords)
 
 
-def test_batch_chords_match_chord_mod_p():
-    given, settings, st = hypothesis_api()
-
-    @settings
-    @given(st.data())
-    def check(data):
-        pp, a, b, p, points = _setup(data, st)
-        assert points[0] is None and (0, 0) in points
-        assert chords_mod_p(b, p, points) == [chord_mod_p(b, p, s) for s in points]
-        shuffled = data.draw(st.permutations(points))
-        assert chords_mod_p(b, p, shuffled) == [chord_mod_p(b, p, s) for s in shuffled]
-
-    check()
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_batch_chords_match_chord_mod_p(data):
+    pp, a, b, p, points = _setup(data)
+    assert points[0] is None and (0, 0) in points
+    assert chords_mod_p(b, p, points) == [chord_mod_p(b, p, s) for s in points]
+    shuffled = data.draw(st.permutations(points))
+    assert chords_mod_p(b, p, shuffled) == [chord_mod_p(b, p, s) for s in shuffled]
 
 
-def test_batch_translates_index_translate_mod_p():
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_batch_translates_index_translate_mod_p(data):
     # Each entry is the index of translate_mod_p in the list, in any order;
     # a translate dropped from the list gets None, never a KeyError.
-    given, settings, st = hypothesis_api()
-
-    @settings
-    @given(st.data())
-    def check(data):
-        pp, a, b, p, points = _setup(data, st)
-        shuffled = data.draw(st.permutations(points))
-        for pts in (points, shuffled):
-            indices = translates_mod_p(b, p, pts)
-            assert [pts[j] for j in indices] == [translate_mod_p(b, p, s) for s in pts]
-        gone = data.draw(st.sampled_from(points))
-        rest = [s for s in points if s != gone]
-        expected = [
-            None if translate_mod_p(b, p, s) == gone else rest.index(translate_mod_p(b, p, s))
-            for s in rest
-        ]
-        assert translates_mod_p(b, p, rest) == expected
-
-    check()
+    pp, a, b, p, points = _setup(data)
+    shuffled = data.draw(st.permutations(points))
+    for pts in (points, shuffled):
+        indices = translates_mod_p(b, p, pts)
+        assert [pts[j] for j in indices] == [translate_mod_p(b, p, s) for s in pts]
+    gone = data.draw(st.sampled_from(points))
+    rest = [s for s in points if s != gone]
+    expected = [
+        None if translate_mod_p(b, p, s) == gone else rest.index(translate_mod_p(b, p, s))
+        for s in rest
+    ]
+    assert translates_mod_p(b, p, rest) == expected
 
 
-def test_batch_inverses_match_pow():
-    given, settings, st = hypothesis_api(max_examples=150)
-
-    @settings
-    @given(st.data())
-    def check(data):
-        p = data.draw(curves(st))[2]
-        values = data.draw(st.lists(st.integers(-3 * p, 3 * p).filter(lambda v: v % p)))
-        assert inverses_mod_p(values, p) == [pow(v, -1, p) for v in values]
-        spot = data.draw(st.integers(0, len(values)))
-        zero = data.draw(st.sampled_from([0, p, -2 * p]))
-        with pytest.raises(ValueError):
-            inverses_mod_p(values[:spot] + [zero] + values[spot:], p)
-
-    check()
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_batch_inverses_match_pow(data):
+    p = data.draw(curves())[2]
+    values = data.draw(st.lists(st.integers(-3 * p, 3 * p).filter(lambda v: v % p)))
+    assert inverses_mod_p(values, p) == [pow(v, -1, p) for v in values]
+    spot = data.draw(st.integers(0, len(values)))
+    zero = data.draw(st.sampled_from([0, p, -2 * p]))
+    with pytest.raises(ValueError):
+        inverses_mod_p(values[:spot] + [zero] + values[spot:], p)
 
 
 def test_batch_chords_scale_leads_other_than_1():
@@ -294,28 +247,23 @@ def test_batch_chords_scale_leads_other_than_1():
     assert chords_mod_p(3, 7, points) == [chord_mod_p(3, 7, s) for s in points]
 
 
-def test_batch_normalization_matches_normalize_mod_p():
-    given, settings, st = hypothesis_api()
-
-    @settings
-    @given(st.data())
-    def check(data):
-        p = data.draw(curves(st))[2]
-        residue = st.integers(0, p - 1)
-        triples = data.draw(st.lists(st.tuples(residue, residue, residue).filter(any)))
-        expected = [normalize_mod_p(t, p) for t in triples]
-        assert normalize_all_mod_p(list(triples), p) == expected
-        if triples:  # one zero triple anywhere spoils the common inverse
-            spot = data.draw(st.integers(0, len(triples)))
-            with pytest.raises(ValueError):
-                normalize_all_mod_p(triples[:spot] + [(0, 0, 0)] + triples[spot:], p)
-
-    check()
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_batch_normalization_matches_normalize_mod_p(data):
+    p = data.draw(curves())[2]
+    residue = st.integers(0, p - 1)
+    triples = data.draw(st.lists(st.tuples(residue, residue, residue).filter(any)))
+    expected = [normalize_mod_p(t, p) for t in triples]
+    assert normalize_all_mod_p(list(triples), p) == expected
+    if triples:  # one zero triple anywhere spoils the common inverse
+        spot = data.draw(st.integers(0, len(triples)))
+        with pytest.raises(ValueError):
+            normalize_all_mod_p(triples[:spot] + [(0, 0, 0)] + triples[spot:], p)
 
 
-def _triple_pair(data, st):
+def _triple_pair(data):
     """A prime p, a nonzero int triple s and a multiple of s, zero or an unrelated t."""
-    p = data.draw(curves(st))[2]
+    p = data.draw(curves())[2]
     residue = st.integers(0, p - 1)
     s = data.draw(st.tuples(residue, residue, residue).filter(any))
     unit = data.draw(st.integers(0, p - 1))
@@ -326,41 +274,33 @@ def _triple_pair(data, st):
     return p, s, t
 
 
-def test_int_cross_product_matches_line_through():
-    given, settings, st = hypothesis_api(max_examples=150)
-
-    @settings
-    @given(st.data())
-    def check(data):
-        p, s, t = _triple_pair(data, st)
-        scalars = [tuple(PrimeFieldScalar(c, p) for c in v) for v in (s, t)]
-        assert outcome(lambda: line_through_mod_p(s, t, p)) == outcome(
-            lambda: _ints(line_through(*scalars).coords)
-        )
-
-    check()
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_int_cross_product_matches_line_through(data):
+    p, s, t = _triple_pair(data)
+    scalars = [tuple(PrimeFieldScalar(c, p) for c in v) for v in (s, t)]
+    assert outcome(lambda: line_through_mod_p(s, t, p)) == outcome(
+        lambda: _ints(line_through(*scalars).coords)
+    )
 
 
-def test_normalized_cross_product_is_line_through_mod_p():
-    given, settings, st = hypothesis_api(max_examples=150)
-
-    @settings
-    @given(st.data())
-    def check(data):
-        p, s, t = _triple_pair(data, st)
-        cross = cross_mod_p(s, t, p)
-        if any(cross):
-            assert normalize_mod_p(cross, p) == line_through_mod_p(s, t, p)
-        else:  # coincident points
-            with pytest.raises(ValueError):
-                normalize_mod_p(cross, p)
-            with pytest.raises(ValueError, match="no unique line"):
-                line_through_mod_p(s, t, p)
-
-    check()
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_normalized_cross_product_is_line_through_mod_p(data):
+    p, s, t = _triple_pair(data)
+    cross = cross_mod_p(s, t, p)
+    if any(cross):
+        assert normalize_mod_p(cross, p) == line_through_mod_p(s, t, p)
+    else:  # coincident points
+        with pytest.raises(ValueError):
+            normalize_mod_p(cross, p)
+        with pytest.raises(ValueError, match="no unique line"):
+            line_through_mod_p(s, t, p)
 
 
-def test_int_g_matches_evaluate_form_on_chords_and_random_lines():
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_int_g_matches_evaluate_form_on_chords_and_random_lines(data):
     # A form read mod p by _reduced has at an int triple the residue of the
     # form's value in its own field.  The forms: G on the int residues of a
     # and b, as the F_p claims build it, G over F_p and the monic G of
@@ -369,91 +309,69 @@ def test_int_g_matches_evaluate_form_on_chords_and_random_lines():
     # over F_p or over Q, whose coefficients and coordinates are then
     # rationals equal to residues mod p, half the coefficients 0 mod p but
     # mostly not 0.
-    given, settings, st = hypothesis_api()
+    pp, a, b, p, points = _setup(data)
+    cubics = [chord_cubic_generic(a, b), chord_cubic_generic(pp.a, pp.b), chord_cubic(pp)]
+    residues = st.integers(0, p - 1)
+    triples = data.draw(st.lists(st.tuples(residues, residues, residues), max_size=20))
+    chords = [chord_mod_p(b, p, s) for s in points]
+    for line in chords + triples:
+        scalars = tuple(PrimeFieldScalar(c, p) for c in line)
+        values = [_reduced(g, p).evaluate(line) % p for g in cubics]
+        assert values == [residue(evaluate_form(g, scalars), p) for g in cubics]
+        assert values[0] == values[1]
+        assert (line in chords) <= (values == [0, 0, 0])
 
-    @settings
-    @given(st.data())
-    def check(data):
-        pp, a, b, p, points = _setup(data, st)
-        cubics = [chord_cubic_generic(a, b), chord_cubic_generic(pp.a, pp.b), chord_cubic(pp)]
-        residues = st.integers(0, p - 1)
-        triples = data.draw(st.lists(st.tuples(residues, residues, residues), max_size=20))
-        chords = [chord_mod_p(b, p, s) for s in points]
-        for line in chords + triples:
-            scalars = tuple(PrimeFieldScalar(c, p) for c in line)
-            values = [_reduced(g, p).evaluate(line) % p for g in cubics]
-            assert values == [residue(evaluate_form(g, scalars), p) for g in cubics]
-            assert values[0] == values[1]
-            assert (line in chords) <= (values == [0, 0, 0])
+    over_q = data.draw(st.booleans())
+    lifts = st.tuples(st.integers(1, 60).filter(lambda d: d % p), st.integers(-3, 3))
 
-        over_q = data.draw(st.booleans())
-        lifts = st.tuples(st.integers(1, 60).filter(lambda d: d % p), st.integers(-3, 3))
+    def lift(r):
+        if not over_q:
+            return PrimeFieldScalar(r, p)
+        d, k = data.draw(lifts)
+        return Fraction(r * d + k * p, d)
 
-        def lift(r):
-            if not over_q:
-                return PrimeFieldScalar(r, p)
-            d, k = data.draw(lifts)
-            return Fraction(r * d + k * p, d)
-
-        degree = data.draw(st.integers(0, 4))
-        table = {key: data.draw(st.just(0) | residues) for key in monomials(degree)}
-        form = TernaryForm(degree, {key: lift(r) for key, r in table.items()})
-        for pt in triples:
-            lifted = tuple(lift(c) for c in pt)
-            assert _reduced(form, p).evaluate(pt) % p == residue(form.evaluate(lifted), p)
-
-    check()
+    degree = data.draw(st.integers(0, 4))
+    table = {key: data.draw(st.just(0) | residues) for key in monomials(degree)}
+    form = TernaryForm(degree, {key: lift(r) for key, r in table.items()})
+    for pt in triples:
+        lifted = tuple(lift(c) for c in pt)
+        assert _reduced(form, p).evaluate(pt) % p == residue(form.evaluate(lifted), p)
 
 
-def test_group_add_is_associative_on_ints_and_on_curve_points():
-    given, settings, st = hypothesis_api(max_examples=80)
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_group_add_is_associative_on_ints_and_on_curve_points(data):
+    pp, a, b, p, points = _setup(data)
+    s, t, u = (data.draw(st.sampled_from(points)) for _ in range(3))
 
-    @settings
-    @given(st.data())
-    def check(data):
-        pp, a, b, p, points = _setup(data, st)
-        s, t, u = (data.draw(st.sampled_from(points)) for _ in range(3))
+    def add(v, w):
+        return add_mod_p(a, b, p, v, w)
 
-        def add(v, w):
-            return add_mod_p(a, b, p, v, w)
-
-        assert add(add(s, t), u) == add(s, add(t, u))
-        q, r, w = (_point(pp, v) for v in (s, t, u))
-        assert group_add(group_add(q, r), w) == group_add(q, group_add(r, w))
-
-    check()
+    assert add(add(s, t), u) == add(s, add(t, u))
+    q, r, w = (_point(pp, v) for v in (s, t, u))
+    assert group_add(group_add(q, r), w) == group_add(q, group_add(r, w))
 
 
-def test_translation_by_beta_is_an_involution_and_the_chord_factors_through_it():
-    given, settings, st = hypothesis_api()
-
-    @settings
-    @given(st.data())
-    def check(data):
-        pp, a, b, p, points = _setup(data, st)
-        for s in points:
-            shifted = translate_mod_p(b, p, s)
-            assert shifted != s and translate_mod_p(b, p, shifted) == s
-            assert chord_mod_p(b, p, shifted) == chord_mod_p(b, p, s)
-            q = _point(pp, s)
-            assert translate_by_beta(translate_by_beta(q)) == q
-            assert chord_map(translate_by_beta(q)) == chord_map(q)
-
-    check()
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_translation_by_beta_is_an_involution_and_the_chord_factors_through_it(data):
+    pp, a, b, p, points = _setup(data)
+    for s in points:
+        shifted = translate_mod_p(b, p, s)
+        assert shifted != s and translate_mod_p(b, p, shifted) == s
+        assert chord_mod_p(b, p, shifted) == chord_mod_p(b, p, s)
+        q = _point(pp, s)
+        assert translate_by_beta(translate_by_beta(q)) == q
+        assert chord_map(translate_by_beta(q)) == chord_map(q)
 
 
-def test_point_count_sits_in_the_hasse_window():
-    given, settings, st = hypothesis_api()
-
-    @settings
-    @given(st.data())
-    def check(data):
-        pp, a, b, p, points = _setup(data, st)
-        for count in (len(points), len(enumerate_points(pp, p))):
-            assert (count - p - 1) ** 2 <= 4 * p
-            assert count % 2 == 0
-
-    check()
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_point_count_sits_in_the_hasse_window(data):
+    pp, a, b, p, points = _setup(data)
+    for count in (len(points), len(enumerate_points(pp, p))):
+        assert (count - p - 1) ** 2 <= 4 * p
+        assert count % 2 == 0
 
 
 def test_dual_point_of_an_int_chord_prints_like_chord_map():

@@ -3,6 +3,7 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from chordcubic import plane, scalars
 from chordcubic.chord import (
@@ -31,7 +32,7 @@ from chordcubic.plane import (
 )
 from chordcubic.poly import A, B
 from chordcubic.scalars import PrimeField, horner
-from fp_strategies import PRIMES_BELOW_200, curves, hypothesis_api
+from fp_strategies import PRIMES_BELOW_200, curves
 from oracles import (
     count_by_euler,
     dual_incidence,
@@ -89,39 +90,36 @@ def _det3(m):
     )
 
 
-def test_hessian_matches_the_pointwise_determinant():
+@st.composite
+def _cubics_and_points(draw):
+    """A random, Fermat or image cubic over F_p or Q, and a point of small integers."""
+    a, b, p = draw(curves())
+    over_q = draw(st.booleans())
+    field = Fraction if over_q else PrimeField(p)
+    kind = draw(st.sampled_from(["random", "fermat", "image"]))
+    if kind == "image":
+        params = validate_curve(a, b)
+        form = chord_cubic(params if over_q else reduce_params(params, p))
+    else:
+        values = st.fractions(-9, 9, max_denominator=5) if over_q else st.integers(0, p - 1)
+        coeffs = (
+            _fermat().coeffs
+            if kind == "fermat"
+            else {key: draw(values) for key in monomials(3)}
+        )
+        form = TernaryForm(3, {key: field(c) for key, c in coeffs.items()})
+    pt = tuple(field(draw(st.integers(-50, 50))) for _ in range(3))
+    return form, pt
+
+
+@settings(max_examples=100, deadline=None)
+@given(_cubics_and_points())
+def test_hessian_matches_the_pointwise_determinant(case):
     # The oracle evaluates the second partials at the point first and takes
     # the determinant of those values, so it does no arithmetic on forms.
-    given, settings, st = hypothesis_api(max_examples=100)
-
-    @st.composite
-    def cubic_and_point(draw):
-        a, b, p = draw(curves(st))
-        over_q = draw(st.booleans())
-        field = Fraction if over_q else PrimeField(p)
-        kind = draw(st.sampled_from(["random", "fermat", "image"]))
-        if kind == "image":
-            params = validate_curve(a, b)
-            form = chord_cubic(params if over_q else reduce_params(params, p))
-        else:
-            values = st.fractions(-9, 9, max_denominator=5) if over_q else st.integers(0, p - 1)
-            coeffs = (
-                _fermat().coeffs
-                if kind == "fermat"
-                else {key: draw(values) for key in monomials(3)}
-            )
-            form = TernaryForm(3, {key: field(c) for key, c in coeffs.items()})
-        pt = tuple(field(draw(st.integers(-50, 50))) for _ in range(3))
-        return form, pt
-
-    @settings
-    @given(cubic_and_point())
-    def check(case):
-        form, pt = case
-        second = [[form.partial(i).partial(j).evaluate(pt) for j in range(3)] for i in range(3)]
-        assert hessian_cubic(form).evaluate(pt) == _det3(second)
-
-    check()
+    form, pt = case
+    second = [[form.partial(i).partial(j).evaluate(pt) for j in range(3)] for i in range(3)]
+    assert hessian_cubic(form).evaluate(pt) == _det3(second)
 
 
 def test_hessian_of_the_generic_image_cubic():
@@ -297,26 +295,22 @@ def test_monomials_shape():
     assert all(sum(m) == 6 for m in monomials(6))
 
 
-def _forms_with_a_quadratic_axis(st):
+@st.composite
+def _forms_with_a_quadratic_axis(draw):
     """Random (form, p) of degree 1 to 3, of degree <= 2 in some coordinate.
 
     A cubic loses the cube of a drawn axis and keeps the other two cubes, so
     the sweep runs along that axis; every axis is drawn.
     """
-
-    @st.composite
-    def draw_form(draw):
-        p = draw(st.sampled_from(PRIMES_BELOW_200))
-        degree = draw(st.integers(1, 3))
-        axis = draw(st.integers(0, 2))
-        coeffs = {key: draw(st.integers(0, p - 1)) for key in monomials(degree)}
-        if degree == 3:
-            for m in range(3):
-                cube = tuple(3 if i == m else 0 for i in range(3))
-                coeffs[cube] = 0 if m == axis else draw(st.integers(1, p - 1))
-        return TernaryForm(degree, coeffs), p
-
-    return draw_form()
+    p = draw(st.sampled_from(PRIMES_BELOW_200))
+    degree = draw(st.integers(1, 3))
+    axis = draw(st.integers(0, 2))
+    coeffs = {key: draw(st.integers(0, p - 1)) for key in monomials(degree)}
+    if degree == 3:
+        for m in range(3):
+            cube = tuple(3 if i == m else 0 for i in range(3))
+            coeffs[cube] = 0 if m == axis else draw(st.integers(1, p - 1))
+    return TernaryForm(degree, coeffs), p
 
 
 def _sweep_matches_scan(form, p):
@@ -345,32 +339,23 @@ def _scan_oracle(form, p):
     return zeros, singular, flexes
 
 
-def test_sweep_matches_scan_on_the_curve_and_its_image():
-    given, settings, st = hypothesis_api()
-
-    @settings
-    @given(curves(st))
-    def check(curve):
-        a, b, p = curve
-        pp = reduce_params(validate_curve(a, b), p)
-        _sweep_matches_scan(chord_cubic(pp), p)
-        _sweep_matches_scan(weierstrass_form(pp), p)
-
-    check()
+@settings(max_examples=40, deadline=None)
+@given(curves())
+def test_sweep_matches_scan_on_the_curve_and_its_image(curve):
+    a, b, p = curve
+    pp = reduce_params(validate_curve(a, b), p)
+    _sweep_matches_scan(chord_cubic(pp), p)
+    _sweep_matches_scan(weierstrass_form(pp), p)
 
 
-def test_sweep_matches_scan_on_random_forms():
-    given, settings, st = hypothesis_api()
-
-    @settings
-    @given(_forms_with_a_quadratic_axis(st))
-    def check(form_p):
-        _sweep_matches_scan(*form_p)
-
-    check()
+@settings(max_examples=40, deadline=None)
+@given(_forms_with_a_quadratic_axis())
+def test_sweep_matches_scan_on_random_forms(form_p):
+    _sweep_matches_scan(*form_p)
 
 
-def _forms_cubic_in_every_axis(st):
+@st.composite
+def _forms_cubic_in_every_axis(draw):
     """Random (form, p) of degree at least 3 in every coordinate mod p.
 
     Half are cubics with a nonzero cube of every coordinate.  The other half
@@ -379,46 +364,36 @@ def _forms_cubic_in_every_axis(st):
     line times a conic would have no V^3) that contains the pencil line, on
     which its restriction is the zero polynomial, and the vertex.
     """
-
-    @st.composite
-    def draw(draw):
-        p = draw(st.sampled_from(PRIMES_BELOW_200))
-        residue, unit = st.integers(0, p - 1), st.integers(1, p - 1)
-        cubic = {key: draw(residue) for key in monomials(3)}
-        for cube in [(3, 0, 0), (0, 3, 0), (0, 0, 3)]:
-            cubic[cube] = draw(unit)
-        if draw(st.booleans()):
-            return TernaryForm(3, cubic), p
-        u, w = draw(st.tuples(residue, residue).filter(any))
-        return TernaryForm(4, _times({(1, 0, 0): u, (0, 0, 1): w}, cubic)), p
-
-    return draw()
+    p = draw(st.sampled_from(PRIMES_BELOW_200))
+    residue, unit = st.integers(0, p - 1), st.integers(1, p - 1)
+    cubic = {key: draw(residue) for key in monomials(3)}
+    for cube in [(3, 0, 0), (0, 3, 0), (0, 0, 3)]:
+        cubic[cube] = draw(unit)
+    if draw(st.booleans()):
+        return TernaryForm(3, cubic), p
+    u, w = draw(st.tuples(residue, residue).filter(any))
+    return TernaryForm(4, _times({(1, 0, 0): u, (0, 0, 1): w}, cubic)), p
 
 
-def test_sweep_matches_scan_on_curves_with_lines_and_without_an_axis():
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(PRIMES_BELOW_200), _forms_cubic_in_every_axis())
+def test_sweep_matches_scan_on_curves_with_lines_and_without_an_axis(p, form_q):
     # UVW contains the three coordinate lines, so whole pencil lines vanish;
     # the Fermat cubic and the random forms are cubic in every coordinate,
     # so each pencil line is solved by a root scan of a cubic in z.
-    given, settings, st = hypothesis_api()
-
-    @settings
-    @given(st.sampled_from(PRIMES_BELOW_200), _forms_cubic_in_every_axis(st))
-    def check(p, form_q):
-        assert count_zero_points_over_Fp(_triangle(), p) == 3 * p
-        _sweep_matches_scan(_triangle(), p)
-        _sweep_matches_scan(_fermat(), p)
-        form, q = form_q
-        table = plane._reduced(form, q).coeffs
-        assert min(plane._degree_along(table, z) for z in range(3)) >= 3
-        assert plane._pencil_axis(table) == 1
-        zeros, singular, flexes = _scan_oracle(form, q)
-        assert sorted(_zero_points_over_Fp(form, q)) == sorted(zeros)
-        assert count_zero_points_over_Fp(form, q) == len(zeros)
-        assert smooth_by_sweep(form, q) == (not singular)
-        if form.degree == 3:
-            assert find_flexes_over_Fp(form, q) == sorted(flexes)
-
-    check()
+    assert count_zero_points_over_Fp(_triangle(), p) == 3 * p
+    _sweep_matches_scan(_triangle(), p)
+    _sweep_matches_scan(_fermat(), p)
+    form, q = form_q
+    table = plane._reduced(form, q).coeffs
+    assert min(plane._degree_along(table, z) for z in range(3)) >= 3
+    assert plane._pencil_axis(table) == 1
+    zeros, singular, flexes = _scan_oracle(form, q)
+    assert sorted(_zero_points_over_Fp(form, q)) == sorted(zeros)
+    assert count_zero_points_over_Fp(form, q) == len(zeros)
+    assert smooth_by_sweep(form, q) == (not singular)
+    if form.degree == 3:
+        assert find_flexes_over_Fp(form, q) == sorted(flexes)
 
 
 def test_the_scan_is_an_oracle_only():
@@ -426,36 +401,26 @@ def test_the_scan_is_an_oracle_only():
     assert not hasattr(plane, "_chart_tables")
 
 
-def test_flexes_match_the_sorted_scan():
-    given, settings, st = hypothesis_api()
-
-    @settings
-    @given(curves(st), _forms_with_a_quadratic_axis(st))
-    def check(curve, form_p):
-        a, b, p = curve
-        pp = reduce_params(validate_curve(a, b), p)
-        cases = [(chord_cubic(pp), p), (weierstrass_form(pp), p), (_fermat(), p)]
-        if form_p[0].degree == 3:
-            cases.append(form_p)
-        for cubic, q in cases:
-            assert find_flexes_over_Fp(cubic, q) == sorted(_scan_oracle(cubic, q)[2])
-
-    check()
+@settings(max_examples=40, deadline=None)
+@given(curves(), _forms_with_a_quadratic_axis())
+def test_flexes_match_the_sorted_scan(curve, form_p):
+    a, b, p = curve
+    pp = reduce_params(validate_curve(a, b), p)
+    cases = [(chord_cubic(pp), p), (weierstrass_form(pp), p), (_fermat(), p)]
+    if form_p[0].degree == 3:
+        cases.append(form_p)
+    for cubic, q in cases:
+        assert find_flexes_over_Fp(cubic, q) == sorted(_scan_oracle(cubic, q)[2])
 
 
-def test_sweeps_agree_on_a_rational_form_and_its_reduction():
-    given, settings, st = hypothesis_api()
-
-    @settings
-    @given(curves(st))
-    def check(curve):
-        a, b, p = curve
-        params = validate_curve(a, b)
-        rational, reduced = chord_cubic(params), chord_cubic(reduce_params(params, p))
-        for sweep in (count_zero_points_over_Fp, smooth_over_Fp, find_flexes_over_Fp):
-            assert sweep(rational, p) == sweep(reduced, p)
-
-    check()
+@settings(max_examples=40, deadline=None)
+@given(curves())
+def test_sweeps_agree_on_a_rational_form_and_its_reduction(curve):
+    a, b, p = curve
+    params = validate_curve(a, b)
+    rational, reduced = chord_cubic(params), chord_cubic(reduce_params(params, p))
+    for sweep in (count_zero_points_over_Fp, smooth_over_Fp, find_flexes_over_Fp):
+        assert sweep(rational, p) == sweep(reduced, p)
 
 
 def test_sweep_skips_only_lines_without_a_zero(monkeypatch):
@@ -641,7 +606,8 @@ def _permuted(table: dict, order) -> dict:
     return {tuple(key[i] for i in order): c for key, c in table.items()}
 
 
-def _singular_cubics(st):
+@st.composite
+def _singular_cubics(draw):
     """Random (cubic, p) with a node or a cusp at an affine F_p point, quadratic in an axis.
 
     The cubic G is singular at (0, 0, 1) (no monomial has W^2) and has no
@@ -652,47 +618,38 @@ def _singular_cubics(st):
     (1, t0).  When q has no V^2 term, the leading coefficient c2 of the
     cubic along V vanishes on that line.  The coordinates are permuted last.
     """
-
-    @st.composite
-    def draw(draw):
-        p = draw(st.sampled_from(PRIMES_BELOW_200))
-        unit, residue = st.integers(1, p - 1), st.integers(0, p - 1)
-        if draw(st.booleans()):  # node: q = alpha U^2 + beta UV + gamma V^2
-            alpha, beta, gamma = (draw(residue) for _ in range(3))
-        else:  # cusp: q = k (l1 U + l2 V)^2
-            k, l1, l2 = draw(unit), draw(residue), draw(residue)
-            alpha, beta, gamma = k * l1 * l1, 2 * k * l1 * l2, k * l2 * l2
-        if draw(st.booleans()):
-            gamma = 0
-        base = {(2, 0, 1): alpha, (1, 1, 1): beta, (0, 2, 1): gamma}
-        base.update({key: draw(residue) for key in [(3, 0, 0), (2, 1, 0), (1, 2, 0)]})
-        z0, t0, a, m12, m22 = draw(residue), draw(residue), draw(unit), draw(residue), draw(residue)
-        m20 = draw(residue.filter(lambda m: (m + m22 * t0) % p))
-        rows = [(-t0, 0, 1), (-a * z0 - m12 * t0, a, m12), (m20, 0, m22)]
-        order = draw(st.permutations(range(3)))
-        return TernaryForm(3, _permuted(_compose(base, rows), order)), p
-
-    return draw()
+    p = draw(st.sampled_from(PRIMES_BELOW_200))
+    unit, residue = st.integers(1, p - 1), st.integers(0, p - 1)
+    if draw(st.booleans()):  # node: q = alpha U^2 + beta UV + gamma V^2
+        alpha, beta, gamma = (draw(residue) for _ in range(3))
+    else:  # cusp: q = k (l1 U + l2 V)^2
+        k, l1, l2 = draw(unit), draw(residue), draw(residue)
+        alpha, beta, gamma = k * l1 * l1, 2 * k * l1 * l2, k * l2 * l2
+    if draw(st.booleans()):
+        gamma = 0
+    base = {(2, 0, 1): alpha, (1, 1, 1): beta, (0, 2, 1): gamma}
+    base.update({key: draw(residue) for key in [(3, 0, 0), (2, 1, 0), (1, 2, 0)]})
+    z0, t0, a, m12, m22 = draw(residue), draw(residue), draw(unit), draw(residue), draw(residue)
+    m20 = draw(residue.filter(lambda m: (m + m22 * t0) % p))
+    rows = [(-t0, 0, 1), (-a * z0 - m12 * t0, a, m12), (m20, 0, m22)]
+    order = draw(st.permutations(range(3)))
+    return TernaryForm(3, _permuted(_compose(base, rows), order)), p
 
 
-def _reducible_cubics(st):
+@st.composite
+def _reducible_cubics(draw):
     """Random (line * conic, p) of degree <= 2 in some axis, both factors nonzero."""
-
-    @st.composite
-    def draw(draw):
-        p = draw(st.sampled_from(PRIMES_BELOW_200))
-        residue = st.integers(0, p - 1)
-        line = dict(zip(monomials(1), draw(st.tuples(*[residue] * 3).filter(any))))
-        conic = dict(zip(monomials(2), draw(st.tuples(*[residue] * 6).filter(any))))
-        axis = draw(st.integers(0, 2))  # no cube of the axis in the product
-        unit = tuple(1 if i == axis else 0 for i in range(3))
-        if draw(st.booleans()):
-            line[unit] = 0
-        else:
-            conic[tuple(2 * e for e in unit)] = 0
-        return TernaryForm(3, _times(line, conic)), p
-
-    return draw()
+    p = draw(st.sampled_from(PRIMES_BELOW_200))
+    residue = st.integers(0, p - 1)
+    line = dict(zip(monomials(1), draw(st.tuples(*[residue] * 3).filter(any))))
+    conic = dict(zip(monomials(2), draw(st.tuples(*[residue] * 6).filter(any))))
+    axis = draw(st.integers(0, 2))  # no cube of the axis in the product
+    unit = tuple(1 if i == axis else 0 for i in range(3))
+    if draw(st.booleans()):
+        line[unit] = 0
+    else:
+        conic[tuple(2 * e for e in unit)] = 0
+    return TernaryForm(3, _times(line, conic)), p
 
 
 def _matches_the_sweep(form, p):
@@ -701,39 +658,24 @@ def _matches_the_sweep(form, p):
         assert find_flexes_over_Fp(form, p) == flexes_by_sweep(form, p)
 
 
-def test_eliminant_search_matches_the_sweep_on_random_forms():
-    given, settings, st = hypothesis_api(max_examples=100)
-
-    @settings
-    @given(_forms_with_a_quadratic_axis(st))
-    def check(form_p):
-        _matches_the_sweep(*form_p)
-
-    check()
+@settings(max_examples=100, deadline=None)
+@given(_forms_with_a_quadratic_axis())
+def test_eliminant_search_matches_the_sweep_on_random_forms(form_p):
+    _matches_the_sweep(*form_p)
 
 
-def test_eliminant_search_finds_every_node_and_cusp():
-    given, settings, st = hypothesis_api(max_examples=100)
-
-    @settings
-    @given(_singular_cubics(st))
-    def check(form_p):
-        form, p = form_p
-        assert not smooth_over_Fp(form, p)
-        _matches_the_sweep(form, p)
-
-    check()
+@settings(max_examples=100, deadline=None)
+@given(_singular_cubics())
+def test_eliminant_search_finds_every_node_and_cusp(form_p):
+    form, p = form_p
+    assert not smooth_over_Fp(form, p)
+    _matches_the_sweep(form, p)
 
 
-def test_eliminant_search_matches_the_sweep_on_reducible_cubics():
-    given, settings, st = hypothesis_api(max_examples=100)
-
-    @settings
-    @given(_reducible_cubics(st))
-    def check(form_p):
-        _matches_the_sweep(*form_p)
-
-    check()
+@settings(max_examples=100, deadline=None)
+@given(_reducible_cubics())
+def test_eliminant_search_matches_the_sweep_on_reducible_cubics(form_p):
+    _matches_the_sweep(*form_p)
 
 
 def test_the_triangle_takes_the_full_sweep(monkeypatch):
@@ -747,28 +689,23 @@ def test_the_triangle_takes_the_full_sweep(monkeypatch):
     assert calls == [7, 7, 7]
 
 
-def test_the_eliminant_vanishes_where_the_forms_meet():
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_the_eliminant_vanishes_where_the_forms_meet(data):
     # On each line (1, t), F = c2 z^2 + c1 z + c0 and K = k3 z^3 + ... + k0
     # with the t-degrees of a cubic; R(t) = 0 wherever they share an F_p
     # zero z and wherever c2(t) = 0.
-    given, settings, st = hypothesis_api(max_examples=100)
-
-    @settings
-    @given(st.data())
-    def check(data):
-        p = data.draw(st.sampled_from([5, 7, 11, 13, 31]))
-        residue = st.integers(0, p - 1)
-        c = [data.draw(st.lists(residue, min_size=4 - e, max_size=4 - e)) for e in range(3)]
-        k = [data.draw(st.lists(residue, min_size=4 - e, max_size=4 - e)) for e in range(4)]
-        eliminant = plane._eliminant(c, k)
-        assert len(eliminant) <= 12
-        for t in range(p):
-            f, g = ([horner(poly, t) % p for poly in polys] for polys in (c, k))
-            meet = any(horner(f, z) % p == 0 == horner(g, z) % p for z in range(p))
-            if meet or f[2] == 0:
-                assert horner(eliminant, t) % p == 0
-
-    check()
+    p = data.draw(st.sampled_from([5, 7, 11, 13, 31]))
+    residue = st.integers(0, p - 1)
+    c = [data.draw(st.lists(residue, min_size=4 - e, max_size=4 - e)) for e in range(3)]
+    k = [data.draw(st.lists(residue, min_size=4 - e, max_size=4 - e)) for e in range(4)]
+    eliminant = plane._eliminant(c, k)
+    assert len(eliminant) <= 12
+    for t in range(p):
+        f, g = ([horner(poly, t) % p for poly in polys] for polys in (c, k))
+        meet = any(horner(f, z) % p == 0 == horner(g, z) % p for z in range(p))
+        if meet or f[2] == 0:
+            assert horner(eliminant, t) % p == 0
 
 
 def test_smooth_curves_at_1009_never_take_the_full_sweep(monkeypatch):
@@ -900,64 +837,56 @@ def _column_blocks(mat, size):
         yield [list(column) for column in zip(*mat[start : start + size])]
 
 
-def test_interpolation_on_ints_matches_scalar_rows():
-    given, settings, st = hypothesis_api()
-
-    @st.composite
-    def point_sets(draw):
-        # Small coordinates put many points on common lines and conics.
-        p = draw(st.sampled_from(PRIMES_BELOW_200))
-        field = PrimeField(p)
-        coord = st.integers(0, draw(st.sampled_from([1, 2, 4, p - 1])))
-        triples = draw(
-            st.lists(
-                st.tuples(coord, coord, coord).filter(any).map(lambda t: tuple(map(field, t))),
-                max_size=60,
-                unique_by=normalize_triple,
-            )
+@st.composite
+def _point_sets(draw):
+    # Small coordinates put many points on common lines and conics.
+    p = draw(st.sampled_from(PRIMES_BELOW_200))
+    field = PrimeField(p)
+    coord = st.integers(0, draw(st.sampled_from([1, 2, 4, p - 1])))
+    triples = draw(
+        st.lists(
+            st.tuples(coord, coord, coord).filter(any).map(lambda t: tuple(map(field, t))),
+            max_size=60,
+            unique_by=normalize_triple,
         )
-        return triples, p
-
-    @settings
-    @given(point_sets())
-    def check(points_p):
-        points, p = points_p
-        found = min_interpolating_degree(points, p=p)
-        assert found == _min_degree_by_scalar_rows(points, p)
-        # Ranking any degree first certifies it only at nullity 1, so the
-        # result, kernel included, is the plain search's.
-        for first in range(1, 9):
-            assert min_interpolating_degree(points, p=p, first=first) == found
-
-    check()
+    )
+    return triples, p
 
 
-def test_row_echelon_rank_matches_gauss_jordan():
-    given, settings, st = hypothesis_api()
+@settings(max_examples=40, deadline=None)
+@given(_point_sets())
+def test_interpolation_on_ints_matches_scalar_rows(points_p):
+    points, p = points_p
+    found = min_interpolating_degree(points, p=p)
+    assert found == _min_degree_by_scalar_rows(points, p)
+    # Ranking any degree first certifies it only at nullity 1, so the
+    # result, kernel included, is the plain search's.
+    for first in range(1, 9):
+        assert min_interpolating_degree(points, p=p, first=first) == found
 
-    @st.composite
-    def matrices(draw):
-        # Rows are small combinations of a few drawn rows, so that the rank
-        # often falls short of full; a coefficient p leaves entries that are
-        # nonzero ints but zero mod p.
-        p = draw(st.sampled_from(PRIMES_BELOW_200))
-        cols = draw(st.integers(1, 12))
-        row = st.lists(st.integers(-(10 ** 6), 10 ** 6), min_size=cols, max_size=cols)
-        basis = draw(st.lists(row, max_size=cols))
-        mat = []
-        for _ in range(draw(st.integers(0, 12))):
-            coeffs = [draw(st.integers(-3, 3) | st.just(p)) for _ in basis]
-            mat.append([sum(c * b[m] for c, b in zip(coeffs, basis)) for m in range(cols)])
-        return mat, p, cols, draw(st.integers(1, 13))
 
-    @settings
-    @given(matrices())
-    def check(mat_p):
-        mat, p, cols, size = mat_p
-        found = _rank_and_kernel_mod_p(_column_blocks(mat, size), p, cols)[0]
-        assert found == _gauss_jordan_rank(mat, p)
+@st.composite
+def _matrices(draw):
+    # Rows are small combinations of a few drawn rows, so that the rank
+    # often falls short of full; a coefficient p leaves entries that are
+    # nonzero ints but zero mod p.
+    p = draw(st.sampled_from(PRIMES_BELOW_200))
+    cols = draw(st.integers(1, 12))
+    row = st.lists(st.integers(-(10 ** 6), 10 ** 6), min_size=cols, max_size=cols)
+    basis = draw(st.lists(row, max_size=cols))
+    mat = []
+    for _ in range(draw(st.integers(0, 12))):
+        coeffs = [draw(st.integers(-3, 3) | st.just(p)) for _ in basis]
+        mat.append([sum(c * b[m] for c, b in zip(coeffs, basis)) for m in range(cols)])
+    return mat, p, cols, draw(st.integers(1, 13))
 
-    check()
+
+@settings(max_examples=40, deadline=None)
+@given(_matrices())
+def test_row_echelon_rank_matches_gauss_jordan(mat_p):
+    mat, p, cols, size = mat_p
+    found = _rank_and_kernel_mod_p(_column_blocks(mat, size), p, cols)[0]
+    assert found == _gauss_jordan_rank(mat, p)
 
 
 def test_packed_rank_fields_hold_at_the_top_of_the_domain():
@@ -996,42 +925,38 @@ def test_rank_mod_p_reads_no_row_after_full_rank():
         assert _rank_and_kernel_mod_p(blocks(), 7, 3)[0] == 3
 
 
-def test_kernel_path_matches_gauss_jordan_on_rows_past_nullity_one():
-    given, settings, st = hypothesis_api()
+@st.composite
+def _tall_matrices(draw):
+    # More rows than columns from a basis of ncols - nullity rows; the
+    # first ``late`` rows avoid the last basis row, so that the rank sits
+    # at ncols - 1 while further rows arrive, and a coefficient p leaves
+    # entries that are nonzero ints but zero mod p.
+    p = draw(st.sampled_from(PRIMES_BELOW_200))
+    nullity = draw(st.integers(0, 2))
+    cols = draw(st.integers(max(1, nullity), 12))
+    row = st.lists(st.integers(-(10 ** 6), 10 ** 6), min_size=cols, max_size=cols)
+    basis = draw(st.lists(row, min_size=cols - nullity, max_size=cols - nullity))
+    late = draw(st.integers(0, cols + 6))
+    mat = []
+    for n in range(draw(st.integers(cols + 1, cols + 12))):
+        coeffs = [draw(st.integers(-3, 3) | st.just(p)) for _ in basis]
+        if basis and n < late:
+            coeffs[-1] = 0
+        mat.append([sum(c * b[m] for c, b in zip(coeffs, basis)) for m in range(cols)])
+    return mat, p, cols, draw(st.integers(1, cols + 13))
 
-    @st.composite
-    def matrices(draw):
-        # More rows than columns from a basis of ncols - nullity rows; the
-        # first ``late`` rows avoid the last basis row, so that the rank sits
-        # at ncols - 1 while further rows arrive, and a coefficient p leaves
-        # entries that are nonzero ints but zero mod p.
-        p = draw(st.sampled_from(PRIMES_BELOW_200))
-        nullity = draw(st.integers(0, 2))
-        cols = draw(st.integers(max(1, nullity), 12))
-        row = st.lists(st.integers(-(10 ** 6), 10 ** 6), min_size=cols, max_size=cols)
-        basis = draw(st.lists(row, min_size=cols - nullity, max_size=cols - nullity))
-        late = draw(st.integers(0, cols + 6))
-        mat = []
-        for n in range(draw(st.integers(cols + 1, cols + 12))):
-            coeffs = [draw(st.integers(-3, 3) | st.just(p)) for _ in basis]
-            if basis and n < late:
-                coeffs[-1] = 0
-            mat.append([sum(c * b[m] for c, b in zip(coeffs, basis)) for m in range(cols)])
-        return mat, p, cols, draw(st.integers(1, cols + 13))
 
-    @settings
-    @given(matrices())
-    def check(mat_p):
-        mat, p, cols, size = mat_p
-        rank = _gauss_jordan_rank(mat, p)
-        found, kernel = _rank_and_kernel_mod_p(_column_blocks(mat, size), p, cols)
-        assert found == rank
-        assert (kernel is not None) == (rank == cols - 1)
-        if kernel is not None:
-            assert any(kernel)
-            assert all(sum(v * k for v, k in zip(r, kernel)) % p == 0 for r in mat)
-
-    check()
+@settings(max_examples=40, deadline=None)
+@given(_tall_matrices())
+def test_kernel_path_matches_gauss_jordan_on_rows_past_nullity_one(mat_p):
+    mat, p, cols, size = mat_p
+    rank = _gauss_jordan_rank(mat, p)
+    found, kernel = _rank_and_kernel_mod_p(_column_blocks(mat, size), p, cols)
+    assert found == rank
+    assert (kernel is not None) == (rank == cols - 1)
+    if kernel is not None:
+        assert any(kernel)
+        assert all(sum(v * k for v, k in zip(r, kernel)) % p == 0 for r in mat)
 
 
 def test_rank_mod_p_reads_no_row_after_a_row_off_the_kernel():

@@ -1,7 +1,9 @@
-"""Scans for names that nothing reads, over src/, tests/ and bench/, and for upward and private imports in src/.
+"""Scans for names that nothing reads, over src/, tests/ and bench/, for upward and private imports in src/,
+and for test and bench functions that repeat the body of a src/ function.
 
-Each report is built on one reader, :func:`loads`, and takes trees keyed
-by their path from the repository root, so a test can plant sources.
+Each report takes the trees that :func:`parse` reads, keyed by their path
+from the repository root, so a test can plant sources; the name scans read
+them through :func:`loads`.
 """
 
 import ast
@@ -241,6 +243,27 @@ def private_imports(src: dict) -> list:
     return found
 
 
+def copied_bodies(src: dict, others: dict) -> list:
+    """Functions of the other trees whose body, docstring dropped, is AST-equal to that of a src/ function.
+
+    An oracle that repeats the body it checks agrees with it by construction.
+    """
+
+    def bodies(trees):
+        for path, tree in trees.items():
+            for node in ast.walk(tree):
+                if isinstance(node, ast.FunctionDef):
+                    body = node.body[1:] if ast.get_docstring(node) is not None else node.body
+                    yield path, node, ast.dump(ast.Module(body, []))
+
+    originals = {body: f"{Path(path).stem}.{node.name}" for path, node, body in bodies(src)}
+    return [
+        f"{path}:{node.lineno}: {node.name} repeats the body of {originals[body]}"
+        for path, node, body in bodies(others)
+        if body in originals
+    ]
+
+
 SRC, TESTS, BENCH = parse("src/chordcubic/*.py"), parse("tests/*.py"), parse("bench/*.py")
 
 
@@ -251,6 +274,7 @@ SCANS = {
     unread_methods: [SRC, BENCH],
     unread_helpers: [TESTS],
     private_imports: [SRC],
+    copied_bodies: [SRC, {**TESTS, **BENCH}],
 }
 
 
@@ -357,3 +381,12 @@ def test_a_private_name_imported_from_a_sealed_layer_is_reported():
         "src/chordcubic/cli.py:1: imports _triple from verify",
         "src/chordcubic/m.py:1: imports _Parser from cli",
     ]
+
+
+def test_a_body_copied_from_src_is_reported():
+    src = {SRC_M: ast.parse('def f(x):\n    """Twice x, plus one."""\n    return 2 * x + 1\n')}
+    others = {
+        "tests/test_m.py": ast.parse("def _copy(x):\n    return 2 * x + 1\n"),
+        "bench/m.py": ast.parse("def _near(x):\n    return 2 * x + 2\n"),
+    }
+    assert copied_bodies(src, others) == ["tests/test_m.py:1: _copy repeats the body of m.f"]

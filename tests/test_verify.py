@@ -6,6 +6,7 @@ from math import isqrt
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from chordcubic import chord, plane, verify
 from chordcubic.chord import (
@@ -62,7 +63,7 @@ from chordcubic.verify import (
     verify_identity_symbolic,
     verify_quotient,
 )
-from fp_strategies import curves, hypothesis_api
+from fp_strategies import curves
 from oracles import (
     chord_mod_p,
     chord_table,
@@ -860,32 +861,27 @@ def _lists_and_loops_match_the_oracles(ctx):
     _loops_match_the_oracles(ctx)
 
 
-def test_list_tables_and_loops_match_the_point_keyed_oracles():
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_list_tables_and_loops_match_the_point_keyed_oracles(data):
     # With one translate, one chord or the chord of one pair then replaced at
     # random, the loops still match the oracle loop.
-    given, settings, st = hypothesis_api(max_examples=80)
-
-    @settings
-    @given(st.data())
-    def check(data):
-        a, b, p = data.draw(curves(st))
-        ctx = FpContext(validate_curve(a, b), p)
-        _lists_and_loops_match_the_oracles(ctx)
-        points = ctx.points
-        translates, chords = list(ctx.translates), list(ctx.chords)
-        kind = data.draw(st.sampled_from(["translate", "chord", "pair chord"]))
-        i = data.draw(st.integers(0, len(points) - 1))
-        if kind == "translate":
-            translates[i] = data.draw(st.none() | st.integers(0, len(points) - 1))
-        else:
-            residue = st.integers(0, p - 1)
-            line = normalize_mod_p(data.draw(st.tuples(residue, residue, residue).filter(any)), p)
-            for k in [i] if kind == "chord" else [i, translates[i]]:
-                chords[k] = line
-        ctx.translates, ctx.chords = translates, chords
-        _loops_match_the_oracles(ctx)
-
-    check()
+    a, b, p = data.draw(curves())
+    ctx = FpContext(validate_curve(a, b), p)
+    _lists_and_loops_match_the_oracles(ctx)
+    points = ctx.points
+    translates, chords = list(ctx.translates), list(ctx.chords)
+    kind = data.draw(st.sampled_from(["translate", "chord", "pair chord"]))
+    i = data.draw(st.integers(0, len(points) - 1))
+    if kind == "translate":
+        translates[i] = data.draw(st.none() | st.integers(0, len(points) - 1))
+    else:
+        residue = st.integers(0, p - 1)
+        line = normalize_mod_p(data.draw(st.tuples(residue, residue, residue).filter(any)), p)
+        for k in [i] if kind == "chord" else [i, translates[i]]:
+            chords[k] = line
+    ctx.translates, ctx.chords = translates, chords
+    _loops_match_the_oracles(ctx)
 
 
 @pytest.mark.parametrize("a, b", [(-3, 2), (-5, 1)])
