@@ -154,7 +154,10 @@ class TernaryForm:
     def evaluate(self, coords):
         """Exact value at a projective triple (zero/nonzero is projective)."""
         u, v, w = as_triple(coords)
-        return sum(c * u ** i * v ** j * w ** k for (i, j, k), c in self.coeffs.items())
+        total = 0
+        for (i, j, k), c in self.coeffs.items():
+            total += c * u ** i * v ** j * w ** k
+        return total
 
     def canonical(self) -> TernaryForm:
         """Content-normalized copy for deterministic comparison.

@@ -444,24 +444,47 @@ def verify_degree_remark(params: CurveParams, p: int, order: int) -> Report:
     )
 
 
+def _is_sum_with_beta(a: int, p: int, q, s) -> bool:
+    """Whether the int pair s (None for O) is q + beta on E(F_p), with no inverse.
+
+    O and beta go to each other.  Any other point q = (x, y) of E has
+    x != 0, and q + beta = (x', y') is the third point of the chord through
+    q and beta, negated: x + x' + a is the square of its slope y / x, and
+    -s lies on it, so (x + x' + a) x^2 = y^2 and x y' + y x' = 0 mod p.
+    Given q, these fix the residues of s.
+    """
+    if q is None:
+        return s == (0, 0)
+    if q == (0, 0):
+        return s is None
+    if s is None:
+        return False
+    (x, y), (u, v) = q, s
+    return ((x + u + a) * x * x - y * y) % p == 0 and (x * v + y * u) % p == 0
+
+
 def _first_point_fault(ctx: FpContext, g: TernaryForm) -> str:
     """The witness of the first point of ``ctx`` failing a per-point cross-check, else ''.
 
-    At every point q: its translate against ``add_mod_p`` (a translate not
-    on the list disagrees), the involution by index and the chord's
-    factoring through the translate.  The two-point line, the incidence of
-    both endpoints and G (the int form ``g``) at the chord are checked
-    once per pair {q, q + beta}, at its first member in enumeration order.
+    At every point q: its listed translate against the group law by
+    ``_is_sum_with_beta`` (a translate not on the list disagrees), the
+    involution by index and the chord's factoring through the translate.
+    That relation takes no inverse and reads the sum x + x' of the roots
+    of the chord through q and beta, not their product x x' = b, which is
+    the closed form of ``translates_mod_p`` under test.  The two-point
+    line, the incidence of both endpoints and G (the int form ``g``) at
+    the chord are checked once per pair {q, q + beta}, at its first member
+    in enumeration order.
     Once the involution and the factoring hold there, the second member's
     translate is q and its chord is q's, and these checks are symmetric in
     the two points; so the first failing point and its witness are those
     of all six checks at every point.
     """
-    a, b, p, points = ctx.a, ctx.b, ctx.p, ctx.points
+    a, p, points = ctx.a, ctx.p, ctx.points
     translates, chords = ctx.translates, ctx.chords
     for i, q in enumerate(points):
         j = translates[i]
-        if j is None or points[j] != add_mod_p(a, b, p, q, (0, 0)):
+        if j is None or not _is_sum_with_beta(a, p, q, points[j]):
             fault = "translation formula disagrees at {q}"
         elif translates[j] != i:
             fault = "translation is not an involution at {q}"
@@ -496,10 +519,14 @@ def verify_cross_checks(ctx: FpContext) -> Report:
     of the curve's own Weierstrass cubic must be exactly the 3-torsion.
 
     The scan is one loop over the lists of ``ctx``.  At every point it
-    checks ``translates`` against ``add_mod_p`` (with its own inverse) and
-    as an involution by index, and ``chords`` for factoring by list
-    equality.  Once per pair {q, q + beta} it checks the chord against
-    ``cross_mod_p`` of q and q + beta, both endpoints and G at the chord
+    checks ``translates`` against the chord-and-tangent relation between
+    q = (x, y) and its translate (x', y'), (x + x' + a) x^2 = y^2 and
+    x y' + y x' = 0 mod p, with no inverse and through the sum x + x', so
+    that it never repeats the product x x' = b by which ``translates_mod_p``
+    builds the list; it checks them as an involution by index, and
+    ``chords`` for factoring by list equality.  Once per pair
+    {q, q + beta} it checks the chord against ``cross_mod_p`` of q and
+    q + beta, both endpoints and G at the chord
     (see ``_first_point_fault``).  Witnesses print the int triples.
     The 3-torsion is ``ctx.torsion3``; the flexes it is compared with come
     from the Hessian sweep, which never uses psi3.  The scalar functions

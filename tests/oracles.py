@@ -95,7 +95,10 @@ def point_fault(a: int, b: int, p: int, g: TernaryForm, translates: dict, chords
     All six checks at q itself, on the tables keyed by point
     (:func:`translate_table`, :func:`chord_table`) and the form ``g`` of G
     read mod p.  ``{q}`` in the template stands for the point; '' when every
-    check holds.
+    check holds.  The translate is recomputed by ``add_mod_p``, where the
+    loop of verify checks it by the chord-and-tangent relation
+    (``_is_sum_with_beta``), so comparing the two witnesses is a
+    differential test of that relation.
     """
     shifted = translates[q]
     if shifted != add_mod_p(a, b, p, q, (0, 0)):

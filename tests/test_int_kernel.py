@@ -13,7 +13,9 @@ The batch translates ``translates_mod_p``, the batch chords
 cross product ``cross_mod_p`` are checked against their per-point oracles
 ``translate_mod_p``, ``chord_mod_p`` and ``line_through_mod_p`` (in
 ``oracles``) and ``normalize_mod_p``; the batch inversion
-``inverses_mod_p`` they share, against ``pow(v, -1, p)``.
+``inverses_mod_p`` they share, against ``pow(v, -1, p)``.  The relation
+by which the cross-checks test a translate, ``verify._is_sum_with_beta``,
+is checked against ``add_mod_p``.
 """
 
 from fractions import Fraction
@@ -51,7 +53,7 @@ from chordcubic.curve import (
 )
 from chordcubic.plane import _reduced, evaluate_form, monomials
 from chordcubic.scalars import PrimeField, PrimeFieldScalar, inverses_mod_p, residue
-from chordcubic.verify import _triple
+from chordcubic.verify import _is_sum_with_beta, _triple
 from fp_strategies import curve_residues, curves, outcome
 from oracles import chord_mod_p, line_through_mod_p, translate_mod_p
 
@@ -176,6 +178,35 @@ def test_int_translation_matches_translate_by_beta(data):
     pp, a, b, p, points = _setup(data)
     for s in points:
         assert translate_mod_p(b, p, s) == _pair(translate_by_beta(_point(pp, s)))
+
+
+def _sums_with_beta_match_add_mod_p(a, b, p, points, drawn):
+    """At each q of ``points``, the relation holds for exactly the candidate add_mod_p gives.
+
+    The candidates are q + beta, O, beta, -(q + beta) and ``drawn``.
+    """
+    for q in points:
+        total = add_mod_p(a, b, p, q, (0, 0))
+        negated = None if total is None else (total[0], -total[1] % p)
+        for s in (total, None, (0, 0), negated, drawn):
+            assert _is_sum_with_beta(a, p, q, s) == (s == total)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_sum_with_beta_relation_matches_add_mod_p(data):
+    pp, a, b, p, points = _setup(data)
+    _sums_with_beta_match_add_mod_p(a, b, p, points, data.draw(st.sampled_from(points)))
+
+
+@pytest.mark.parametrize("a, b", [(-3, 2), (-5, 1)])
+def test_sum_with_beta_relation_matches_add_mod_p_at_the_largest_prime(a, b):
+    # O, beta and about 130 points spread over the enumeration.
+    p = 65521
+    a, b = a % p, b % p
+    points = [None] + affine_points_mod_p(a, b, p)
+    sample = points[:3] + points[3::509]
+    _sums_with_beta_match_add_mod_p(a, b, p, sample, points[len(points) // 2])
 
 
 @settings(max_examples=40, deadline=None)

@@ -24,7 +24,6 @@ from chordcubic.chord import (
 from chordcubic.curve import (
     CurveParams,
     CurvePoint,
-    add_mod_p,
     affine_points_mod_p,
     beta,
     enumerate_points,
@@ -52,6 +51,7 @@ from chordcubic.cli import main
 from chordcubic.verify import (
     FpContext,
     Report,
+    _is_sum_with_beta,
     lcg_stream,
     run_full_suite,
     sample_params,
@@ -647,6 +647,11 @@ def _wrong_translates(mover, to):
     ]
 
 
+def _negated(a, p, q, s) -> bool:
+    """_is_sum_with_beta with the sum negated: whether the affine int pair s is -(q + beta)."""
+    return _is_sum_with_beta(a, p, q, (s[0], -s[1] % p))
+
+
 WITNESS_PRIME = 101
 
 
@@ -664,15 +669,11 @@ def _cross_faults(pp, T, t):
     t_triple = (*t, 1)
     shifted_triple = tuple(c.value for c in translate_by_beta(T).coords)
 
-    def negated_sum(a, b, p, s, u):
-        x, y = add_mod_p(a, b, p, s, u)
-        return x, -y % p
-
     return {
         "translation against the group law": (
             {
-                "add_mod_p": _wrong_at(
-                    add_mod_p, lambda a, b, p, s, u: s == t, negated_sum
+                "_is_sum_with_beta": _wrong_at(
+                    _is_sum_with_beta, lambda a, p, q, s: q == t, _negated
                 )
             },
             {
@@ -775,13 +776,13 @@ def _second_member_faults(pp, T):
     s_triple = (*s, 1)
     unit_line = DualPoint((pp.scalar(1), pp.scalar(0), pp.scalar(0)))
 
-    def negated_sum(a, b, p, q, u):
-        x, y = add_mod_p(a, b, p, q, u)
-        return x, -y % p
-
     return {
         "translation against the group law": (
-            {"add_mod_p": _wrong_at(add_mod_p, lambda a, b, p, q, u: q == s, negated_sum)},
+            {
+                "_is_sum_with_beta": _wrong_at(
+                    _is_sum_with_beta, lambda a, p, q, u: q == s, _negated
+                )
+            },
             {
                 "add": _wrong_at(
                     group_add, lambda q, r: q == S, lambda q, r: negate(group_add(q, r))
@@ -964,7 +965,8 @@ def test_suite_translates_and_chords_each_point_once(monkeypatch):
     from chordcubic import chord, curve
 
     # The per-point translate and chord are test oracles only; the suite
-    # builds each list once, by one batch inversion.
+    # builds each list once, by one batch inversion, and checks each
+    # translate by a relation, never by add_mod_p.
     assert not hasattr(chord, "chord_mod_p") and not hasattr(curve, "translate_mod_p")
     calls = {}
     for source, name in [
@@ -972,6 +974,7 @@ def test_suite_translates_and_chords_each_point_once(monkeypatch):
         (curve, "translates_mod_p"),
         (chord, "chords_mod_p"),
         (curve, "three_torsion_flexes"),
+        (verify, "add_mod_p"),
     ]:
         _count_calls(monkeypatch, calls, source, name)
     params = validate_curve(-3, 2)
@@ -983,16 +986,20 @@ def test_suite_translates_and_chords_each_point_once(monkeypatch):
         "translates_mod_p": 1,
         "chords_mod_p": 1,
         "three_torsion_flexes": 1,
+        "add_mod_p": 0,
     }
     assert calls == suite
     # The flex claim reads only the context's 3-torsion: it enumerates nothing.
     assert verify_flex_correspondence(FpContext(params, 1019)).status == "pass"
     assert calls == {**suite, "three_torsion_flexes": 2}
     # The degree remark builds its own context, enumerates it once per call
-    # and never builds its translates, chords or 3-torsion.
+    # and never builds its translates, chords or 3-torsion.  It shifts each
+    # of the 1020 points of E(F_1019) once at order 2; no point has order 4.
     for order in (2, 4):
         verify_degree_remark(params, 1019, order)
-    assert calls == {**suite, "affine_points_mod_p": 4, "three_torsion_flexes": 2}
+    assert calls == {
+        **suite, "affine_points_mod_p": 4, "three_torsion_flexes": 2, "add_mod_p": 1020
+    }
 
 
 def test_the_symbolic_claims_prove_the_chord_formula_that_chord_map_runs(monkeypatch):
