@@ -21,7 +21,9 @@ tabulated at every line by packed forward differences
 line only when no coordinate has degree at most 2 or the eliminant
 vanishes mod p.  Only F_p-rational singular points count.
 Every function over F_p takes p explicitly and reads coefficients and
-coordinates as ints mod p through :func:`~chordcubic.scalars.residue`.
+coordinates as ints mod p through :func:`~chordcubic.scalars.residue`,
+except that min_interpolating_degree takes a list of points that are
+already normalized int triples mod p as it is.
 """
 
 from __future__ import annotations
@@ -319,9 +321,12 @@ def min_interpolating_degree(points, p: int, *, first: int | None = None) -> Min
     Returns the degree together with the kernel dimension of the monomial
     evaluation matrix (and, at nullity 1, the kernel form), or None when
     no degree up to MAX_INTERPOLATION_DEGREE works; an empty point list
-    gives MinDegree(1, 3).  The modulus is checked first, and each
-    coordinate is read by :func:`~chordcubic.scalars.residue`, so a value
-    that F_p refuses raises ValueError, and the points must be distinct.
+    gives MinDegree(1, 3).  The modulus is checked first.  The points, any
+    iterable, are listed once; unless they are all normalized int triples
+    mod p already, which are taken as they are, each coordinate is read by
+    :func:`~chordcubic.scalars.residue` and each point normalized
+    (:func:`_normalized_points`), so a value that F_p refuses raises
+    ValueError.  The points must be distinct.
 
     The degrees 1, 2, ... are ranked in turn, up to the first with a
     kernel.  With ``first``, the expected degree, that degree is ranked
@@ -340,7 +345,7 @@ def min_interpolating_degree(points, p: int, *, first: int | None = None) -> Min
         raise ValueError(
             f"first must be a degree from 1 to {MAX_INTERPOLATION_DEGREE}, got {first}"
         )
-    normalized = [normalize_mod_p([residue(c, p) for c in pt], p) for pt in points]
+    normalized = _normalized_points(list(points), p)
     if len(set(normalized)) != len(normalized):
         raise ValueError("interpolation points must be distinct")
 
@@ -362,6 +367,27 @@ def min_interpolating_degree(points, p: int, *, first: int | None = None) -> Min
         if found.nullity:
             return found
     return None
+
+
+def _normalized_points(points: list, p: int) -> list:
+    """The points read as normalized int triples mod p, with the errors of that reading.
+
+    A list whose points are all tuples of three ints (bools excluded) in
+    0..p-1 with first nonzero entry 1 is already what the reading gives,
+    so it is returned as it is, after checks that iterate in C, with no
+    Python call per point.  Any other list has each point read by
+    :func:`~chordcubic.scalars.residue` and :func:`normalize_mod_p`.
+    """
+    if set(map(type, points)) <= {tuple} and set(map(len, points)) <= {3}:
+        coords = list(chain.from_iterable(points))
+        if (
+            set(map(type, coords)) <= {int}
+            and min(coords, default=0) >= 0
+            and max(coords, default=0) < p
+            and set(map(next, map(filter, repeat(None), points), repeat(0))) <= {1}
+        ):
+            return points
+    return [normalize_mod_p([residue(c, p) for c in pt], p) for pt in points]
 
 
 def _monomial_columns(block: list, mons: list, p: int) -> list:

@@ -370,7 +370,8 @@ def verify_degree_remark(params: CurveParams, p: int, order: int) -> Report:
     inverse (``normalize_all_mod_p``).  A curve point is
     built only for the order test; witnesses print the int triples.  The
     image lines go to min_interpolating_degree with the expected degree as
-    ``first``, so an image that interpolates there with nullity 1 is
+    ``first``; being normalized int triples, they are not read again
+    there.  An image that interpolates at ``first`` with nullity 1 is
     certified by that one rank; any other image gets the ascending search
     over degrees 1 to 8.  With order 2, T is beta and the image lies on
     the image cubic G, so a one-dimensional kernel at degree 3 must be

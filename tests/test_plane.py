@@ -233,18 +233,53 @@ def test_min_interpolating_degree_exceeds_dmax():
     assert min_interpolating_degree(plane, p=p) is None
 
 
+def _read_by_hand(points, p):
+    """Each point read into F_p, normalized and given back as an int triple."""
+    field = PrimeField(p)
+    return [tuple(c.value for c in normalize_triple(tuple(map(field, pt)))) for pt in points]
+
+
+def _outcome(call):
+    """What a call returns, or the type and message of the ValueError it raises."""
+    try:
+        return call()
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+# Five points on one conic and on no line: nullity 1 at degree 2 mod 11.
+CONIC = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1), (1, 2, 7)]
+
+# Inputs at p = 11 with the error their reading raises, or None when they
+# read as CONIC.  Only the first is already normalized int triples.
+READINGS = {
+    "normalized ints": (CONIC, None),
+    "F_p scalars": (_fp_triples(CONIC, 11), None),
+    "multiples": ([tuple(k * c - 11 for c in t) for k, t in enumerate(CONIC, start=2)], None),
+    "a list for a tuple": ([list(CONIC[0]), *CONIC[1:]], None),
+    "a bool": ([(True, 0, 0), *CONIC[1:]], "cannot coerce True into F_11"),
+    "an int >= p": ([CONIC[0], (0, 12, 0), *CONIC[2:]], None),
+    "a negative int": ([*CONIC[:4], (1, 2, -4)], None),
+    "unnormalized residues": ([*CONIC[:4], (2, 4, 3)], None),
+    "a zero triple": ([*CONIC, (0, 0, 0)], "projective coordinates must not all vanish"),
+    "a projective duplicate": ([*CONIC, (2, 4, 3)], "interpolation points must be distinct"),
+    "a foreign scalar": ([(PrimeField(7)(1), 0, 0), *CONIC[1:]], "scalar mod 7 is not in F_11"),
+}
+
+
 def test_min_interpolating_degree_reads_coordinates_mod_p():
-    # Five points on one conic and on no line: nullity 1 at degree 2.
+    # Given as a list or as a generator, the points give the result or the
+    # error of reading each one into F_p by hand; normalized int triples
+    # are taken as they are.
     p = 11
-    ints = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1), (1, 2, 7)]
-    twins = _fp_triples(ints, p)
-    multiples = [tuple(k * c - p for c in t) for k, t in enumerate(ints, start=2)]
-    found = [min_interpolating_degree(pts, p=p) for pts in (ints, twins, multiples)]
-    assert found[0][:2] == (2, 1) and found[0].kernel is not None
-    assert found[1:] == found[:1] * 2
-    other = [(PrimeField(7)(1), 0, 0), (0, 1, 0)]
-    with pytest.raises(ValueError, match="scalar mod 7 is not in F_11"):
-        min_interpolating_degree(other, p=p)
+    conic = _min_degree_by_scalar_rows(_fp_triples(CONIC, p), p)
+    assert conic[:2] == (2, 1) and conic.kernel is not None
+    for name, (points, error) in READINGS.items():
+        by_hand = _outcome(lambda: min_interpolating_degree(_read_by_hand(points, p), p=p))
+        assert by_hand == ((ValueError, error) if error else conic), name
+        assert _outcome(lambda: min_interpolating_degree(points, p=p)) == by_hand, name
+        generated = (pt for pt in points)
+        assert _outcome(lambda: min_interpolating_degree(generated, p=p)) == by_hand, name
 
 
 def test_min_interpolating_degree_requires_distinct_points():
@@ -859,6 +894,7 @@ def test_interpolation_on_ints_matches_scalar_rows(points_p):
     points, p = points_p
     found = min_interpolating_degree(points, p=p)
     assert found == _min_degree_by_scalar_rows(points, p)
+    assert min_interpolating_degree(_read_by_hand(points, p), p=p) == found
     # Ranking any degree first certifies it only at nullity 1, so the
     # result, kernel included, is the plain search's.
     for first in range(1, 9):

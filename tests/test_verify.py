@@ -330,6 +330,23 @@ def test_degree_remark_shifts_each_point_once(monkeypatch):
     assert len(calls) == 104
 
 
+def test_degree_remark_reads_its_lines_once(monkeypatch):
+    # The image lines reach the interpolation normalized, as int triples,
+    # and it takes them as they are: with plane's readers refusing every
+    # call, the reports of the chord map, of a point of order 4 and of the
+    # missing order 5 (#E(F_101) = 104) are unchanged.
+    params = validate_curve(-3, 2)
+    expected = [verify_degree_remark(params, 101, n).to_dict() for n in (2, 4, 5)]
+    assert [r["status"] for r in expected] == ["pass", "fail", "skipped"]
+
+    def refuse(*args):
+        raise AssertionError("a normalized image line was read again")
+
+    monkeypatch.setattr(plane, "residue", refuse)
+    monkeypatch.setattr(plane, "normalize_mod_p", refuse)
+    assert [verify_degree_remark(params, 101, n).to_dict() for n in (2, 4, 5)] == expected
+
+
 def test_degree_remark_rejects_tiny_order():
     with pytest.raises(ValueError):
         verify_degree_remark(validate_curve(-3, 2), 101, 1)
