@@ -152,11 +152,25 @@ class TernaryForm:
         return TernaryForm(max(self.degree - 1, 0), out)
 
     def evaluate(self, coords):
-        """Exact value at a projective triple (zero/nonzero is projective)."""
+        """Exact value at a projective triple (zero/nonzero is projective).
+
+        A coefficient is multiplied only by the powers with a nonzero
+        exponent.  For coordinates in one ring the value and its type are
+        those of the sum of c u^i v^j w^k, so a degree-0 form is still
+        multiplied by u^0 v^0 w^0, and the zero form gives the int 0.
+        """
         u, v, w = as_triple(coords)
+        if not self.degree:
+            return sum(c * u ** 0 * v ** 0 * w ** 0 for c in self.coeffs.values())
         total = 0
         for (i, j, k), c in self.coeffs.items():
-            total += c * u ** i * v ** j * w ** k
+            if i:
+                c = c * u ** i
+            if j:
+                c = c * v ** j
+            if k:
+                c = c * w ** k
+            total += c
         return total
 
     def canonical(self) -> TernaryForm:

@@ -3,16 +3,18 @@
 A polynomial is a dictionary mapping exponent quadruples
 (e_x, e_y, e_a, e_b) to nonzero exact coefficients: ints and Fractions are
 stored as given, anything else as its Fraction.  Only the public constructor
-checks keys and converts coefficients; arithmetic builds its results through
-a private one that only drops zeros, since sums of valid keys are valid and
+checks keys and converts coefficients; arithmetic builds its results, and
+the constants it needs (an int or Fraction operand, q ** 0), through a
+private one that only drops zeros, since sums of valid keys are valid and
 ints and Fractions stay so under + and *.  This exact representation
 makes polynomial identity testing fully reliable: two polynomials are equal
 exactly when their term tables coincide, and the zero polynomial is the
 empty table.
 
 The one rewriting rule this module knows is reduction modulo the curve
-relation y^2 = x^3 + a x^2 + b x: every term is rewritten until its
-y-degree is at most 1.  Ints stay ints and other rationals stay Fractions.
+relation y^2 = x^3 + a x^2 + b x (the cubic F, built once at import):
+every term is rewritten until its y-degree is at most 1.  Ints stay ints
+and other rationals stay Fractions.
 
 Canonical term order is descending lexicographic on (e_y, e_x, e_a, e_b),
 which fixes the textual form used in serialised output.
@@ -24,6 +26,7 @@ from fractions import Fraction
 
 VARIABLES = ("x", "y", "a", "b")
 _VAR_INDEX = {name: i for i, name in enumerate(VARIABLES)}
+_CONSTANT_KEY = (0, 0, 0, 0)
 
 
 class MultiPoly:
@@ -51,10 +54,6 @@ class MultiPoly:
         return q
 
     @classmethod
-    def const(cls, value) -> MultiPoly:
-        return cls({(0, 0, 0, 0): value})
-
-    @classmethod
     def variable(cls, name: str) -> MultiPoly:
         if name not in _VAR_INDEX:
             raise ValueError(f"unknown variable {name!r}; expected one of {VARIABLES}")
@@ -73,7 +72,7 @@ class MultiPoly:
         if isinstance(other, MultiPoly):
             return other
         if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
-            return MultiPoly.const(other)
+            return MultiPoly._of({_CONSTANT_KEY: other})
         return None
 
     def __add__(self, other):
@@ -128,7 +127,7 @@ class MultiPoly:
             exponent >>= 1
             if exponent:
                 base = base * base
-        return MultiPoly.const(1) if result is None else result
+        return MultiPoly._of({_CONSTANT_KEY: 1}) if result is None else result
 
     def __eq__(self, other):
         rhs = self._coerce(other)
@@ -173,15 +172,17 @@ def f_curve() -> MultiPoly:
     return X ** 3 + A * X ** 2 + B * X
 
 
+F = f_curve()
+
+
 def reduce_mod_curve(q: MultiPoly) -> MultiPoly:
-    """Rewrite y^2 -> x^3 + a x^2 + b x until every term has y-degree <= 1."""
-    f = f_curve()
-    powers = [MultiPoly.const(1)]
+    """Rewrite y^2 -> x^3 + a x^2 + b x (:data:`F`) until every term has y-degree <= 1."""
+    powers = [MultiPoly._of({_CONSTANT_KEY: 1})]
     out = {}
     for (ex, ey, ea, eb), coeff in q.terms.items():
         half, rem = divmod(ey, 2)
         while len(powers) <= half:
-            powers.append(powers[-1] * f)
+            powers.append(powers[-1] * F)
         # f has no y, so every term of f^half keeps the remainder y^rem.
         for (fx, _, fa, fb), c in powers[half].terms.items():
             key = (ex + fx, rem, ea + fa, eb + fb)

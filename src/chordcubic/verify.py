@@ -125,7 +125,7 @@ def verify_chord_incidence_symbolic(mutate: str | None = None) -> Report:
         v = b * x + x ** 3
     residuals = [
         u * x + v * y + w,
-        b * x * u - b * y * v + x ** 2 * w,
+        b * (x * u - y * v) + x * (x * w),
     ]
     witness = _residual_witness("nonzero incidence residual", residuals)
     return _report(CLAIM_INCIDENCE, witness, started, len(residuals))
@@ -146,10 +146,10 @@ def verify_identity_symbolic(mutate: str | None = None) -> Report:
     g = chord_cubic_generic(a, b)
     main_residual = reduce_mod_curve(g.evaluate((u, v, w)))
 
-    f = poly.f_curve()
     t = 2 * b * u - a * w
-    lhs = ((4 * b - a ** 2) * w ** 3 - 2 * a * t * w ** 2 - t ** 2 * w) * f
-    rhs = 4 * b ** 2 * y ** 2 * t * v ** 2
+    # ((4b - a^2) w^3 - 2a t w^2 - t^2 w) f, by Horner's rule in w.
+    lhs = (((4 * b - a * a) * w - 2 * a * t) * w - t * t) * w * poly.F
+    rhs = 4 * b * b * y * y * t * (v * v)
     sign = -1 if mutate == "identity_e_sign" else 1
     ratio_residual = reduce_mod_curve(lhs - sign * rhs)
 
@@ -285,15 +285,14 @@ def verify_quotient(params: CurveParams, primes, mutate: str | None = None) -> R
     """
     started = time.monotonic()
     _check_mutation(mutate, "quotient_b_coeff")
-    x, y, a, b = poly.X, poly.Y, poly.A, poly.B
+    x, a, b = poly.X, poly.A, poly.B
     shift = 3 if mutate == "quotient_b_coeff" else 4
-    b_image = a ** 2 - shift * b
-    residual = reduce_mod_curve(
-        y ** 2 * (x ** 2 - b) ** 2 * x ** 2
-        - y ** 6
-        + 2 * a * y ** 4 * x ** 2
-        - b_image * y ** 2 * x ** 4
-    )
+    b_image = a * a - shift * b
+    # y^2 (x^2 - b)^2 x^2 - y^6 + 2a y^4 x^2 - b_image y^2 x^4, factored
+    # through y^2 and x^2, with y^2 written as f: the same reduced residual.
+    y2, x2 = poly.F, x * x
+    d = x2 - b
+    residual = reduce_mod_curve(y2 * (x2 * (d * d - b_image * x2) + y2 * (2 * a * x2 - y2)))
     witness = _residual_witness("isogeny residual", [residual])
 
     checked = 0

@@ -34,6 +34,17 @@ def invariants_form(params) -> TernaryForm:
     ).canonical()
 
 
+def form_at_by_products(form: TernaryForm, coords):
+    """The form at a triple as the sum of c * u**i * v**j * w**k, every power taken, u**0 too.
+
+    The oracle of ``TernaryForm.evaluate``, which multiplies a coefficient
+    only by the powers with a nonzero exponent; the two agree in value and
+    in type.
+    """
+    u, v, w = as_triple(coords)
+    return sum((c * u ** i * v ** j * w ** k for (i, j, k), c in form.coeffs.items()), 0)
+
+
 def poly_at(q, field, **values):
     """The MultiPoly q at ints or Fractions for its variables, in field: Fraction or a PrimeField.
 

@@ -21,11 +21,11 @@ from chordcubic.curve import (
     translate_by_beta,
     validate_curve,
 )
-from chordcubic.plane import evaluate_form
+from chordcubic.plane import evaluate_form, monomials
 from chordcubic.poly import MultiPoly
 from chordcubic.scalars import PrimeFieldScalar
 from fp_strategies import PRIMES_BELOW_200, outcome, triples
-from oracles import invariants_form, poly_at
+from oracles import form_at_by_products, invariants_form, poly_at
 
 UV2, U2W, V2W, W3 = (1, 2, 0), (2, 0, 1), (0, 2, 1), (0, 0, 3)
 
@@ -71,7 +71,7 @@ def test_invariants_equation_at_a_curve_point():
     x_val, a_val, b_val = 2, 3, 1
     y = MultiPoly.variable("y")
     u = y * (x_val * x_val + b_val)
-    v = MultiPoly.const(b_val * x_val - x_val ** 3)
+    v = MultiPoly({(0, 0, 0, 0): b_val * x_val - x_val ** 3})
     w = -2 * b_val * x_val * y
     s = u - inv.mu_inv * w
     lhs = inv.e * s * v * v
@@ -256,6 +256,40 @@ def test_ternary_form_canonicalization():
     canon = form.canonical()
     assert canon.coeffs == {(2, 0, 0): 1, (0, 2, 0): -2}
     assert canon.canonical() == canon
+
+
+def _ring_values(ring: str, p: int):
+    """Values of one ring: small ints, Fractions, scalars mod p or polynomials, zero included."""
+    if ring == "int":
+        return st.integers(-3, 3)
+    if ring == "Fraction":
+        return st.fractions(-3, 3, max_denominator=3)
+    if ring == "F_p":
+        return st.builds(PrimeFieldScalar, st.integers(0, p - 1), st.just(p))
+    exponents = st.tuples(*[st.integers(0, 1)] * 4)
+    return st.dictionaries(exponents, st.integers(-2, 2), max_size=2).map(MultiPoly)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_evaluate_matches_the_product_of_every_power(data):
+    # evaluate skips the powers with exponent 0; the value and its type must
+    # be those of c * u**i * v**j * w**k summed, degree 0 and zero forms too.
+    ring = data.draw(st.sampled_from(["int", "Fraction", "F_p", "MultiPoly"]))
+    values = _ring_values(ring, data.draw(st.sampled_from(PRIMES_BELOW_200)))
+    coeffs = st.integers(-3, 3) | values
+    if ring != "F_p":
+        coeffs |= st.fractions(-3, 3, max_denominator=3)
+    degree = data.draw(st.integers(0, 4))
+    form = TernaryForm(degree, data.draw(st.dictionaries(st.sampled_from(monomials(degree)), coeffs)))
+    u, v, w = data.draw(st.tuples(values, values, values))
+    for f, coords in ((form, (u, v, w)), (form, (u, v - v, w)), (TernaryForm(degree, {}), (u, v, w))):
+        got, want = f.evaluate(coords), form_at_by_products(f, coords)
+        assert type(got) is type(want) and got == want
+        if isinstance(want, MultiPoly):
+            assert {k: type(c) for k, c in got.terms.items()} == {
+                k: type(c) for k, c in want.terms.items()
+            }
 
 
 def test_ternary_form_validation():

@@ -1,8 +1,10 @@
+import operator
 import random
 from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from chordcubic.poly import (
     A,
@@ -126,8 +128,6 @@ def test_other_coefficients_convert_to_fractions():
     for raw, want in ((0.5, Fraction(1, 2)), ("1/3", Fraction(1, 3)), (True, Fraction(1))):
         (coeff,) = MultiPoly({key: raw}).terms.values()
         assert type(coeff) is Fraction and coeff == want
-        (coeff,) = MultiPoly.const(raw).terms.values()
-        assert type(coeff) is Fraction and coeff == want
 
 
 def test_zero_coefficients_are_dropped():
@@ -148,7 +148,7 @@ def test_arithmetic_results_are_what_the_public_constructor_builds():
             q, r = _random_poly(rng, max_y=4, ints=ints), _random_poly(rng, ints=ints)
             results = [q + r, q - r, r - q, -q, q * r, q - q, 1 - q, 2 * q + 1]
             results += [reduce_mod_curve(q), reduce_mod_curve(q * r)]
-            product = MultiPoly.const(1)
+            product = MultiPoly({(0, 0, 0, 0): 1})
             for e in range(7):
                 assert q ** e == product
                 results.append(q ** e)
@@ -162,6 +162,38 @@ def test_arithmetic_results_are_what_the_public_constructor_builds():
     assert MultiPoly() ** 0 == 1
 
 
+EXACT = st.integers(-9, 9) | st.fractions(-9, 9, max_denominator=4)
+POLYS = st.dictionaries(st.tuples(*[st.integers(0, 2)] * 4), EXACT, max_size=5).map(MultiPoly)
+
+
+@settings(max_examples=150, deadline=None)
+@given(POLYS, EXACT, st.integers(1, 5))
+def test_arithmetic_with_a_constant_matches_the_constructed_constant(q, c, n):
+    # Arithmetic builds its constants through the private constructor; the
+    # tables and coefficient types must be those of MultiPoly({...}).
+    const, one = MultiPoly({(0, 0, 0, 0): c}), MultiPoly({(0, 0, 0, 0): 1})
+    power = one
+    for _ in range(n):
+        power = power * q
+    pairs = [
+        (c * q, const * q),
+        (q * c, q * const),
+        (q + c, q + const),
+        (c - q, const - q),
+        (q ** 0, one),
+        (q ** n, power),
+    ]
+    for got, want in pairs:
+        assert got.terms == want.terms
+        assert {k: type(v) for k, v in got.terms.items()} == {
+            k: type(v) for k, v in want.terms.items()
+        }
+    for op in (operator.mul, operator.add, operator.sub):
+        for lhs, rhs in ((q, True), (False, q)):
+            with pytest.raises(TypeError):
+                op(lhs, rhs)
+
+
 @pytest.mark.parametrize("key", [(1, 0, 0), (1, -1, 0, 0), (1.0, 0, 0, 0), [1, 0, 0, 0]])
 def test_public_constructor_rejects_malformed_keys(key):
     # A stand-in mapping, since a list key cannot sit in a dict.
@@ -173,7 +205,7 @@ def test_public_constructor_rejects_malformed_keys(key):
 def _reduce_term_by_term(q: MultiPoly) -> MultiPoly:
     """The slow reducer: one MultiPoly per term, added to a growing sum."""
     f = f_curve()
-    powers = {0: MultiPoly.const(1)}
+    powers = {0: MultiPoly({(0, 0, 0, 0): 1})}
     out = MultiPoly()
     for (ex, ey, ea, eb), coeff in q.terms.items():
         half, rem = divmod(ey, 2)

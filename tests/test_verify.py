@@ -8,7 +8,7 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from chordcubic import chord, plane, verify
+from chordcubic import chord, plane, poly, verify
 from chordcubic.chord import (
     DualPoint,
     TernaryForm,
@@ -109,7 +109,7 @@ def test_identity_specializes_to_zero():
     u = Y * (X ** 2 + 2)
     v = 2 * X - X ** 3
     w = -4 * X * Y
-    g = chord_cubic_generic(MultiPoly.const(-3), MultiPoly.const(2))
+    g = chord_cubic_generic(MultiPoly({(0, 0, 0, 0): -3}), MultiPoly({(0, 0, 0, 0): 2}))
     big = g.evaluate((u, v, w))
     f_spec = X ** 3 - 3 * X ** 2 + 2 * X
     reduced = MultiPoly()
@@ -210,6 +210,25 @@ def test_quotient_mutation_fails():
     report = verify_quotient(validate_curve(-3, 2), [101], mutate="quotient_b_coeff")
     assert report.status == "fail"
     assert report.witness == "isogeny residual: -1·x^7·b + -1·x^6·a·b + -1·x^5·b^2"
+
+
+def test_symbolic_claims_read_the_curve_cubic_built_at_import(monkeypatch):
+    # poly.F is built once; no claim builds the curve cubic again.
+    claims = [
+        verify_chord_incidence_symbolic,
+        verify_identity_symbolic,
+        lambda mutate: verify_quotient(validate_curve(-3, 2), [101], mutate),
+    ]
+    mutations = ["incidence_v_sign", "identity_e_sign", "quotient_b_coeff"]
+    runs = [(claim, m) for claim, known in zip(claims, mutations) for m in (None, known)]
+    expected = [(r.status, r.witness) for r in (claim(m) for claim, m in runs)]
+
+    def refused():
+        raise AssertionError("the curve cubic is built again")
+
+    monkeypatch.setattr(poly, "f_curve", refused)
+    assert [(r.status, r.witness) for r in (claim(m) for claim, m in runs)] == expected
+    assert [status for status, _ in expected] == ["pass", "fail"] * 3
 
 
 def test_quotient_skips_bad_primes():
